@@ -131,18 +131,31 @@ pub struct RingStats {
     pub busy_cycles: u64,
 }
 
-#[derive(Debug)]
+/// One queued transfer, with everything arbitration needs resolved once
+/// at submit.
+#[derive(Debug, Clone, Copy)]
 struct Pending {
+    /// Submit order across all four grant queues: a pass merges the two
+    /// direction heads of its class by this number, oldest first.
+    seq: u64,
     token: u64,
-    req: TransferRequest,
     enqueued: Cycle,
-    /// Ramp indices and shortest-route direction, resolved once at
-    /// submit so the arbitration loop never repeats the lookups.
+    bytes: u32,
+    /// Healthy wire cycles for `bytes`.
+    wire: u32,
+    class: FlowClass,
     src_ramp: usize,
     dst_ramp: usize,
-    dir: Direction,
-    /// Whether the transfer touches the MIC (memory-priority pass).
-    mic: bool,
+}
+
+/// Grant queue of a (MIC class, `routes[0]` direction) pair: the
+/// memory-priority pair first, clockwise before counter-clockwise.
+fn lane(mic: bool, dir: Direction) -> usize {
+    let class = if mic { 0 } else { 2 };
+    match dir {
+        Direction::Clockwise => class,
+        Direction::CounterClockwise => class + 1,
+    }
 }
 
 /// Precomputed admissible routes for one (src, dst) ramp pair: at most
@@ -160,6 +173,53 @@ impl RouteSet {
     }
 }
 
+/// The future expiries of every segment and port reservation, as a
+/// counted multiset sorted by cycle.
+///
+/// `try_grant` adds each expiry it reserves and removes any still-future
+/// expiry it overwrites (a receive port or a pipelined segment can be
+/// re-reserved before it frees). Expiries at or before an arbitration
+/// time can never be asked for again, so they are dropped from the front.
+#[derive(Debug, Default)]
+struct ReleaseCalendar {
+    /// `(expiry, reservations expiring then)`, ascending by expiry. It
+    /// holds a few dozen entries at most, so a flat vector scanned
+    /// linearly beats a tree or a binary search.
+    entries: Vec<(Cycle, u32)>,
+}
+
+impl ReleaseCalendar {
+    fn add(&mut self, at: Cycle, count: u32) {
+        // A new expiry is usually the latest one, so search from the back.
+        let i = self.entries.iter().rposition(|&(t, _)| t <= at);
+        match i {
+            Some(i) if self.entries[i].0 == at => self.entries[i].1 += count,
+            _ => self.entries.insert(i.map_or(0, |i| i + 1), (at, count)),
+        }
+    }
+
+    fn remove(&mut self, at: Cycle) {
+        let i = self
+            .entries
+            .iter()
+            .position(|&(t, _)| t == at)
+            .expect("the calendar holds every future reservation");
+        self.entries[i].1 -= 1;
+        if self.entries[i].1 == 0 {
+            self.entries.remove(i);
+        }
+    }
+
+    fn drop_through(&mut self, now: Cycle) {
+        let expired = self.entries.iter().take_while(|&&(t, _)| t <= now).count();
+        self.entries.drain(..expired);
+    }
+
+    fn next_after(&self, now: Cycle) -> Option<Cycle> {
+        self.entries.iter().map(|&(t, _)| t).find(|&t| t > now)
+    }
+}
+
 /// The Element Interconnect Bus: four rings plus the central data arbiter.
 ///
 /// Usage follows a submit/arbitrate/kick protocol designed for an outer
@@ -172,6 +232,9 @@ impl RouteSet {
 /// 3. If requests remain queued, [`Eib::next_release_after`] says when a
 ///    reservation next expires so the caller can schedule a re-arbitration
 ///    event.
+///
+/// Like any discrete-event model the bus only moves forward: the `now`
+/// passed to these calls must never decrease.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug)]
@@ -186,7 +249,10 @@ pub struct Eib {
     send_free: Vec<Cycle>,
     recv_free: Vec<Cycle>,
     last_send_class: Vec<Option<FlowClass>>,
-    pending: VecDeque<Pending>,
+    /// Grant queues indexed by [`lane`], each in submit order.
+    queues: [VecDeque<Pending>; 4],
+    next_seq: u64,
+    calendar: ReleaseCalendar,
     stats: EibStats,
     ring_stats: Vec<RingStats>,
     faults: EibFaults,
@@ -246,7 +312,9 @@ impl Eib {
             send_free: vec![Cycle::ZERO; n],
             recv_free: vec![Cycle::ZERO; n],
             last_send_class: vec![None; n],
-            pending: VecDeque::new(),
+            queues: Default::default(),
+            next_seq: 0,
+            calendar: ReleaseCalendar::default(),
             stats: EibStats::default(),
             ring_stats: vec![RingStats::default(); ring_count],
             faults: EibFaults::default(),
@@ -295,20 +363,23 @@ impl Eib {
         assert!(src != dst, "route requested from {} to itself", req.src);
         let n = self.topology.ramp_count();
         let dir = self.route_table[src * n + dst].routes[0].direction;
-        self.pending.push_back(Pending {
+        let mic = req.src.is_mic() || req.dst.is_mic();
+        self.queues[lane(mic, dir)].push_back(Pending {
+            seq: self.next_seq,
             token,
-            req,
             enqueued: now,
+            bytes: req.bytes,
+            wire: req.bytes.div_ceil(self.cfg.bytes_per_cycle),
+            class: req.class,
             src_ramp: src,
             dst_ramp: dst,
-            dir,
-            mic: req.src.is_mic() || req.dst.is_mic(),
         });
+        self.next_seq += 1;
     }
 
     /// Whether any requests are waiting for a ring.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        self.queues.iter().any(|q| !q.is_empty())
     }
 
     /// Grants every satisfiable pending request at `now`.
@@ -321,40 +392,44 @@ impl Eib {
     /// streams (the paper's 8-SPE cycle) markedly less efficient than
     /// eight streams (the couples experiment) at the same aggregate
     /// demand.
+    ///
+    /// A request's direction is that of its shortest route; a halfway-tie
+    /// request queues under its first route's direction even when it is
+    /// granted on the other direction's rings.
     pub fn arbitrate(&mut self, now: Cycle) -> Vec<(u64, Grant)> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
         let mut granted = Vec::new();
-        // Two passes: memory-priority first, then the rest.
-        for memory_pass in [true, false] {
-            let mut blocked_cw = false;
-            let mut blocked_ccw = false;
-            let mut i = 0;
-            while i < self.pending.len() {
-                let p = &self.pending[i];
-                if p.mic != memory_pass {
-                    i += 1;
-                    continue;
-                }
-                let candidate = p.req;
-                let (src, dst) = (p.src_ramp, p.dst_ramp);
-                let blocked = match p.dir {
-                    Direction::Clockwise => &mut blocked_cw,
-                    Direction::CounterClockwise => &mut blocked_ccw,
+        if !self.has_pending() {
+            return granted;
+        }
+        self.calendar.drop_through(now);
+        for pair in [
+            lane(true, Direction::Clockwise),
+            lane(false, Direction::Clockwise),
+        ] {
+            // The pass tries the older of the two direction heads until
+            // each direction has refused once: every request in the class
+            // is tried oldest first, and a refusal blocks its direction.
+            let mut open = [true, true];
+            loop {
+                let head = |d: usize| {
+                    let queue = &self.queues[pair + d];
+                    queue.front().filter(|_| open[d]).map(|p| p.seq)
                 };
-                if *blocked {
-                    i += 1;
-                    continue;
-                }
-                if let Some(mut grant) = self.try_grant(now, &candidate, src, dst) {
-                    let p = self.pending.remove(i).expect("index in range");
-                    grant.waited = now.saturating_since(p.enqueued);
-                    self.stats.wait_cycles += grant.waited;
-                    granted.push((p.token, grant));
-                } else {
-                    *blocked = true;
-                    i += 1;
+                let d = match (head(0), head(1)) {
+                    (Some(cw), Some(ccw)) => usize::from(ccw < cw),
+                    (Some(_), None) => 0,
+                    (None, Some(_)) => 1,
+                    (None, None) => break,
+                };
+                let p = *self.queues[pair + d].front().expect("open head");
+                match self.try_grant(now, &p) {
+                    Some(mut grant) => {
+                        self.queues[pair + d].pop_front();
+                        grant.waited = now.saturating_since(p.enqueued);
+                        self.stats.wait_cycles += grant.waited;
+                        granted.push((p.token, grant));
+                    }
+                    None => open[d] = false,
                 }
             }
         }
@@ -363,72 +438,92 @@ impl Eib {
 
     /// Attempts to grant one request immediately; reserves resources on
     /// success.
-    fn try_grant(
-        &mut self,
-        now: Cycle,
-        req: &TransferRequest,
-        src: usize,
-        dst: usize,
-    ) -> Option<Grant> {
+    fn try_grant(&mut self, now: Cycle, p: &Pending) -> Option<Grant> {
+        let (src, dst) = (p.src_ramp, p.dst_ramp);
         if self.send_free[src] > now {
             return None;
         }
         // Switching the outbound multiplexer between internal sources
         // costs dead cycles on the send port ahead of the data.
         let switch = match self.last_send_class[src] {
-            Some(prev) if prev != req.class => self.cfg.source_switch_penalty,
+            Some(prev) if prev != p.class => self.cfg.source_switch_penalty,
             _ => 0,
         };
-        let wire = u64::from(req.bytes.div_ceil(self.cfg.bytes_per_cycle));
-        // Inside a derating window every ring moves data at reduced
-        // capacity, so the same payload holds the wire longer.
-        let capacity = self.faults.capacity_percent(now.as_u64());
-        let wire = if capacity < 100 {
-            (wire * 100).div_ceil(u64::from(capacity))
-        } else {
-            wire
-        };
+        let faulted = !self.faults.is_empty();
+        let mut wire = u64::from(p.wire);
+        if faulted {
+            // Inside a derating window every ring moves data at reduced
+            // capacity, so the same payload holds the wire longer.
+            let capacity = self.faults.capacity_percent(now.as_u64());
+            if capacity < 100 {
+                wire = (wire * 100).div_ceil(u64::from(capacity));
+            }
+        }
         let duration = wire + switch;
-        let set = self.route_table[src * self.send_free.len() + dst];
+        let hop_latency = self.cfg.hop_latency;
+        let per_direction = self.cfg.rings_per_direction;
+        let set = &self.route_table[src * self.send_free.len() + dst];
         for route in set.as_slice() {
             // The head arrives at the destination after the hop latency;
             // the receive port must be free from then on.
-            let arrival = now + route.hops as u64 * self.cfg.hop_latency;
+            let arrival = now + route.hops as u64 * hop_latency;
             if self.recv_free[dst] > arrival {
                 continue;
             }
-            for (idx, ring) in self.rings.iter_mut().enumerate() {
-                if ring.direction() != route.direction {
-                    continue;
-                }
-                if self.faults.ring_out(idx, now.as_u64()) {
+            let first = match route.direction {
+                Direction::Clockwise => 0,
+                Direction::CounterClockwise => per_direction,
+            };
+            for idx in first..first + per_direction {
+                if faulted && self.faults.ring_out(idx, now.as_u64()) {
                     continue;
                 }
                 let wire_done = now + duration;
                 let delivered_at = arrival + duration;
+                let ring = &mut self.rings[idx];
                 match self.cfg.occupancy {
                     RingOccupancy::CircuitHold => {
                         if !ring.path_free(route.segments, now) {
                             continue;
                         }
+                        // Every segment was free at `now`: no future
+                        // expiry is overwritten.
                         ring.reserve(route.segments, now, delivered_at);
+                        self.calendar.add(delivered_at, route.segments.count_ones());
                     }
                     RingOccupancy::Pipelined => {
-                        if !ring.route_free(route, now, self.cfg.hop_latency) {
+                        if !ring.route_free(route, now, hop_latency) {
                             continue;
                         }
-                        ring.reserve_route(route, now, duration, self.cfg.hop_latency);
+                        for (_, seg) in route.segments_in_order() {
+                            let old = ring.busy_until(seg);
+                            if old > now {
+                                self.calendar.remove(old);
+                            }
+                        }
+                        ring.reserve_route(route, now, duration, hop_latency);
+                        for (k, _) in route.segments_in_order() {
+                            self.calendar.add(now + k * hop_latency + duration, 1);
+                        }
                     }
                 }
+                // The send port was free at `now`; the receive port may
+                // still hold a future expiry that this grant supersedes.
                 self.send_free[src] = wire_done;
+                self.calendar.add(wire_done, 1);
+                let old_recv = self.recv_free[dst];
+                if old_recv > now {
+                    self.calendar.remove(old_recv);
+                }
                 self.recv_free[dst] = delivered_at;
-                self.last_send_class[src] = Some(req.class);
+                self.calendar.add(delivered_at, 1);
+                self.last_send_class[src] = Some(p.class);
                 self.stats.grants += 1;
-                self.stats.bytes += u64::from(req.bytes);
+                self.stats.bytes += u64::from(p.bytes);
                 self.stats.segment_cycles += route.hops as u64 * duration;
                 let ring_stats = &mut self.ring_stats[idx];
                 ring_stats.grants += 1;
-                ring_stats.bytes += u64::from(req.bytes);
+                ring_stats.bytes += u64::from(p.bytes);
                 ring_stats.busy_cycles += duration;
                 return Some(Grant {
                     ring: RingId(idx),
@@ -448,18 +543,10 @@ impl Eib {
     /// rings and ports — the time at which a blocked request could next be
     /// granted. `None` when the bus is idle after `now`.
     pub fn next_release_after(&self, now: Cycle) -> Option<Cycle> {
-        let ring_next = self
-            .rings
-            .iter()
-            .filter_map(|r| r.next_release_after(now))
-            .min();
-        let port_next = self
-            .send_free
-            .iter()
-            .chain(self.recv_free.iter())
-            .copied()
-            .filter(|&t| t > now)
-            .min();
+        let reserved = self.calendar.next_after(now);
+        if self.faults.is_empty() {
+            return reserved;
+        }
         // Fault windows open and close independently of reservations: a
         // request blocked only by a ring outage must still get a wake-up
         // at the window boundary.
@@ -467,10 +554,7 @@ impl Eib {
             .faults
             .next_boundary_after(now.as_u64())
             .map(Cycle::new);
-        [ring_next, port_next, fault_next]
-            .into_iter()
-            .flatten()
-            .min()
+        reserved.into_iter().chain(fault_next).min()
     }
 }
 
@@ -659,6 +743,91 @@ mod tests {
             faulted.arbitrate(Cycle::ZERO)
         );
         assert_eq!(healthy.stats(), faulted.stats());
+    }
+
+    #[test]
+    fn older_request_wins_a_shared_send_port_across_directions() {
+        // SPE1 (ramp 1) sends clockwise to SPE5 (ramp 3) and
+        // counter-clockwise to the PPE (ramp 0): one send port, two
+        // direction queues. Whichever was submitted first wins the pass.
+        for (first, second) in [
+            (Element::spe(5), Element::Ppe),
+            (Element::Ppe, Element::spe(5)),
+        ] {
+            let mut eib = bus();
+            eib.submit(Cycle::ZERO, 0, req(Element::spe(1), first));
+            eib.submit(Cycle::ZERO, 1, req(Element::spe(1), second));
+            let grants = eib.arbitrate(Cycle::ZERO);
+            assert_eq!(grants.len(), 1);
+            assert_eq!(grants[0].0, 0);
+            let expected = eib.topology().routes(Element::spe(1), first)[0].direction;
+            assert_eq!(grants[0].1.direction, expected);
+        }
+    }
+
+    #[test]
+    fn halfway_tie_queues_clockwise_but_rides_counter_clockwise() {
+        // PPE (ramp 0) -> IOIF0 (ramp 6) is 6 hops either way; its first
+        // route is clockwise.
+        let tie = req(Element::Ppe, Element::Ioif0);
+        assert_eq!(
+            Topology::cbe().routes(tie.src, tie.dst)[0].direction,
+            Direction::Clockwise
+        );
+
+        // Two clockwise transfers sharing segment 2 fill both clockwise
+        // rings there, so the tie is granted on the first counter-clockwise
+        // ring instead.
+        let mut eib = bus();
+        eib.submit(Cycle::ZERO, 0, req(Element::spe(1), Element::spe(5)));
+        eib.submit(Cycle::ZERO, 1, req(Element::spe(3), Element::spe(7)));
+        eib.submit(Cycle::ZERO, 2, tie);
+        let grants = eib.arbitrate(Cycle::ZERO);
+        let rings: Vec<_> = grants.iter().map(|&(t, g)| (t, g.ring)).collect();
+        assert_eq!(rings, [(0, RingId(0)), (1, RingId(1)), (2, RingId(2))]);
+        assert_eq!(grants[2].1.direction, Direction::CounterClockwise);
+        assert_eq!(grants[2].1.hops, 6);
+
+        // When the tie is refused outright (its receive port is busy), it
+        // blocks younger clockwise requests, not counter-clockwise ones.
+        let mut eib = bus();
+        eib.submit(Cycle::ZERO, 0, req(Element::spe(6), Element::Ioif0));
+        eib.submit(Cycle::ZERO, 1, tie);
+        eib.submit(Cycle::ZERO, 2, req(Element::spe(5), Element::spe(7)));
+        eib.submit(Cycle::ZERO, 3, req(Element::spe(4), Element::spe(6)));
+        let tokens: Vec<u64> = eib.arbitrate(Cycle::ZERO).iter().map(|g| g.0).collect();
+        assert_eq!(tokens, [0, 3]);
+    }
+
+    #[test]
+    fn superseded_receive_expiry_is_not_a_release() {
+        // Pipelined segments free before delivery, so the receive port's
+        // expiry is the only reservation ending at delivery time.
+        let mut eib = Eib::new(
+            Topology::cbe(),
+            EibConfig {
+                occupancy: RingOccupancy::Pipelined,
+                ..EibConfig::default()
+            },
+        );
+        // SPE2 (ramp 9) -> SPE4 (ramp 8): 1 hop, delivered at 9.
+        eib.submit(Cycle::ZERO, 0, req(Element::spe(2), Element::spe(4)));
+        assert_eq!(eib.arbitrate(Cycle::ZERO)[0].1.delivered_at, Cycle::new(9));
+        // At cycle 4, SPE5 (ramp 3) -> SPE4: 5 hops, arriving at 9 as the
+        // port frees, so it re-reserves the port until 17.
+        let now = Cycle::new(4);
+        eib.submit(now, 1, req(Element::spe(5), Element::spe(4)));
+        assert_eq!(eib.arbitrate(now)[0].1.delivered_at, Cycle::new(17));
+        // Left: the first transfer's send port and segment (8), the second
+        // one's send port (12) and staggered segments (12..=16), and the
+        // port (17). Cycle 9 is no longer a release.
+        let mut releases = Vec::new();
+        let mut t = now;
+        while let Some(next) = eib.next_release_after(t) {
+            releases.push(next.as_u64());
+            t = next;
+        }
+        assert_eq!(releases, [8, 12, 13, 14, 15, 16, 17]);
     }
 
     #[test]

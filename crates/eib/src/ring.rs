@@ -102,6 +102,11 @@ impl Ring {
         t
     }
 
+    /// The cycle until which `segment` is reserved.
+    pub(crate) fn busy_until(&self, segment: usize) -> Cycle {
+        self.busy_until[segment]
+    }
+
     /// The earliest reservation expiry strictly after `now`, if any.
     pub fn next_release_after(&self, now: Cycle) -> Option<Cycle> {
         self.busy_until.iter().copied().filter(|&t| t > now).min()

@@ -1,6 +1,5 @@
 //! The MFC DMA engine: command queue, unroller, outstanding budget.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use cellsim_faults::{MfcFaults, RetryPolicy};
@@ -207,9 +206,11 @@ impl Work {
     }
 }
 
+/// The cold state of a queued command: unroll cursors and lifecycle
+/// stamps, touched only once the command is picked or a packet of it
+/// moves.
 #[derive(Debug)]
 struct ActiveCommand {
-    seq: u64,
     work: Work,
     /// Element currently being unrolled.
     elem_idx: usize,
@@ -217,8 +218,6 @@ struct ActiveCommand {
     byte_in_elem: u64,
     /// Running Local Store cursor (elements pack contiguously).
     ls_cursor: u32,
-    /// Gate before the first (or next list-element) packet may issue.
-    ready_at: Cycle,
     /// Packets issued but not yet delivered.
     in_flight: u32,
     /// Lifecycle stamps accumulated while the command is in the queue;
@@ -232,13 +231,40 @@ impl ActiveCommand {
     }
 }
 
+/// The hot state of a queued command: everything the round-robin issue
+/// scan and the fence check read, in queue (submit) order.
+#[derive(Debug, Clone, Copy)]
+struct QueueEntry {
+    seq: u64,
+    /// Gate before the first (or next list-element) packet may issue.
+    ready_at: Cycle,
+    /// Index of the command's cold state in `MfcEngine::commands`.
+    slot: u32,
+    tag: TagId,
+    fence: bool,
+    /// Whether packets remain to be carved out of the command.
+    unissued: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PacketMeta {
-    cmd_seq: u64,
+    /// Index of the owning command in `MfcEngine::commands`.
+    cmd: u32,
     bytes: u32,
     /// List element the packet was carved from (0 for DMA-elem).
-    elem_idx: usize,
+    elem_idx: u32,
 }
+
+/// Packet tokens name their slot in the in-flight table in the low 32
+/// bits and an issue serial in the high bits, so a stale token never
+/// matches the slot's next occupant.
+const TOKEN_SLOT_BITS: u32 = 32;
+
+/// A free in-flight table slot holds this token.
+const FREE_SLOT: u64 = u64::MAX;
+
+/// `MfcEngine::oldest_by_tag` value for a tag with no queued command.
+const NO_COMMAND: u64 = u64::MAX;
 
 /// One SPE's Memory Flow Controller.
 ///
@@ -249,11 +275,19 @@ struct PacketMeta {
 #[derive(Debug)]
 pub struct MfcEngine {
     cfg: MfcConfig,
-    queue: VecDeque<ActiveCommand>,
-    /// In-flight packets, keyed by token. A flat vector beats a hash map
-    /// here: the outstanding budget caps the live set at a handful of
-    /// entries, and the set is never iterated in key order.
+    /// Queued commands in submit order (at most `queue_depth`).
+    queue: Vec<QueueEntry>,
+    /// Cold command state, indexed by `QueueEntry::slot`.
+    commands: Vec<Option<ActiveCommand>>,
+    free_commands: Vec<u32>,
+    /// In-flight packets, indexed by the slot their token names; a free
+    /// slot holds [`FREE_SLOT`] as its token.
     packets: Vec<(u64, PacketMeta)>,
+    free_packets: Vec<u32>,
+    /// Submit number of the oldest queued command of each tag group
+    /// ([`NO_COMMAND`] if none): a fenced command may issue only while it
+    /// is the oldest of its group.
+    oldest_by_tag: [u64; TagId::COUNT],
     tags: TagSet,
     outstanding: usize,
     next_issue: Cycle,
@@ -263,7 +297,7 @@ pub struct MfcEngine {
     /// Round-robin pointer so the unroller interleaves ready commands
     /// (the real MFC selects among queued commands — this is what lets a
     /// get and a put stream run concurrently).
-    rr: u64,
+    rr: usize,
     next_seq: u64,
     next_token: u64,
     stats: MfcStats,
@@ -321,8 +355,12 @@ impl MfcEngine {
         }
         Ok(MfcEngine {
             cfg,
-            queue: VecDeque::new(),
+            queue: Vec::with_capacity(cfg.queue_depth),
+            commands: Vec::new(),
+            free_commands: Vec::new(),
             packets: Vec::new(),
+            free_packets: Vec::new(),
+            oldest_by_tag: [NO_COMMAND; TagId::COUNT],
             tags: TagSet::new(),
             outstanding: 0,
             next_issue: Cycle::ZERO,
@@ -465,16 +503,38 @@ impl MfcEngine {
                 records
             },
         };
-        self.queue.push_back(ActiveCommand {
-            seq,
+        let tag = work.tag();
+        let (fence, unissued) = (work.fence(), work.element_count() > 0);
+        let cmd = ActiveCommand {
             work,
             elem_idx: 0,
             byte_in_elem: 0,
             ls_cursor,
-            ready_at: decoded,
             in_flight: 0,
             life,
+        };
+        let slot = match self.free_commands.pop() {
+            Some(slot) => {
+                self.commands[slot as usize] = Some(cmd);
+                slot
+            }
+            None => {
+                self.commands.push(Some(cmd));
+                u32::try_from(self.commands.len() - 1).expect("queue depth fits u32")
+            }
+        };
+        self.queue.push(QueueEntry {
+            seq,
+            ready_at: decoded,
+            slot,
+            tag,
+            fence,
+            unissued,
         });
+        let oldest = &mut self.oldest_by_tag[usize::from(tag.value())];
+        if *oldest == NO_COMMAND {
+            *oldest = seq;
+        }
         self.stats.commands += 1;
         Ok(())
     }
@@ -500,28 +560,21 @@ impl MfcEngine {
                 retry_at: self.next_issue,
             };
         }
-        // Round-robin over decoded, not-fully-issued commands.
+        // Round-robin over decoded, not-fully-issued commands, starting
+        // at the pointer and wrapping once.
         let len = self.queue.len();
+        let start = self.rr % len;
         let mut pos = None;
         let mut earliest_gate: Option<Cycle> = None;
-        for k in 0..len {
-            let i = (self.rr as usize + k) % len;
+        for i in (start..len).chain(0..start) {
             let c = &self.queue[i];
-            if c.fully_issued() {
+            if !c.unissued {
                 continue;
             }
             // A fenced command waits until every older command of its tag
             // group has fully completed (left the queue).
-            if c.work.fence() {
-                let tag = c.work.tag();
-                let seq = c.seq;
-                let blocked = self
-                    .queue
-                    .iter()
-                    .any(|o| o.seq < seq && o.work.tag() == tag);
-                if blocked {
-                    continue; // re-polled after the blocking delivery
-                }
+            if c.fence && self.oldest_by_tag[usize::from(c.tag.value())] < c.seq {
+                continue; // re-polled after the blocking delivery
             }
             if c.ready_at <= now {
                 pos = Some(i);
@@ -540,36 +593,51 @@ impl MfcEngine {
                 None => Issue::Blocked,
             };
         };
-        self.rr = pos as u64 + 1;
-        let cmd = &mut self.queue[pos];
+        self.rr = pos + 1;
+        let entry = &mut self.queue[pos];
+        let cmd = self.commands[entry.slot as usize]
+            .as_mut()
+            .expect("queued command has state");
 
         // Carve the next packet out of the current element, splitting on
         // effective-address packet boundaries.
         let (ea_base, elem_bytes) = cmd.work.element(cmd.elem_idx);
         let ea = ea_base.advanced(cmd.byte_in_elem);
         let remaining = u64::from(elem_bytes) - cmd.byte_in_elem;
-        let boundary =
-            u64::from(self.cfg.packet_bytes) - ea.offset() % u64::from(self.cfg.packet_bytes);
+        let packet_bytes = u64::from(self.cfg.packet_bytes);
+        // Only an element's first packet can start off a boundary: every
+        // later one starts where a boundary-sized chunk ended.
+        let boundary = if cmd.byte_in_elem == 0 {
+            packet_bytes - ea.offset() % packet_bytes
+        } else {
+            packet_bytes
+        };
         let chunk = remaining.min(boundary);
         let chunk = u32::try_from(chunk).expect("chunk fits u32");
 
+        let meta = PacketMeta {
+            cmd: entry.slot,
+            bytes: chunk,
+            elem_idx: u32::try_from(cmd.elem_idx).expect("list length fits u32"),
+        };
+        let slot = match self.free_packets.pop() {
+            Some(slot) => slot,
+            None => {
+                self.packets.push((FREE_SLOT, meta));
+                u32::try_from(self.packets.len() - 1).expect("in-flight slots fit u32")
+            }
+        };
+        let token = (self.next_token << TOKEN_SLOT_BITS) | u64::from(slot);
+        self.packets[slot as usize] = (token, meta);
+        self.next_token += 1;
         let packet = PacketOut {
-            token: PacketToken(self.next_token),
+            token: PacketToken(token),
             kind: cmd.work.kind(),
             ls: LsAddr(cmd.ls_cursor),
             ea,
             bytes: chunk,
-            tag: cmd.work.tag(),
+            tag: entry.tag,
         };
-        self.packets.push((
-            self.next_token,
-            PacketMeta {
-                cmd_seq: cmd.seq,
-                bytes: chunk,
-                elem_idx: cmd.elem_idx,
-            },
-        ));
-        self.next_token += 1;
 
         if cmd.life.packets == 0 {
             cmd.life.first_issue_at = now;
@@ -586,9 +654,11 @@ impl MfcEngine {
         if cmd.byte_in_elem >= u64::from(elem_bytes) {
             cmd.elem_idx += 1;
             cmd.byte_in_elem = 0;
-            if !cmd.fully_issued() {
+            if cmd.fully_issued() {
+                entry.unissued = false;
+            } else {
                 // List-element fetch before the next element may issue.
-                cmd.ready_at = now + self.cfg.list_element_overhead;
+                entry.ready_at = now + self.cfg.list_element_overhead;
             }
         }
 
@@ -627,39 +697,63 @@ impl MfcEngine {
 
     fn retire_packet(&mut self, now: Cycle, token: PacketToken, credited: bool) -> bool {
         let slot = self
-            .packets
-            .iter()
-            .position(|&(tok, _)| tok == token.0)
+            .packet_slot(token)
             .expect("unknown or double-delivered packet token");
-        let (_, meta) = self.packets.swap_remove(slot);
+        let meta = self.packets[slot].1;
+        self.packets[slot].0 = FREE_SLOT;
+        self.free_packets.push(slot as u32);
         assert!(self.outstanding > 0, "delivery with no packets outstanding");
         self.note_occupancy(now);
         self.outstanding -= 1;
         if credited {
             self.stats.bytes_delivered += u64::from(meta.bytes);
         }
-        let pos = self
-            .queue
-            .iter()
-            .position(|c| c.seq == meta.cmd_seq)
+        let cmd = self.commands[meta.cmd as usize]
+            .as_mut()
             .expect("delivered packet's command not in queue");
-        let cmd = &mut self.queue[pos];
         cmd.in_flight -= 1;
         if !credited {
             cmd.life.exhausted = true;
         }
-        let elem = &mut cmd.life.element_records[meta.elem_idx];
+        let elem = &mut cmd.life.element_records[meta.elem_idx as usize];
         elem.completed_at = elem.completed_at.max(now);
-        if cmd.fully_issued() && cmd.in_flight == 0 {
-            let tag = cmd.work.tag();
-            let mut done = self.queue.remove(pos).expect("pos in bounds");
-            done.life.completed_at = now;
-            self.last_completed = Some(done.life);
-            self.tags.release(tag);
-            self.stats.completed += 1;
-            true
-        } else {
-            false
+        if !(cmd.fully_issued() && cmd.in_flight == 0) {
+            return false;
+        }
+        let mut done = self.commands[meta.cmd as usize]
+            .take()
+            .expect("command state present");
+        self.free_commands.push(meta.cmd);
+        let pos = self
+            .queue
+            .iter()
+            .position(|e| e.slot == meta.cmd)
+            .expect("completed command is queued");
+        let entry = self.queue.remove(pos);
+        let tag = entry.tag;
+        let oldest = usize::from(tag.value());
+        if self.oldest_by_tag[oldest] == entry.seq {
+            // The queue is in submit order: the next command of the tag
+            // group, if any, is now its oldest.
+            self.oldest_by_tag[oldest] = self
+                .queue
+                .iter()
+                .find(|e| e.tag == tag)
+                .map_or(NO_COMMAND, |e| e.seq);
+        }
+        done.life.completed_at = now;
+        self.last_completed = Some(done.life);
+        self.tags.release(tag);
+        self.stats.completed += 1;
+        true
+    }
+
+    /// The in-flight table slot `token` names, if the packet is in flight.
+    fn packet_slot(&self, token: PacketToken) -> Option<usize> {
+        let slot = (token.0 & ((1 << TOKEN_SLOT_BITS) - 1)) as usize;
+        match self.packets.get(slot) {
+            Some(&(live, _)) if live == token.0 => Some(slot),
+            _ => None,
         }
     }
 
@@ -717,16 +811,10 @@ impl MfcEngine {
     }
 
     fn in_flight_mut(&mut self, token: PacketToken) -> &mut ActiveCommand {
-        let meta = self
-            .packets
-            .iter()
-            .find(|&&(tok, _)| tok == token.0)
-            .map(|&(_, meta)| meta)
-            .expect("packet token not in flight");
-        let seq = meta.cmd_seq;
-        self.queue
-            .iter_mut()
-            .find(|c| c.seq == seq)
+        let slot = self.packet_slot(token).expect("packet token not in flight");
+        let cmd = self.packets[slot].1.cmd as usize;
+        self.commands[cmd]
+            .as_mut()
             .expect("in-flight packet's command not in queue")
     }
 
@@ -1201,6 +1289,226 @@ mod tests {
         assert!(life.retry_backoff_cycles > 0);
         assert_eq!(life.bytes, 256);
         assert_eq!(life.latency(), life.phases().iter().sum::<u64>());
+    }
+
+    #[test]
+    fn out_of_order_deliveries_complete_the_right_commands() {
+        let mut mfc = MfcEngine::with_faults(
+            MfcConfig {
+                command_startup: 4,
+                ..MfcConfig::default()
+            },
+            MfcFaults::default(),
+            RetryPolicy {
+                max_retries: 3,
+                backoff_base: 4,
+                backoff_cap: 64,
+            },
+        )
+        .unwrap();
+        let put = |ls, offset, bytes, t| {
+            DmaCommand::new(DmaKind::Put, LsAddr(ls), mem_at(offset), bytes, tag(t)).unwrap()
+        };
+        let get_tagged = |ls, offset, bytes, t| {
+            DmaCommand::new(DmaKind::Get, LsAddr(ls), mem_at(offset), bytes, tag(t)).unwrap()
+        };
+        // A: GET, then B: a PUT fenced behind it in tag group 1; C: a
+        // three-element list; D: a one-packet GET that will be NACKed.
+        // Decode is serial: A at 4, B at 8, C at 12, D at 16.
+        mfc.enqueue(Cycle::ZERO, get_tagged(0, 0, 256, 1)).unwrap();
+        mfc.enqueue(Cycle::ZERO, put(256, 4096, 256, 1).with_fence())
+            .unwrap();
+        let list =
+            DmaListCommand::contiguous(DmaKind::Get, LsAddr(1024), mem_at(8192), 128, 3, tag(2))
+                .unwrap();
+        mfc.enqueue_list(Cycle::ZERO, list).unwrap();
+        mfc.enqueue(Cycle::ZERO, get_tagged(2048, 16384, 128, 3))
+            .unwrap();
+
+        let issue = |mfc: &mut MfcEngine, t: u64| match mfc.try_issue(Cycle::new(t)) {
+            Issue::Packet(p) => p,
+            other => panic!("expected a packet at {t}, got {other:?}"),
+        };
+        let stalled = |t| Issue::Stalled {
+            retry_at: Cycle::new(t),
+        };
+        let a0 = issue(&mut mfc, 4);
+        let a1 = issue(&mut mfc, 5);
+        // The fenced PUT waits on A; C is still decoding.
+        assert_eq!(mfc.try_issue(Cycle::new(6)), stalled(12));
+        let c0 = issue(&mut mfc, 12);
+        // The list-element fetch gates C's next element by 2 cycles.
+        assert_eq!(mfc.try_issue(Cycle::new(13)), stalled(14));
+        let c1 = issue(&mut mfc, 14);
+        assert_eq!(mfc.try_issue(Cycle::new(15)), stalled(16));
+        // Round-robin: D first at 16, then back round to C.
+        let d0 = issue(&mut mfc, 16);
+        let c2 = issue(&mut mfc, 17);
+        assert_eq!(mfc.try_issue(Cycle::new(18)), Issue::Blocked);
+
+        mfc.note_grant(Cycle::new(20), c1.token, 3);
+        mfc.note_bank_service(c1.token, 5);
+        assert!(!mfc.packet_delivered(Cycle::new(22), c1.token));
+        assert_eq!(
+            mfc.note_nack(Cycle::new(21), d0.token),
+            NackVerdict::Retry {
+                at: Cycle::new(25),
+                attempt: 1
+            }
+        );
+        mfc.note_grant(Cycle::new(23), a1.token, 1);
+        mfc.note_bank_service(a1.token, 6);
+        assert!(!mfc.packet_delivered(Cycle::new(23), a1.token));
+        mfc.note_grant(Cycle::new(24), a0.token, 2);
+        assert!(mfc.packet_delivered(Cycle::new(26), a0.token));
+        let a = mfc.take_completed().expect("A completed");
+
+        // A has left the queue, so the fenced PUT may go.
+        let b0 = issue(&mut mfc, 26);
+        let b1 = issue(&mut mfc, 27);
+        mfc.note_grant(Cycle::new(30), d0.token, 0);
+        mfc.note_bank_service(d0.token, 7);
+        assert!(mfc.packet_delivered(Cycle::new(33), d0.token));
+        let d = mfc.take_completed().expect("D completed");
+        assert!(!mfc.packet_delivered(Cycle::new(34), c2.token));
+        assert!(mfc.packet_delivered(Cycle::new(35), c0.token));
+        let c = mfc.take_completed().expect("C completed");
+        assert!(!mfc.packet_delivered(Cycle::new(36), b1.token));
+        assert!(mfc.packet_delivered(Cycle::new(37), b0.token));
+        let b = mfc.take_completed().expect("B completed");
+        assert!(mfc.is_idle());
+        assert!(!mfc.tags().any_pending());
+
+        let order: Vec<_> = [a0, a1, c0, c1, d0, c2, b0, b1]
+            .iter()
+            .map(|p| (p.tag.value(), p.kind, p.ea.offset()))
+            .collect();
+        use DmaKind::{Get, Put};
+        assert_eq!(
+            order,
+            [
+                (1, Get, 0),
+                (1, Get, 128),
+                (2, Get, 8192),
+                (2, Get, 8320),
+                (3, Get, 16384),
+                (2, Get, 8448),
+                (1, Put, 4096),
+                (1, Put, 4224),
+            ]
+        );
+        let element = |bytes, first_issue_at, completed_at| ElementLifecycle {
+            bytes,
+            first_issue_at: Cycle::new(first_issue_at),
+            completed_at: Cycle::new(completed_at),
+        };
+        let life = |kind, bytes, packets, decoded_at, issued: (u64, u64)| CommandLifecycle {
+            kind,
+            target: TargetClass::Memory,
+            bytes,
+            elements: 1,
+            packets,
+            enqueued_at: Cycle::ZERO,
+            decoded_at: Cycle::new(decoded_at),
+            first_issue_at: Cycle::new(issued.0),
+            last_issue_at: Cycle::new(issued.1),
+            first_grant_at: Cycle::ZERO,
+            last_grant_at: Cycle::ZERO,
+            packets_granted: 0,
+            eib_wait_cycles: 0,
+            bank_service_cycles: 0,
+            completed_at: Cycle::ZERO,
+            nacks: 0,
+            retries: 0,
+            retry_backoff_cycles: 0,
+            exhausted: false,
+            element_records: Vec::new(),
+        };
+        assert_eq!(
+            a,
+            CommandLifecycle {
+                first_grant_at: Cycle::new(23),
+                last_grant_at: Cycle::new(24),
+                packets_granted: 2,
+                eib_wait_cycles: 3,
+                bank_service_cycles: 6,
+                completed_at: Cycle::new(26),
+                element_records: vec![element(256, 4, 26)],
+                ..life(Get, 256, 2, 4, (4, 5))
+            }
+        );
+        assert_eq!(
+            b,
+            CommandLifecycle {
+                completed_at: Cycle::new(37),
+                element_records: vec![element(256, 26, 37)],
+                ..life(Put, 256, 2, 8, (26, 27))
+            }
+        );
+        assert_eq!(
+            c,
+            CommandLifecycle {
+                elements: 3,
+                first_grant_at: Cycle::new(20),
+                last_grant_at: Cycle::new(20),
+                packets_granted: 1,
+                eib_wait_cycles: 3,
+                bank_service_cycles: 5,
+                completed_at: Cycle::new(35),
+                element_records: vec![
+                    element(128, 12, 35),
+                    element(128, 14, 22),
+                    element(128, 17, 34),
+                ],
+                ..life(Get, 384, 3, 12, (12, 17))
+            }
+        );
+        assert_eq!(
+            d,
+            CommandLifecycle {
+                first_grant_at: Cycle::new(30),
+                last_grant_at: Cycle::new(30),
+                packets_granted: 1,
+                bank_service_cycles: 7,
+                completed_at: Cycle::new(33),
+                nacks: 1,
+                retries: 1,
+                retry_backoff_cycles: 4,
+                element_records: vec![element(128, 16, 33)],
+                ..life(Get, 128, 1, 16, (16, 16))
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown or double-delivered")]
+    fn unknown_token_panics() {
+        let mut mfc = MfcEngine::new(MfcConfig::default()).unwrap();
+        mfc.enqueue(Cycle::ZERO, get(0, 0, 128)).unwrap();
+        let Issue::Packet(p) = mfc.try_issue(Cycle::new(100)) else {
+            panic!()
+        };
+        mfc.packet_delivered(Cycle::new(100), PacketToken(p.token.0 + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown or double-delivered")]
+    fn stale_token_panics_after_its_slot_is_reused() {
+        let mut mfc = MfcEngine::new(MfcConfig {
+            command_startup: 0,
+            ..MfcConfig::default()
+        })
+        .unwrap();
+        mfc.enqueue(Cycle::ZERO, get(0, 0, 256)).unwrap();
+        let Issue::Packet(first) = mfc.try_issue(Cycle::ZERO) else {
+            panic!()
+        };
+        mfc.packet_delivered(Cycle::ZERO, first.token);
+        let Issue::Packet(second) = mfc.try_issue(Cycle::new(1)) else {
+            panic!()
+        };
+        assert_ne!(first.token, second.token);
+        mfc.packet_delivered(Cycle::new(1), first.token);
     }
 
     #[test]
