@@ -34,6 +34,7 @@
 //! The cache preserves this: a hit returns the exact report the miss
 //! computed, so cached and uncached sweeps render identical figures.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -215,7 +216,8 @@ pub struct RunSpec {
     pub key: RunKey,
     /// The machine to simulate on.
     pub system: CellSystem,
-    /// The DMA program (shared: plans can be large at paper scale).
+    /// The DMA program, shared between specs that run the same plan
+    /// under different placements.
     pub plan: Arc<TransferPlan>,
     /// The logical→physical SPE mapping.
     pub placement: Placement,
@@ -631,8 +633,9 @@ impl SweepExecutor {
         }
 
         // Fan the distinct misses out over scoped workers. A shared
-        // atomic cursor hands out specs; results land in per-spec slots,
-        // so the outcome is independent of which worker ran what. Each
+        // atomic cursor hands out specs, longest first (see
+        // `dispatch_order`); results land in per-spec slots, so the
+        // outcome is independent of which worker ran what. Each
         // run is isolated with `catch_unwind`: a panicking point becomes
         // that slot's error, and the worker moves on to the next spec.
         let fresh: Vec<OnceLock<Result<Arc<FabricReport>, RunError>>> =
@@ -656,13 +659,18 @@ impl SweepExecutor {
         };
         let workers = self.jobs.min(todo.len());
         if workers > 1 {
+            let costs: Vec<u64> = todo
+                .iter()
+                .map(|spec| spec.plan.cost(spec.system.config().mfc.packet_bytes))
+                .collect();
+            let order = dispatch_order(&costs);
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = todo.get(i) else { break };
-                        let _ = fresh[i].set(simulate(spec));
+                        let next = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = order.get(next) else { break };
+                        let _ = fresh[i].set(simulate(todo[i]));
                     });
                 }
             });
@@ -734,6 +742,16 @@ impl SweepExecutor {
     }
 }
 
+/// The order in which a multi-worker batch hands out its distinct
+/// misses: descending estimated cost, ties in spec order. Starting the
+/// longest runs first keeps a batch's largest run from starting last
+/// and leaving the other workers idle while it finishes.
+fn dispatch_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| Reverse(costs[i]));
+    order
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -783,6 +801,22 @@ mod tests {
         let serial = SweepExecutor::new(1).run(specs.clone());
         let parallel = SweepExecutor::new(4).run(specs);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn dispatch_is_longest_first_with_stable_ties() {
+        assert_eq!(dispatch_order(&[]), Vec::<usize>::new());
+        assert_eq!(dispatch_order(&[5, 9, 5, 1, 9, 5]), vec![1, 4, 0, 2, 5, 3]);
+        // A 128 B run costs more than a 16 KiB run of the same volume:
+        // it has as many packets and 128x the commands.
+        let system = CellSystem::blade();
+        let p = Placement::identity();
+        let costs: Vec<u64> = [16384u32, 128, 16384, 128]
+            .iter()
+            .map(|&elem| spec(&system, elem, p).plan.cost(128))
+            .collect();
+        assert_eq!(costs, vec![512 + 4, 512 + 512, 512 + 4, 512 + 512]);
+        assert_eq!(dispatch_order(&costs), vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!    an outstanding-budget slot, and (for memory PUTs) the DRAM write is
 //!    enqueued.
 
-use std::collections::VecDeque;
-
 use cellsim_eib::{CommandBus, Eib, EibStats, Element, FlowClass, Topology, TransferRequest};
 use cellsim_faults::FaultPlan;
 use cellsim_kernel::{Cycle, Model, Scheduler, Simulation};
@@ -31,7 +29,7 @@ use crate::failure::{PacketPhase, RunFailure, SpeStall, StallDiagnosis, StallKin
 use crate::latency::{DmaPathClass, LatencyMetrics};
 use crate::metrics::{BankMetrics, FabricMetrics, FaultStats, SpeMetrics};
 use crate::placement::Placement;
-use crate::plan::{Planned, SyncPolicy, TransferPlan};
+use crate::plan::{Commands, Planned, SyncPolicy, TransferPlan};
 use crate::tracing::{FabricEvent, TraceMeta, TraceSink};
 use cellsim_kernel::RunOutcome;
 
@@ -152,9 +150,10 @@ impl SpeState {
     }
 }
 
-struct SpeCtx {
+struct SpeCtx<'p> {
     mfc: MfcEngine,
-    commands: VecDeque<Planned>,
+    /// The script's commands not yet enqueued.
+    commands: Commands<'p>,
     sync: SyncPolicy,
     issued_since_sync: u32,
     waiting_sync: bool,
@@ -173,12 +172,12 @@ struct SpeCtx {
     stalls: SpeMetrics,
 }
 
-impl SpeCtx {
+impl SpeCtx<'_> {
     /// The current state, by descending blocking priority: a sync wait
     /// trumps a full outstanding budget, whose cause is read off the
     /// waiting-packet counters.
     fn classify(&self) -> SpeState {
-        if self.commands.is_empty() && self.mfc.is_idle() {
+        if self.commands.len() == 0 && self.mfc.is_idle() {
             return SpeState::Idle;
         }
         if self.waiting_sync {
@@ -217,7 +216,7 @@ struct Fabric<'d> {
     cmdbus: CommandBus,
     mem: MemorySystem,
     placement: Placement,
-    spes: Vec<SpeCtx>,
+    spes: Vec<SpeCtx<'d>>,
     /// Packet slab: retired entries go on `free_slots` and are reused, so
     /// the live footprint is bounded by the machine's outstanding budget
     /// instead of growing for the whole run.
@@ -342,7 +341,7 @@ impl Fabric<'_> {
                 ctx.waiting_sync = false;
                 ctx.issued_since_sync = 0;
             }
-            if ctx.commands.is_empty() || !ctx.mfc.has_space() {
+            if ctx.commands.len() == 0 || !ctx.mfc.has_space() {
                 break;
             }
             if ctx.enqueue_ready > now {
@@ -350,7 +349,7 @@ impl Fabric<'_> {
                 self.schedule_pump(spe, at, sched);
                 break;
             }
-            let cmd = ctx.commands.pop_front().expect("checked non-empty");
+            let cmd = ctx.commands.next().expect("checked non-empty");
             let result = match cmd {
                 Planned::Elem(c) => ctx.mfc.enqueue(now, c),
                 Planned::List(l) => ctx.mfc.enqueue_list(now, l),
@@ -746,7 +745,7 @@ pub(crate) fn run_plan_traced<'d>(
     cfg: &CellConfig,
     faults: Option<&FaultPlan>,
     placement: &Placement,
-    plan: &TransferPlan,
+    plan: &'d TransferPlan,
     data: Option<&'d mut MachineState>,
     trace: Option<&'d mut (dyn TraceSink + 'd)>,
 ) -> Result<FabricReport, RunFailure> {
@@ -771,7 +770,7 @@ pub(crate) fn run_plan_traced<'d>(
                     None => MfcEngine::new(cfg.mfc),
                 }
                 .expect("invalid MFC configuration"),
-                commands: script.commands().iter().cloned().collect(),
+                commands: script.commands(),
                 sync: script.sync(),
                 issued_since_sync: 0,
                 waiting_sync: false,
@@ -834,7 +833,7 @@ pub(crate) fn run_plan_traced<'d>(
         RunOutcome::Drained(_) => fabric
             .spes
             .iter()
-            .any(|ctx| !ctx.commands.is_empty() || !ctx.mfc.is_idle())
+            .any(|ctx| ctx.commands.len() > 0 || !ctx.mfc.is_idle())
             .then_some(StallKind::Deadlock),
     };
     if let Some(kind) = stalled {

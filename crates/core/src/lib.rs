@@ -78,7 +78,8 @@ pub use latency::{DmaPathClass, LatencyHistogram, LatencyMetrics, PathLatency};
 pub use metrics::{BankMetrics, FabricMetrics, FaultStats, MetricsSummary, SpeMetrics};
 pub use placement::Placement;
 pub use plan::{
-    PlanError, Planned, SpeScript, SyncPolicy, TransferPlan, TransferPlanBuilder, LS_WINDOW,
+    Commands, PlanError, Planned, SpeScript, SyncPolicy, TransferPlan, TransferPlanBuilder,
+    LS_WINDOW,
 };
 pub use tracing::{FabricEvent, FabricTrace, TraceMeta, TraceSink, TraceTruncated};
 

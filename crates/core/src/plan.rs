@@ -1,4 +1,10 @@
 //! Per-SPE DMA programs: what each SPE transfers, and how it synchronizes.
+//!
+//! A script is a short list of steps. The scattered builders queue
+//! explicit commands; the regular streams (memory streams, partner
+//! streams, copy, exchange) queue one closed-form [`Run`] whose j-th
+//! command is computed when it is taken, so a paper-scale plan costs a
+//! few hundred bytes instead of one stored command per DMA.
 
 use std::error::Error;
 use std::fmt;
@@ -28,7 +34,7 @@ pub enum SyncPolicy {
 }
 
 /// One queued unit of work: a DMA-elem command or a DMA-list command.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Planned {
     /// A single-chunk command.
     Elem(DmaCommand),
@@ -44,19 +50,219 @@ impl Planned {
             Planned::List(l) => l.total_bytes(),
         }
     }
+
+    /// Bus packets of `packet_bytes` this unit unrolls into, counting one
+    /// packet per started chunk of each element.
+    fn packets(&self, packet_bytes: u32) -> u64 {
+        match self {
+            Planned::Elem(c) => u64::from(c.bytes().div_ceil(packet_bytes)),
+            Planned::List(l) => l
+                .elements()
+                .iter()
+                .map(|e| u64::from(e.bytes.div_ceil(packet_bytes)))
+                .sum(),
+        }
+    }
+}
+
+/// Where element `j` of a [`Run`] lands on the far side of the bus.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// Byte `j * elem` of a main-memory region.
+    Memory(RegionId),
+    /// A partner's Local Store window, cycling like the LS slots:
+    /// offset `base + (j * elem) % LS_WINDOW`.
+    Window { spe: u8, base: u32 },
+}
+
+impl Target {
+    fn at(self, j: u64, elem_bytes: u32) -> EffectiveAddr {
+        let offset = j * u64::from(elem_bytes);
+        match self {
+            Target::Memory(region) => region_ea(region, offset),
+            Target::Window { spe, base } => EffectiveAddr::LocalStore {
+                spe,
+                offset: base + (offset % u64::from(LS_WINDOW)) as u32,
+            },
+        }
+    }
+}
+
+/// The commands a [`Run`] issues per unit, in order.
+#[derive(Debug, Clone, Copy)]
+enum Legs {
+    /// One command in one direction.
+    One(DmaKind, Target),
+    /// A GET from the first target, then a PUT to the second.
+    GetPut(Target, Target),
+}
+
+/// A regular stream in closed form. It moves `elems` elements of
+/// `elem_bytes` per leg in *units* — one element each, or one list of up
+/// to [`elems_per_list`] elements — and issues its legs for every unit.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    legs: Legs,
+    elem_bytes: u32,
+    elems: u64,
+    /// Pack the elements into list commands (Local Store from 0).
+    list: bool,
+    /// Fence every command on its unit's tag chain (double-buffered
+    /// copy); otherwise unfenced on tag 0.
+    chained: bool,
+}
+
+impl Run {
+    fn one_way(kind: DmaKind, target: Target, total_bytes: u64, elem_bytes: u32) -> Run {
+        Run {
+            legs: Legs::One(kind, target),
+            elem_bytes,
+            elems: total_bytes / u64::from(elem_bytes),
+            list: false,
+            chained: false,
+        }
+    }
+
+    fn get_put(get: Target, put: Target, total_bytes: u64, elem_bytes: u32) -> Run {
+        Run {
+            legs: Legs::GetPut(get, put),
+            ..Run::one_way(DmaKind::Get, get, total_bytes, elem_bytes)
+        }
+    }
+
+    /// Commands per unit.
+    fn width(&self) -> u64 {
+        match self.legs {
+            Legs::One(..) => 1,
+            Legs::GetPut(..) => 2,
+        }
+    }
+
+    fn per_list(&self) -> u64 {
+        elems_per_list(self.elem_bytes) as u64
+    }
+
+    fn units(&self) -> u64 {
+        if self.list {
+            self.elems.div_ceil(self.per_list())
+        } else {
+            self.elems
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.units() * self.width()
+    }
+
+    fn bytes(&self) -> u64 {
+        self.elems * u64::from(self.elem_bytes) * self.width()
+    }
+
+    fn packets(&self, packet_bytes: u32) -> u64 {
+        self.elems * u64::from(self.elem_bytes.div_ceil(packet_bytes)) * self.width()
+    }
+
+    /// The run's `i`-th command.
+    fn command(&self, i: u64) -> Result<Planned, DmaError> {
+        let (unit, kind, target) = match self.legs {
+            Legs::One(kind, target) => (i, kind, target),
+            Legs::GetPut(get, _) if i.is_multiple_of(2) => (i / 2, DmaKind::Get, get),
+            Legs::GetPut(_, put) => (i / 2, DmaKind::Put, put),
+        };
+        if self.list {
+            let per_list = self.per_list();
+            let first = unit * per_list;
+            let n = per_list.min(self.elems - first) as usize;
+            let ea = target.at(first, self.elem_bytes);
+            DmaListCommand::contiguous(kind, LsAddr(0), ea, self.elem_bytes, n, tag())
+                .map(Planned::List)
+        } else {
+            let ls = ls_slot(unit, self.elem_bytes);
+            let ea = target.at(unit, self.elem_bytes);
+            let tag = if self.chained { chain_tag(unit) } else { tag() };
+            let cmd = DmaCommand::new(kind, ls, ea, self.elem_bytes, tag)?;
+            Ok(Planned::Elem(if self.chained {
+                cmd.with_fence()
+            } else {
+                cmd
+            }))
+        }
+    }
+
+    /// Returns the error of the run's first invalid command, without
+    /// building them all.
+    ///
+    /// A command's validity depends on its size, its LS offset, its
+    /// partner-window offset and its memory offset modulo 16. Unit `u`
+    /// starts `u * stride` bytes into the stream, so all four repeat
+    /// with period `LS_WINDOW / gcd(LS_WINDOW, stride)` units (16
+    /// divides `LS_WINDOW`): an invalid unit past the first period has
+    /// an earlier invalid twin, which fails first. A shorter last list
+    /// holds a prefix of its twin's elements, so the same holds for it.
+    fn validate(&self) -> Result<(), DmaError> {
+        let stride = if self.list {
+            self.per_list() * u64::from(self.elem_bytes)
+        } else {
+            u64::from(self.elem_bytes)
+        };
+        let window = u64::from(LS_WINDOW);
+        let period = window / gcd(window, stride);
+        for i in 0..self.units().min(period) * self.width() {
+            self.command(i)?;
+        }
+        Ok(())
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// One step of a script: an explicit command, or a run expanded on
+/// demand. Every step holds at least one command.
+#[derive(Debug, Clone)]
+enum Step {
+    Cmd(Planned),
+    Run(Run),
+}
+
+impl Step {
+    fn len(&self) -> u64 {
+        match self {
+            Step::Cmd(_) => 1,
+            Step::Run(run) => run.len(),
+        }
+    }
+
+    fn command(&self, i: u64) -> Planned {
+        match self {
+            Step::Cmd(cmd) => cmd.clone(),
+            Step::Run(run) => run
+                .command(i)
+                .expect("a run is validated before it is queued"),
+        }
+    }
 }
 
 /// The DMA program of one logical SPE.
 #[derive(Debug, Clone, Default)]
 pub struct SpeScript {
-    pub(crate) commands: Vec<Planned>,
-    pub(crate) sync: Option<SyncPolicy>,
+    steps: Vec<Step>,
+    sync: Option<SyncPolicy>,
 }
 
 impl SpeScript {
-    /// Queued commands, in program order.
-    pub fn commands(&self) -> &[Planned] {
-        &self.commands
+    /// Queued commands, in program order, computed as they are taken.
+    pub fn commands(&self) -> Commands<'_> {
+        Commands {
+            steps: &self.steps,
+            step: 0,
+            index: 0,
+            remaining: self.steps.iter().map(Step::len).sum(),
+        }
     }
 
     /// The script's synchronization policy ([`SyncPolicy::AfterAll`] when
@@ -67,14 +273,66 @@ impl SpeScript {
 
     /// Total payload bytes across the whole script.
     pub fn total_bytes(&self) -> u64 {
-        self.commands.iter().map(Planned::bytes).sum()
+        self.steps
+            .iter()
+            .map(|step| match step {
+                Step::Cmd(cmd) => cmd.bytes(),
+                Step::Run(run) => run.bytes(),
+            })
+            .sum()
     }
 
     /// Whether this SPE has no work.
     pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
+        self.steps.is_empty()
+    }
+
+    /// Commands plus the bus packets they unroll into.
+    fn cost(&self, packet_bytes: u32) -> u64 {
+        self.steps
+            .iter()
+            .map(|step| match step {
+                Step::Cmd(cmd) => 1 + cmd.packets(packet_bytes),
+                Step::Run(run) => run.len() + run.packets(packet_bytes),
+            })
+            .sum()
     }
 }
+
+/// A script's commands in program order (see [`SpeScript::commands`]).
+/// Each is built when taken; [`ExactSizeIterator::len`] counts the ones
+/// not yet taken.
+#[derive(Debug, Clone)]
+pub struct Commands<'a> {
+    steps: &'a [Step],
+    step: usize,
+    /// Next command within `steps[step]`.
+    index: u64,
+    remaining: u64,
+}
+
+impl Iterator for Commands<'_> {
+    type Item = Planned;
+
+    fn next(&mut self) -> Option<Planned> {
+        let step = self.steps.get(self.step)?;
+        let cmd = step.command(self.index);
+        self.index += 1;
+        if self.index == step.len() {
+            self.step += 1;
+            self.index = 0;
+        }
+        self.remaining -= 1;
+        Some(cmd)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Commands<'_> {}
 
 /// A full-machine transfer plan: one script per logical SPE.
 #[derive(Debug, Clone, Default)]
@@ -105,6 +363,12 @@ impl TransferPlan {
     /// Total payload bytes across all SPEs.
     pub fn total_bytes(&self) -> u64 {
         self.scripts.iter().map(SpeScript::total_bytes).sum()
+    }
+
+    /// Estimated simulation work: DMA commands plus the bus packets of
+    /// `packet_bytes` they unroll into, summed over every SPE.
+    pub(crate) fn cost(&self, packet_bytes: u32) -> u64 {
+        self.scripts.iter().map(|s| s.cost(packet_bytes)).sum()
     }
 
     /// The main-memory region logical SPE `spe` streams *from* (GET).
@@ -272,36 +536,20 @@ impl TransferPlanBuilder {
             self.err = Some(e);
             return self;
         }
-        let count = total_bytes / u64::from(elem_bytes);
-        for j in 0..count {
-            let ls = ls_slot(j, elem_bytes);
-            let ea_off = j * u64::from(elem_bytes);
-            // Each LS slot gets its own tag chain, and every command in
-            // the chain is fenced: the put waits for the get that filled
-            // the slot, and a later get waits for the put that drained it
-            // — real double-buffered copy code (mfc_getf/mfc_putf).
-            let chain = chain_tag(j);
-            for (kind, region) in [
-                (DmaKind::Get, TransferPlan::get_region(spe)),
-                (DmaKind::Put, TransferPlan::copy_dst_region(spe)),
-            ] {
-                let ea = EffectiveAddr::Memory {
-                    region,
-                    offset: ea_off,
-                };
-                match DmaCommand::new(kind, ls, ea, elem_bytes, chain) {
-                    Ok(cmd) => self.scripts[spe]
-                        .commands
-                        .push(Planned::Elem(cmd.with_fence())),
-                    Err(e) => {
-                        self.err = Some(e.into());
-                        return self;
-                    }
-                }
-            }
-        }
-        self.scripts[spe].sync.get_or_insert(sync);
-        self
+        // Each LS slot gets its own tag chain, and every command in the
+        // chain is fenced: the put waits for the get that filled the
+        // slot, and a later get waits for the put that drained it — real
+        // double-buffered copy code (mfc_getf/mfc_putf).
+        let run = Run {
+            chained: true,
+            ..Run::get_put(
+                Target::Memory(TransferPlan::get_region(spe)),
+                Target::Memory(TransferPlan::copy_dst_region(spe)),
+                total_bytes,
+                elem_bytes,
+            )
+        };
+        self.push_run(spe, run, sync)
     }
 
     /// SPE `spe` GETs from `partner`'s Local Store in DMA-elem chunks.
@@ -313,15 +561,7 @@ impl TransferPlanBuilder {
         elem_bytes: u32,
         sync: SyncPolicy,
     ) -> Self {
-        self.ls_stream(
-            spe,
-            partner,
-            DmaKind::Get,
-            total_bytes,
-            elem_bytes,
-            sync,
-            false,
-        )
+        self.ls_stream(spe, partner, DmaKind::Get, total_bytes, elem_bytes, sync)
     }
 
     /// SPE `spe` PUTs into `partner`'s Local Store in DMA-elem chunks.
@@ -333,50 +573,20 @@ impl TransferPlanBuilder {
         elem_bytes: u32,
         sync: SyncPolicy,
     ) -> Self {
-        self.ls_stream(
-            spe,
-            partner,
-            DmaKind::Put,
-            total_bytes,
-            elem_bytes,
-            sync,
-            false,
-        )
+        self.ls_stream(spe, partner, DmaKind::Put, total_bytes, elem_bytes, sync)
     }
 
     /// Simultaneous read and write with `partner` (alternating GET and PUT
     /// of `total_bytes` each) — the paper's SPE↔SPE experiments.
     pub fn exchange_with(
-        mut self,
+        self,
         spe: usize,
         partner: usize,
         total_bytes: u64,
         elem_bytes: u32,
         sync: SyncPolicy,
     ) -> Self {
-        if self.err.is_some() {
-            return self;
-        }
-        if let Err(e) = self.check_pair(spe, partner, total_bytes, elem_bytes) {
-            self.err = Some(e);
-            return self;
-        }
-        let count = total_bytes / u64::from(elem_bytes);
-        for j in 0..count {
-            let ls = ls_slot(j, elem_bytes);
-            for kind in [DmaKind::Get, DmaKind::Put] {
-                let ea = partner_ea(partner, j, elem_bytes, kind);
-                match DmaCommand::new(kind, ls, ea, elem_bytes, tag()) {
-                    Ok(cmd) => self.scripts[spe].commands.push(Planned::Elem(cmd)),
-                    Err(e) => {
-                        self.err = Some(e.into());
-                        return self;
-                    }
-                }
-            }
-        }
-        self.scripts[spe].sync.get_or_insert(sync);
-        self
+        self.exchange(spe, partner, total_bytes, elem_bytes, sync, false)
     }
 
     /// DMA-list variant of [`TransferPlanBuilder::get_from_memory`].
@@ -404,12 +614,24 @@ impl TransferPlanBuilder {
     /// DMA-list variant of [`TransferPlanBuilder::exchange_with`]:
     /// alternating GETL and PUTL list commands.
     pub fn exchange_with_list(
+        self,
+        spe: usize,
+        partner: usize,
+        total_bytes: u64,
+        elem_bytes: u32,
+        sync: SyncPolicy,
+    ) -> Self {
+        self.exchange(spe, partner, total_bytes, elem_bytes, sync, true)
+    }
+
+    fn exchange(
         mut self,
         spe: usize,
         partner: usize,
         total_bytes: u64,
         elem_bytes: u32,
         sync: SyncPolicy,
+        list: bool,
     ) -> Self {
         if self.err.is_some() {
             return self;
@@ -418,25 +640,16 @@ impl TransferPlanBuilder {
             self.err = Some(e);
             return self;
         }
-        let per_list = elems_per_list(elem_bytes);
-        let total_elems = total_bytes / u64::from(elem_bytes);
-        let mut done = 0u64;
-        while done < total_elems {
-            let n = per_list.min((total_elems - done) as usize);
-            for kind in [DmaKind::Get, DmaKind::Put] {
-                let base = partner_ea(partner, done, elem_bytes, kind);
-                match DmaListCommand::contiguous(kind, LsAddr(0), base, elem_bytes, n, tag()) {
-                    Ok(cmd) => self.scripts[spe].commands.push(Planned::List(cmd)),
-                    Err(e) => {
-                        self.err = Some(e.into());
-                        return self;
-                    }
-                }
-            }
-            done += n as u64;
-        }
-        self.scripts[spe].sync.get_or_insert(sync);
-        self
+        let run = Run {
+            list,
+            ..Run::get_put(
+                partner_window(partner, DmaKind::Get),
+                partner_window(partner, DmaKind::Put),
+                total_bytes,
+                elem_bytes,
+            )
+        };
+        self.push_run(spe, run, sync)
     }
 
     fn memory_stream(
@@ -459,32 +672,13 @@ impl TransferPlanBuilder {
             DmaKind::Get => TransferPlan::get_region(spe),
             DmaKind::Put => TransferPlan::put_region(spe),
         };
-        let result = if list {
-            push_list_stream(
-                &mut self.scripts[spe],
-                kind,
-                region_ea(region, 0),
-                total_bytes,
-                elem_bytes,
-            )
-        } else {
-            push_elem_stream(
-                &mut self.scripts[spe],
-                kind,
-                region_ea(region, 0),
-                total_bytes,
-                elem_bytes,
-            )
+        let run = Run {
+            list,
+            ..Run::one_way(kind, Target::Memory(region), total_bytes, elem_bytes)
         };
-        if let Err(e) = result {
-            self.err = Some(e);
-            return self;
-        }
-        self.scripts[spe].sync.get_or_insert(sync);
-        self
+        self.push_run(spe, run, sync)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn ls_stream(
         mut self,
         spe: usize,
@@ -493,7 +687,6 @@ impl TransferPlanBuilder {
         total_bytes: u64,
         elem_bytes: u32,
         sync: SyncPolicy,
-        list: bool,
     ) -> Self {
         if self.err.is_some() {
             return self;
@@ -502,15 +695,19 @@ impl TransferPlanBuilder {
             self.err = Some(e);
             return self;
         }
-        let base = partner_ea(partner, 0, elem_bytes, kind);
-        let result = if list {
-            push_list_stream(&mut self.scripts[spe], kind, base, total_bytes, elem_bytes)
-        } else {
-            push_elem_stream(&mut self.scripts[spe], kind, base, total_bytes, elem_bytes)
-        };
-        if let Err(e) = result {
-            self.err = Some(e);
+        let run = Run::one_way(kind, partner_window(partner, kind), total_bytes, elem_bytes);
+        self.push_run(spe, run, sync)
+    }
+
+    /// Queues a validated run on `spe` (nothing for an empty one) and
+    /// records its sync policy.
+    fn push_run(mut self, spe: usize, run: Run, sync: SyncPolicy) -> Self {
+        if let Err(e) = run.validate() {
+            self.err = Some(e.into());
             return self;
+        }
+        if run.elems > 0 {
+            self.scripts[spe].steps.push(Step::Run(run));
         }
         self.scripts[spe].sync.get_or_insert(sync);
         self
@@ -553,7 +750,7 @@ impl TransferPlanBuilder {
                 offset: offset + done,
             };
             match DmaCommand::new(kind, ls, ea, chunk, tag()) {
-                Ok(cmd) => self.scripts[spe].commands.push(Planned::Elem(cmd)),
+                Ok(cmd) => self.scripts[spe].steps.push(Step::Cmd(Planned::Elem(cmd))),
                 Err(e) => {
                     self.err = Some(e.into());
                     return self;
@@ -611,8 +808,8 @@ impl TransferPlanBuilder {
             for kind in [DmaKind::Get, DmaKind::Put] {
                 match DmaCommand::new(kind, ls, ea, bytes, chain) {
                     Ok(cmd) => self.scripts[spe]
-                        .commands
-                        .push(Planned::Elem(cmd.with_fence())),
+                        .steps
+                        .push(Step::Cmd(Planned::Elem(cmd.with_fence()))),
                     Err(e) => {
                         self.err = Some(e.into());
                         return self;
@@ -669,7 +866,7 @@ impl TransferPlanBuilder {
                 offset: off,
             };
             match DmaCommand::new(kind, ls, ea, bytes, tag()) {
-                Ok(cmd) => self.scripts[spe].commands.push(Planned::Elem(cmd)),
+                Ok(cmd) => self.scripts[spe].steps.push(Step::Cmd(Planned::Elem(cmd))),
                 Err(e) => {
                     self.err = Some(e.into());
                     return self;
@@ -718,7 +915,7 @@ impl TransferPlanBuilder {
             let result = match op {
                 ListOp::Single(kind) => DmaListCommand::new(kind, LsAddr(0), base, batch, tag())
                     .map(|cmd| {
-                        self.scripts[spe].commands.push(Planned::List(cmd));
+                        self.scripts[spe].steps.push(Step::Cmd(Planned::List(cmd)));
                     }),
                 ListOp::Update => {
                     let chain = chain_tag(batch_idx);
@@ -726,10 +923,10 @@ impl TransferPlanBuilder {
                         .and_then(|get| {
                             let put =
                                 DmaListCommand::new(DmaKind::Put, LsAddr(0), base, batch, chain)?;
-                            self.scripts[spe].commands.push(Planned::List(get));
+                            self.scripts[spe].steps.push(Step::Cmd(Planned::List(get)));
                             self.scripts[spe]
-                                .commands
-                                .push(Planned::List(put.with_fence()));
+                                .steps
+                                .push(Step::Cmd(Planned::List(put.with_fence())));
                             Ok(())
                         })
                 }
@@ -798,17 +995,17 @@ fn ls_slot(j: u64, elem_bytes: u32) -> LsAddr {
     LsAddr(((j * u64::from(elem_bytes)) % u64::from(LS_WINDOW)) as u32)
 }
 
-/// EA inside the partner's Local Store for element `j`. GETs read from the
-/// partner's outgoing window (first half); PUTs land in its incoming
-/// window (second half) so the two directions never alias.
-fn partner_ea(partner: usize, j: u64, elem_bytes: u32, kind: DmaKind) -> EffectiveAddr {
+/// The window of `partner`'s Local Store a stream targets. GETs read
+/// from the partner's outgoing window (first half); PUTs land in its
+/// incoming window (second half) so the two directions never alias.
+fn partner_window(partner: usize, kind: DmaKind) -> Target {
     let base = match kind {
         DmaKind::Get => 0,
         DmaKind::Put => LS_WINDOW,
     };
-    EffectiveAddr::LocalStore {
+    Target::Window {
         spe: partner as u8,
-        offset: base + ((j * u64::from(elem_bytes)) % u64::from(LS_WINDOW)) as u32,
+        base,
     }
 }
 
@@ -816,58 +1013,11 @@ fn region_ea(region: RegionId, offset: u64) -> EffectiveAddr {
     EffectiveAddr::Memory { region, offset }
 }
 
-fn push_elem_stream(
-    script: &mut SpeScript,
-    kind: DmaKind,
-    base: EffectiveAddr,
-    total_bytes: u64,
-    elem_bytes: u32,
-) -> Result<(), PlanError> {
-    let count = total_bytes / u64::from(elem_bytes);
-    for j in 0..count {
-        let ls = ls_slot(j, elem_bytes);
-        let ea = match base {
-            EffectiveAddr::Memory { region, .. } => region_ea(region, j * u64::from(elem_bytes)),
-            // `base`'s offset is the window start (0 or LS_WINDOW).
-            EffectiveAddr::LocalStore { spe, offset } => EffectiveAddr::LocalStore {
-                spe,
-                offset: offset + ((j * u64::from(elem_bytes)) % u64::from(LS_WINDOW)) as u32,
-            },
-        };
-        let cmd = DmaCommand::new(kind, ls, ea, elem_bytes, tag())?;
-        script.commands.push(Planned::Elem(cmd));
-    }
-    Ok(())
-}
-
 /// How many elements fit one list command: bounded by the hardware's 2048
 /// and by the Local Store window the payload packs into.
 fn elems_per_list(elem_bytes: u32) -> usize {
     let by_ls = (LS_WINDOW / elem_bytes).max(1) as usize;
     by_ls.min(cellsim_mfc::MAX_LIST_ELEMENTS)
-}
-
-fn push_list_stream(
-    script: &mut SpeScript,
-    kind: DmaKind,
-    base: EffectiveAddr,
-    total_bytes: u64,
-    elem_bytes: u32,
-) -> Result<(), PlanError> {
-    let per_list = elems_per_list(elem_bytes);
-    let total_elems = total_bytes / u64::from(elem_bytes);
-    let mut done = 0u64;
-    while done < total_elems {
-        let n = per_list.min((total_elems - done) as usize);
-        let ea = match base {
-            EffectiveAddr::Memory { region, .. } => region_ea(region, done * u64::from(elem_bytes)),
-            ls @ EffectiveAddr::LocalStore { .. } => ls,
-        };
-        let cmd = DmaListCommand::contiguous(kind, LsAddr(0), ea, elem_bytes, n, tag())?;
-        script.commands.push(Planned::List(cmd));
-        done += n as u64;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -893,7 +1043,7 @@ mod tests {
             .copy_memory(2, 2048, 1024, SyncPolicy::AfterAll)
             .build()
             .unwrap();
-        let cmds = plan.scripts()[2].commands();
+        let cmds: Vec<Planned> = plan.scripts()[2].commands().collect();
         assert_eq!(cmds.len(), 4);
         let kinds: Vec<_> = cmds
             .iter()
@@ -1018,7 +1168,7 @@ mod tests {
             .get_elems_at(0, RegionId(0), &offsets, 8)
             .build()
             .unwrap();
-        let cmds = plan.scripts()[0].commands();
+        let cmds: Vec<Planned> = plan.scripts()[0].commands().collect();
         assert_eq!(cmds.len(), 64);
         for (j, p) in cmds.iter().enumerate() {
             let Planned::Elem(c) = p else { panic!() };
@@ -1037,7 +1187,7 @@ mod tests {
             .update_elems_at(1, RegionId(1), &offsets, 128)
             .build()
             .unwrap();
-        let cmds = plan.scripts()[1].commands();
+        let cmds: Vec<Planned> = plan.scripts()[1].commands().collect();
         assert_eq!(cmds.len(), 6);
         for (j, pair) in cmds.chunks(2).enumerate() {
             let (Planned::Elem(get), Planned::Elem(put)) = (&pair[0], &pair[1]) else {
@@ -1088,7 +1238,7 @@ mod tests {
             .update_list_at(2, RegionId(2), &elements)
             .build()
             .unwrap();
-        let cmds = plan.scripts()[2].commands();
+        let cmds: Vec<Planned> = plan.scripts()[2].commands().collect();
         assert_eq!(cmds.len(), 2);
         let (Planned::List(get), Planned::List(put)) = (&cmds[0], &cmds[1]) else {
             panic!("list pair expected")

@@ -2,12 +2,14 @@
 //! byte-identical whether a sweep runs serially, on any number of
 //! workers, or entirely from a warm run cache.
 
-use cellsim::exec::SweepExecutor;
+use std::sync::Arc;
+
+use cellsim::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim::experiments::{
     all_figures_with, figure12_with, figure_metrics_with, ExperimentConfig, FIGURE_IDS,
 };
 use cellsim::report::MetricsTable;
-use cellsim::CellSystem;
+use cellsim::{CellConfig, CellSystem, Placement, SyncPolicy, TransferPlan};
 use proptest::prelude::*;
 
 /// Renders every figure exactly as `repro` would print and export it.
@@ -102,6 +104,64 @@ fn metrics_digests_identical_serial_parallel_and_cached() {
         after.misses, before.misses,
         "a digest after its figure must be answered entirely from the cache"
     );
+}
+
+/// A GET+PUT stream on `spes` SPEs at `elem`-byte elements.
+fn copy_spec(system: &CellSystem, spes: usize, elem: u32, seed: u64) -> RunSpec {
+    let volume = 256 << 10;
+    let mut plan = TransferPlan::builder();
+    for spe in 0..spes {
+        plan = plan.copy_memory(spe, volume, elem, SyncPolicy::AfterAll);
+    }
+    let workload = Workload {
+        pattern: "copy",
+        spes: spes as u8,
+        volume,
+        elem,
+        list: false,
+        sync: SyncPolicy::AfterAll,
+        params: 0,
+    };
+    let plan = Arc::new(plan.build().expect("valid plan"));
+    RunSpec::new(system, workload, Placement::lottery(seed, 0), plan)
+}
+
+/// Multi-worker batches start their most expensive runs first. A batch
+/// submitted smallest-first — 16 KiB runs, then 128 B runs that cost far
+/// more per byte, one of them on a machine that stalls, with repeats —
+/// still reports, fails and counts its cache traffic exactly as a
+/// serial batch does.
+#[test]
+fn mixed_batch_submitted_smallest_first_is_job_invariant() {
+    let healthy = CellSystem::blade();
+    let mut glacial = CellConfig::default();
+    glacial.local_bank.access_latency = 100_000_000_000;
+    glacial.remote_bank.access_latency = 100_000_000_000;
+    let glacial = CellSystem::new(glacial);
+    let mut specs = Vec::new();
+    for elem in [16384u32, 128] {
+        for spes in [1usize, 2, 4] {
+            specs.push(copy_spec(&healthy, spes, elem, 7));
+        }
+    }
+    specs.push(copy_spec(&glacial, 2, 128, 7));
+    specs.push(copy_spec(&healthy, 4, 128, 7));
+    specs.push(copy_spec(&healthy, 1, 16384, 7));
+
+    let outcome = |jobs: usize| {
+        let exec = SweepExecutor::new(jobs);
+        let results = exec.try_run(specs.clone());
+        (results, exec.take_failures(), exec.stats())
+    };
+    let (serial, serial_failures, serial_stats) = outcome(1);
+    assert_eq!(serial_failures.len(), 1, "the glacial run stalls");
+    assert_eq!((serial_stats.hits, serial_stats.misses), (2, 7));
+    for jobs in [2, 4] {
+        let (results, failures, stats) = outcome(jobs);
+        assert_eq!(results, serial, "--jobs {jobs} reports");
+        assert_eq!(failures, serial_failures, "--jobs {jobs} failures");
+        assert_eq!(stats, serial_stats, "--jobs {jobs} cache stats");
+    }
 }
 
 proptest! {

@@ -45,6 +45,27 @@ fn stalling_run_returns_a_diagnosis_not_a_panic() {
     );
 }
 
+/// The horizon trips before the first memory access returns, so a
+/// 128 B-element stream leaves its MFC queue full and the rest of its
+/// script not yet enqueued: the diagnosis counts exactly those commands.
+#[test]
+fn diagnosis_counts_the_commands_not_yet_enqueued() {
+    let plan = TransferPlan::builder()
+        .get_from_memory(0, 64 << 10, 128, SyncPolicy::AfterAll)
+        .build()
+        .unwrap();
+    let failure = glacial_blade()
+        .try_run(&Placement::identity(), &plan)
+        .unwrap_err();
+    let spe = &failure.diagnosis().per_spe[0];
+    // 512 commands: 16 fill the MFC queue, 496 wait in the script.
+    assert_eq!(spe.mfc_queue_depth, 16);
+    assert_eq!(spe.pending_commands, 496);
+    assert!(failure.diagnosis().per_spe[1..]
+        .iter()
+        .all(|s| s.pending_commands == 0));
+}
+
 #[test]
 fn diagnosis_serializes_and_displays() {
     let failure = glacial_blade()
