@@ -24,6 +24,38 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// Steady state on a queue of 256 pending events, each pop rescheduling
+/// its event by a delta drawn from three bands: same-cycle and near
+/// (< 64), within the calendar ring's 1024-cycle span, and far beyond it
+/// (up to 2^20), so pushes into the overflow and its moves back into the
+/// ring are timed too.
+fn bench_event_queue_mixed(c: &mut Criterion) {
+    c.bench_function("kernel/event_queue_mixed_deltas_4k", |b| {
+        let mut q = EventQueue::new();
+        let mut rng = 0x5EEDu64;
+        let mut delta = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = rng >> 33;
+            match r % 8 {
+                0..=4 => r % 64,
+                5 | 6 => r % 1024,
+                _ => r % (1 << 20),
+            }
+        };
+        for i in 0..256u64 {
+            q.push(Cycle::new(delta()), i);
+        }
+        b.iter(|| {
+            for _ in 0..4096 {
+                let (at, e) = q.pop().expect("the queue never drains");
+                q.push(at + delta(), black_box(e));
+            }
+        })
+    });
+}
+
 fn bench_eib(c: &mut Criterion) {
     c.bench_function("eib/submit_arbitrate_64", |b| {
         b.iter(|| {
@@ -50,6 +82,41 @@ fn bench_eib(c: &mut Criterion) {
                     now = t;
                 } else {
                     break;
+                }
+            }
+            black_box(granted)
+        })
+    });
+}
+
+/// Eight SPEs each keep two 128 B transfers to their neighbour's Local
+/// Store pending, and the arbiter runs every cycle rather than only at
+/// reservation expiries, so most passes fall between releases (quiet
+/// passes that skip the heads already refused).
+fn bench_eib_every_cycle(c: &mut Criterion) {
+    c.bench_function("eib/arbitrate_every_cycle_1k", |b| {
+        b.iter(|| {
+            let mut eib = Eib::new(Topology::cbe(), EibConfig::default());
+            let mut pending = [0u32; 8];
+            let mut token = 0u64;
+            let mut granted = 0;
+            for now in (0..1024).map(Cycle::new) {
+                for spe in 0..8u8 {
+                    while pending[usize::from(spe)] < 2 {
+                        let request = TransferRequest {
+                            src: Element::spe(spe),
+                            dst: Element::spe((spe + 1) % 8),
+                            bytes: 128,
+                            class: FlowClass::MfcOut,
+                        };
+                        eib.submit(now, token * 8 + u64::from(spe), request);
+                        token += 1;
+                        pending[usize::from(spe)] += 1;
+                    }
+                }
+                for (tok, _) in eib.arbitrate(now) {
+                    pending[(tok % 8) as usize] -= 1;
+                    granted += 1;
                 }
             }
             black_box(granted)
@@ -106,5 +173,13 @@ fn bench_bank(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_event_queue, bench_eib, bench_mfc, bench_bank);
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_event_queue_mixed,
+    bench_eib,
+    bench_eib_every_cycle,
+    bench_mfc,
+    bench_bank
+);
 criterion_main!(benches);

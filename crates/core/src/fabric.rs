@@ -15,7 +15,9 @@
 //!    an outstanding-budget slot, and (for memory PUTs) the DRAM write is
 //!    enqueued.
 
-use cellsim_eib::{CommandBus, Eib, EibStats, Element, FlowClass, Topology, TransferRequest};
+use cellsim_eib::{
+    CommandBus, Eib, EibStats, Element, FlowClass, Grant, Topology, TransferRequest,
+};
 use cellsim_faults::FaultPlan;
 use cellsim_kernel::{Cycle, Model, Scheduler, Simulation};
 use cellsim_mem::{BankId, MemorySystem, Op};
@@ -77,8 +79,8 @@ pub struct FabricReport {
 /// Events of the fabric simulation.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Feed and fire one SPE's MFC.
-    Pump(usize),
+    /// Feed and fire one SPE's MFC (by index into `Fabric::spes`).
+    Pump(u32),
     /// Command bus phase finished for a packet.
     CmdDone(u32),
     /// Packet's source data is available; request the data bus.
@@ -94,6 +96,10 @@ enum Ev {
     /// A memory PUT's DRAM write retired; the MFC slot frees now.
     Retired(u32),
 }
+
+// Every variant carries at most a `u32`, so the event queue moves 8 bytes
+// per event.
+const _: () = assert!(std::mem::size_of::<Ev>() == 8);
 
 #[derive(Debug, Clone, Copy)]
 struct PacketInfo {
@@ -228,6 +234,8 @@ struct Fabric<'d> {
     /// same SPE had already run (see [`Fabric::schedule_pump`]).
     suppressed_pumps: u64,
     kick_scheduled: Option<Cycle>,
+    /// Grant buffer reused by every [`Fabric::kick`].
+    grants: Vec<(u64, Grant)>,
     delivered_packets: u64,
     /// NACK/retry tallies (all-zero without an active fault plan).
     fault_stats: FaultStats,
@@ -326,6 +334,7 @@ impl Fabric<'_> {
         let slot = &mut self.spes[spe].pump_scheduled;
         if slot.is_none_or(|t| at < t) {
             *slot = Some(at);
+            let spe = u32::try_from(spe).expect("SPE index fits u32");
             sched.schedule(at, Ev::Pump(spe));
         }
     }
@@ -560,7 +569,9 @@ impl Fabric<'_> {
     }
 
     fn kick(&mut self, now: Cycle, sched: &mut Scheduler<Ev>) {
-        for (token, grant) in self.eib.arbitrate(now) {
+        let mut grants = std::mem::take(&mut self.grants);
+        self.eib.arbitrate_into(now, &mut grants);
+        for (token, grant) in grants.drain(..) {
             let id = u32::try_from(token).expect("token is a packet id");
             let info = self.packets[id as usize];
             self.packets[id as usize].phase = PacketPhase::OnWire;
@@ -583,6 +594,7 @@ impl Fabric<'_> {
             }
             sched.schedule(grant.delivered_at, Ev::Delivered(id));
         }
+        self.grants = grants;
         if self.eib.has_pending() {
             let at = self
                 .eib
@@ -692,6 +704,7 @@ impl Model for FabricModel<'_, '_> {
     fn handle(&mut self, now: Cycle, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
             Ev::Pump(spe) => {
+                let spe = spe as usize;
                 // A pump event is genuine only if it is the one currently
                 // on the books for this SPE. `schedule_pump` supersedes a
                 // later pump by booking an earlier one; the later event
@@ -806,6 +819,7 @@ pub(crate) fn run_plan_traced<'d>(
         peak_live_packets: 0,
         suppressed_pumps: 0,
         kick_scheduled: None,
+        grants: Vec::new(),
         delivered_packets: 0,
         fault_stats: FaultStats::default(),
         latency: LatencyMetrics::default(),
@@ -818,7 +832,8 @@ pub(crate) fn run_plan_traced<'d>(
         // Book the seed pump so the staleness gate recognises it as the
         // genuine pending pump for this SPE.
         sim.model_mut().fabric.spes[spe].pump_scheduled = Some(Cycle::ZERO);
-        sim.schedule(Cycle::ZERO, Ev::Pump(spe));
+        let pump = Ev::Pump(u32::try_from(spe).expect("SPE index fits u32"));
+        sim.schedule(Cycle::ZERO, pump);
     }
     let outcome = sim.run_guarded(Cycle::new(MAX_CYCLES), MAX_STAGNANT_EVENTS);
     let events_processed = sim.events_processed();

@@ -253,6 +253,10 @@ pub struct Eib {
     queues: [VecDeque<Pending>; 4],
     next_seq: u64,
     calendar: ReleaseCalendar,
+    /// Per lane, a time before which its head is certain to be refused on
+    /// a healthy bus. A healthy pass tries a head only at or after it, so
+    /// the next head never inherits a bound that lies in the future.
+    retry: [Cycle; 4],
     stats: EibStats,
     ring_stats: Vec<RingStats>,
     faults: EibFaults,
@@ -306,6 +310,7 @@ impl Eib {
         }
         Eib {
             topology,
+            retry: [Cycle::ZERO; 4],
             route_table,
             cfg,
             rings,
@@ -327,6 +332,7 @@ impl Eib {
     /// rings this bus does not have are inert.
     pub fn set_faults(&mut self, faults: EibFaults) {
         self.faults = faults;
+        self.retry = [Cycle::ZERO; 4];
     }
 
     /// The bus topology.
@@ -398,9 +404,30 @@ impl Eib {
     /// granted on the other direction's rings.
     pub fn arbitrate(&mut self, now: Cycle) -> Vec<(u64, Grant)> {
         let mut granted = Vec::new();
+        self.arbitrate_into(now, &mut granted);
+        granted
+    }
+
+    /// [`arbitrate`](Eib::arbitrate), appending the grants to `granted`
+    /// so a caller can reuse one buffer across passes.
+    ///
+    /// A pass skips a head that an earlier pass refused while it is
+    /// certain to be refused again. Each refusal records the earliest
+    /// expiry among the reservations that blocked the head: its send
+    /// port's, or per route the receive port's (moved earlier by the
+    /// route's hops, since the port is checked at the head's arrival) or
+    /// the first busy segment's on each ring. A grant only takes resources
+    /// and a reservation only lengthens, so on a healthy bus the head is
+    /// refused at every time before that. A refusal changes no state, so
+    /// skipping it leaves every other try, and every grant, exactly as a
+    /// full pass would.
+    pub fn arbitrate_into(&mut self, now: Cycle, granted: &mut Vec<(u64, Grant)>) {
         if !self.has_pending() {
-            return granted;
+            return;
         }
+        // A fault window can open or close without any reservation
+        // expiring, so a faulted bus tries every head.
+        let healthy = self.faults.is_empty();
         self.calendar.drop_through(now);
         for pair in [
             lane(true, Direction::Clockwise),
@@ -409,7 +436,7 @@ impl Eib {
             // The pass tries the older of the two direction heads until
             // each direction has refused once: every request in the class
             // is tried oldest first, and a refusal blocks its direction.
-            let mut open = [true, true];
+            let mut open = [0, 1].map(|d| !healthy || self.retry[pair + d] <= now);
             loop {
                 let head = |d: usize| {
                     let queue = &self.queues[pair + d];
@@ -423,25 +450,29 @@ impl Eib {
                 };
                 let p = *self.queues[pair + d].front().expect("open head");
                 match self.try_grant(now, &p) {
-                    Some(mut grant) => {
+                    Ok(mut grant) => {
                         self.queues[pair + d].pop_front();
                         grant.waited = now.saturating_since(p.enqueued);
                         self.stats.wait_cycles += grant.waited;
                         granted.push((p.token, grant));
                     }
-                    None => open[d] = false,
+                    Err(retry) => {
+                        open[d] = false;
+                        self.retry[pair + d] = retry;
+                    }
                 }
             }
         }
-        granted
     }
 
     /// Attempts to grant one request immediately; reserves resources on
-    /// success.
-    fn try_grant(&mut self, now: Cycle, p: &Pending) -> Option<Grant> {
+    /// success. A refusal returns a time before which, on a healthy bus,
+    /// the request is certain to be refused again: the earliest expiry
+    /// among the reservations that blocked it.
+    fn try_grant(&mut self, now: Cycle, p: &Pending) -> Result<Grant, Cycle> {
         let (src, dst) = (p.src_ramp, p.dst_ramp);
         if self.send_free[src] > now {
-            return None;
+            return Err(self.send_free[src]);
         }
         // Switching the outbound multiplexer between internal sources
         // costs dead cycles on the send port ahead of the data.
@@ -463,11 +494,14 @@ impl Eib {
         let hop_latency = self.cfg.hop_latency;
         let per_direction = self.cfg.rings_per_direction;
         let set = &self.route_table[src * self.send_free.len() + dst];
+        let mut retry = Cycle::new(u64::MAX);
         for route in set.as_slice() {
             // The head arrives at the destination after the hop latency;
             // the receive port must be free from then on.
-            let arrival = now + route.hops as u64 * hop_latency;
+            let reach = route.hops as u64 * hop_latency;
+            let arrival = now + reach;
             if self.recv_free[dst] > arrival {
+                retry = retry.min(Cycle::new(self.recv_free[dst].as_u64() - reach));
                 continue;
             }
             let first = match route.direction {
@@ -483,7 +517,8 @@ impl Eib {
                 let ring = &mut self.rings[idx];
                 match self.cfg.occupancy {
                     RingOccupancy::CircuitHold => {
-                        if !ring.path_free(route.segments, now) {
+                        if let Some(busy) = ring.path_blocked_until(route.segments, now) {
+                            retry = retry.min(busy);
                             continue;
                         }
                         // Every segment was free at `now`: no future
@@ -492,7 +527,8 @@ impl Eib {
                         self.calendar.add(delivered_at, route.segments.count_ones());
                     }
                     RingOccupancy::Pipelined => {
-                        if !ring.route_free(route, now, hop_latency) {
+                        if let Some(busy) = ring.route_blocked_until(route, now, hop_latency) {
+                            retry = retry.min(busy);
                             continue;
                         }
                         for (_, seg) in route.segments_in_order() {
@@ -525,7 +561,7 @@ impl Eib {
                 ring_stats.grants += 1;
                 ring_stats.bytes += u64::from(p.bytes);
                 ring_stats.busy_cycles += duration;
-                return Some(Grant {
+                return Ok(Grant {
                     ring: RingId(idx),
                     direction: route.direction,
                     hops: route.hops,
@@ -536,7 +572,7 @@ impl Eib {
                 });
             }
         }
-        None
+        Err(retry)
     }
 
     /// The earliest reservation expiry strictly after `now`, across all
@@ -828,6 +864,51 @@ mod tests {
             t = next;
         }
         assert_eq!(releases, [8, 12, 13, 14, 15, 16, 17]);
+    }
+
+    #[test]
+    fn receive_port_expiry_after_now_reopens_a_refused_head() {
+        let mut eib = bus();
+        // SPE5 (ramp 3) -> SPE4 (ramp 8): 5 hops clockwise. Its send port
+        // frees at 8; SPE4's receive port and its segments at 13.
+        eib.submit(Cycle::ZERO, 0, req(Element::spe(5), Element::spe(4)));
+        // SPE2 (ramp 9) -> SPE4: 1 hop counter-clockwise, refused on the
+        // receive port while its head would arrive before 13.
+        eib.submit(Cycle::ZERO, 1, req(Element::spe(2), Element::spe(4)));
+        let grants = eib.arbitrate(Cycle::ZERO);
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].1.delivered_at, Cycle::new(13));
+        // At 8 the head would arrive at 9: still refused.
+        assert!(eib.arbitrate(Cycle::new(8)).is_empty());
+        // At 12 the port is still reserved, but the head arrives at 13 as
+        // it frees, so the pass must try it: its bound is the port's
+        // expiry less the hop, not the expiry itself.
+        let grants = eib.arbitrate(Cycle::new(12));
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].0, 1);
+        assert_eq!(grants[0].1.delivered_at, Cycle::new(21));
+    }
+
+    #[test]
+    fn a_new_head_is_tried_while_a_refused_head_is_skipped() {
+        let mut eib = bus();
+        // 1600 B hold the wire for 100 cycles: nothing expires before 100.
+        let long = TransferRequest {
+            bytes: 1600,
+            ..req(Element::spe(5), Element::spe(4))
+        };
+        eib.submit(Cycle::ZERO, 0, long);
+        eib.submit(Cycle::ZERO, 1, req(Element::spe(2), Element::spe(4)));
+        assert_eq!(eib.arbitrate(Cycle::ZERO).len(), 1);
+        // At 10 the refused head is certain to be refused until 104 (the
+        // receive port frees at 105, one hop away) and is skipped, but a
+        // request submitted into an empty lane (SPE1 -> SPE3, one
+        // clockwise hop) is still tried.
+        let now = Cycle::new(10);
+        eib.submit(now, 2, req(Element::spe(1), Element::spe(3)));
+        let tokens: Vec<u64> = eib.arbitrate(now).iter().map(|g| g.0).collect();
+        assert_eq!(tokens, [2]);
+        assert!(eib.has_pending());
     }
 
     #[test]

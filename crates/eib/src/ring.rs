@@ -39,16 +39,49 @@ impl Ring {
 
     /// Whether every segment in `mask` is free at `now`.
     pub fn path_free(&self, mask: u32, now: Cycle) -> bool {
-        self.for_each_segment(mask, |busy| busy <= now)
+        self.path_blocked_until(mask, now).is_none()
+    }
+
+    /// `None` if every segment in `mask` is free at `now`; otherwise the
+    /// expiry of the first one still reserved, before which the path
+    /// cannot be free.
+    pub(crate) fn path_blocked_until(&self, mask: u32, now: Cycle) -> Option<Cycle> {
+        let mut m = mask;
+        while m != 0 {
+            let k = m.trailing_zeros() as usize;
+            let Some(&busy) = self.busy_until.get(k) else {
+                panic!("segment mask {mask:#x} exceeds ring size");
+            };
+            if busy > now {
+                return Some(busy);
+            }
+            m &= m - 1;
+        }
+        None
     }
 
     /// Whether a pipelined transfer starting at `now` can use `route`:
     /// segment *i* must be free when the packet head reaches it, `i`
     /// hop-latencies after launch.
     pub fn route_free(&self, route: &Route, now: Cycle, hop_latency: u64) -> bool {
-        route.segments_in_order().all(|(k, seg)| {
+        self.route_blocked_until(route, now, hop_latency).is_none()
+    }
+
+    /// `None` if a pipelined transfer starting at `now` can use `route`;
+    /// otherwise, for the first segment not free when the head reaches
+    /// it, the launch time at which it would be: a transfer launched
+    /// before then cannot use the route.
+    pub(crate) fn route_blocked_until(
+        &self,
+        route: &Route,
+        now: Cycle,
+        hop_latency: u64,
+    ) -> Option<Cycle> {
+        route.segments_in_order().find_map(|(k, seg)| {
             assert!(seg < self.busy_until.len(), "route exceeds ring size");
-            self.busy_until[seg] <= now + k * hop_latency
+            let offset = k * hop_latency;
+            let busy = self.busy_until[seg];
+            (busy > now + offset).then(|| Cycle::new(busy.as_u64() - offset))
         })
     }
 
@@ -110,21 +143,6 @@ impl Ring {
     /// The earliest reservation expiry strictly after `now`, if any.
     pub fn next_release_after(&self, now: Cycle) -> Option<Cycle> {
         self.busy_until.iter().copied().filter(|&t| t > now).min()
-    }
-
-    fn for_each_segment(&self, mask: u32, mut pred: impl FnMut(Cycle) -> bool) -> bool {
-        let mut m = mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            if k >= self.busy_until.len() {
-                panic!("segment mask {mask:#x} exceeds ring size");
-            }
-            if !pred(self.busy_until[k]) {
-                return false;
-            }
-            m &= m - 1;
-        }
-        true
     }
 }
 

@@ -14,20 +14,21 @@ pub trait Model {
     type Event;
 
     /// Processes one event at simulated time `now`.
-    fn handle(&mut self, now: Cycle, event: Self::Event, sched: &mut Scheduler<Self::Event>);
+    fn handle(&mut self, now: Cycle, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
 }
 
 /// Handle used by a [`Model`] to schedule future events.
 ///
-/// Events pushed during one `handle` call are committed to the queue after
-/// the call returns; scheduling in the past is a bug and panics.
+/// Events go straight into the simulation's queue. No event is popped
+/// while a `handle` call runs, so they are delivered exactly as if
+/// committed after it returns; scheduling in the past is a bug and panics.
 #[derive(Debug)]
-pub struct Scheduler<E> {
+pub struct Scheduler<'q, E> {
     now: Cycle,
-    pending: Vec<(Cycle, E)>,
+    queue: &'q mut EventQueue<E>,
 }
 
-impl<E> Scheduler<E> {
+impl<E> Scheduler<'_, E> {
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -35,12 +36,7 @@ impl<E> Scheduler<E> {
     /// Panics if `at` is earlier than the current simulation time: a
     /// discrete-event simulation must never travel backwards.
     pub fn schedule(&mut self, at: Cycle, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at}, now={}",
-            self.now
-        );
-        self.pending.push((at, event));
+        self.queue.push(at, event);
     }
 
     /// Schedules `event` `delay` cycles from now.
@@ -97,9 +93,6 @@ pub struct Simulation<M: Model> {
     /// `processed` as of the last event that advanced simulated time —
     /// the progress watchdog's reference point.
     progress_mark: u64,
-    /// Recycled [`Scheduler`] buffer so the event loop allocates nothing
-    /// per event once it reaches steady state.
-    scratch: Vec<(Cycle, M::Event)>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -111,7 +104,6 @@ impl<M: Model> Simulation<M> {
             now: Cycle::ZERO,
             processed: 0,
             progress_mark: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -121,7 +113,6 @@ impl<M: Model> Simulation<M> {
     ///
     /// Panics if `at` is earlier than the current time.
     pub fn schedule(&mut self, at: Cycle, event: M::Event) {
-        assert!(at >= self.now, "event scheduled in the past");
         self.queue.push(at, event);
     }
 
@@ -163,14 +154,9 @@ impl<M: Model> Simulation<M> {
             self.processed += 1;
             let mut sched = Scheduler {
                 now: at,
-                pending: std::mem::take(&mut self.scratch),
+                queue: &mut self.queue,
             };
             self.model.handle(at, event, &mut sched);
-            let mut pending = sched.pending;
-            for (t, e) in pending.drain(..) {
-                self.queue.push(t, e);
-            }
-            self.scratch = pending;
             if self.events_since_progress() > max_stagnant_events {
                 return RunOutcome::Stagnant(self.now);
             }

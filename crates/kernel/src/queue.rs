@@ -1,50 +1,52 @@
-//! Deterministic time-ordered event queue: a hierarchical time wheel.
+//! Deterministic time-ordered event queue: a one-cycle calendar ring.
 //!
 //! The queue delivers events in non-decreasing time order with FIFO
 //! ordering inside a cycle — exactly the contract a `BinaryHeap` keyed by
-//! `(time, push-sequence)` provides — but with O(1) pushes, O(1) pops in
-//! the common near-future case, and no per-event comparisons. The design
-//! is the classic hashed hierarchical timing wheel: [`LEVELS`] wheels of
-//! [`SLOTS`] slots each, where level `l` buckets times whose highest bit
-//! differing from the cursor falls in bit band `[l·B, (l+1)·B)`. Far-
-//! future events park in a high wheel and cascade toward level 0 as the
-//! cursor approaches them.
+//! `(time, push-sequence)` provides — but with O(1) pushes and pops for
+//! the near future and no per-event comparisons there.
 //!
-//! Correctness hinges on one invariant, restored after every pop: every
-//! pending event `t` sits in slot `slot_index(t, level_for(t ^ cursor))`.
-//! Because the cursor only ever advances to the globally earliest pending
-//! time, the only slot whose mapping can go stale on an advance is the
-//! slot containing that earliest time itself — so a single drain-and-
-//! redistribute of that slot per pop suffices (events below the popped
-//! time cannot exist, and events above it keep their mapping).
+//! Times in the window `[cursor, cursor + SPAN)` live in a ring of
+//! [`SPAN`] one-cycle slots: slot `t % SPAN` holds exactly the events of
+//! time `t`, as a FIFO list threaded through a shared node pool. An
+//! occupancy bitmap (one bit per slot) plus a summary word (one bit per
+//! bitmap word) find the next occupied slot in two or three word scans.
+//! Events beyond the window wait in an overflow map ordered by
+//! `(time, push order)`.
+//!
+//! Same-cycle FIFO across the overflow→ring move rests on one rule: when
+//! the cursor advances, every overflow event that the new window covers
+//! moves into the ring, in `(time, push order)`, before anything else is
+//! pushed. Every overflow event for a time was pushed before that time
+//! entered the window, and every ring push for it after, so appending the
+//! moved events to an empty slot keeps push order.
 
-use std::collections::VecDeque;
-use std::mem;
+use std::collections::BTreeMap;
 
 use crate::Cycle;
 
-/// Bits of time resolved per wheel level; 6 keeps one `u64` occupancy
-/// bitmap per level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover the full 64-bit cycle space (⌈64 / 6⌉).
-const LEVELS: usize = 64usize.div_ceil(LEVEL_BITS as usize);
+/// Cycles the ring covers: the smallest power of two above every
+/// scheduling delta the fabric produced on the paper-scale protocol
+/// (figures 8 and 16 at 4 MiB per SPE, 20.7 M pushes: 72 % under 16
+/// cycles, 2.3 % in `[512, 1024)`, none beyond), so only rare far events
+/// take the overflow map.
+const SPAN: u64 = 1024;
+/// 64-bit occupancy words covering the ring.
+const WORDS: usize = SPAN as usize / 64;
+/// End of a slot list, and of the free list.
+const NIL: u32 = u32::MAX;
 
-/// Wheel level whose bit band holds the highest set bit of `diff`.
-#[inline]
-fn level_for(diff: u64) -> usize {
-    if diff == 0 {
-        0
-    } else {
-        (63 - diff.leading_zeros() as usize) / LEVEL_BITS as usize
-    }
+/// One queued event in the ring's node pool.
+struct Node<E> {
+    /// `None` only while the node sits on the free list.
+    event: Option<E>,
+    next: u32,
 }
 
-/// Slot of time `t` within level `lvl`.
-#[inline]
-fn slot_index(t: u64, lvl: usize) -> usize {
-    ((t >> (LEVEL_BITS as usize * lvl)) & (SLOTS as u64 - 1)) as usize
+/// First and last node of one slot's FIFO list.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
 /// A priority queue of `(time, event)` pairs.
@@ -53,7 +55,7 @@ fn slot_index(t: u64, lvl: usize) -> usize {
 /// the *same* cycle come out in the order they were pushed (FIFO), which
 /// keeps simulations deterministic without requiring `E: Ord`.
 ///
-/// The queue is a time wheel, not a heap, so pushes must never land
+/// The queue is a calendar ring, not a heap, so pushes must never land
 /// before the most recently popped time (a discrete-event simulation
 /// never schedules into the past; [`push`](EventQueue::push) panics if
 /// one tries).
@@ -70,30 +72,45 @@ fn slot_index(t: u64, lvl: usize) -> usize {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// `LEVELS × SLOTS` buckets, level-major. Each bucket holds events in
-    /// push order; level-0 buckets hold exactly one time each.
-    slots: Vec<VecDeque<(u64, E)>>,
-    /// One occupancy bitmap per level: bit `i` set ⇔ slot `i` non-empty.
-    occupied: [u64; LEVELS],
+    /// Slot `t % SPAN` lists the ring's events at time `t`.
+    slots: Vec<List>,
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list, threaded through `Node::next`.
+    free: u32,
+    /// Bit `i % 64` of word `i / 64` set ⇔ slot `i` is non-empty.
+    occupied: [u64; WORDS],
+    /// Bit `w` set ⇔ `occupied[w] != 0`.
+    summary: u64,
+    /// Events at `cursor + SPAN` or later, keyed by `(time, push order)`.
+    overflow: BTreeMap<(u64, u64), E>,
+    overflow_pushes: u64,
     /// Time of the most recent pop; pending times are all `>= cursor`.
     cursor: u64,
     /// Cached earliest pending time.
     next: Option<u64>,
     len: usize,
-    /// Reused drain buffer so steady-state cascades allocate nothing.
-    scratch: Vec<(u64, E)>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; LEVELS],
+            slots: vec![
+                List {
+                    head: NIL,
+                    tail: NIL
+                };
+                SPAN as usize
+            ],
+            nodes: Vec::new(),
+            free: NIL,
+            occupied: [0; WORDS],
+            summary: 0,
+            overflow: BTreeMap::new(),
+            overflow_pushes: 0,
             cursor: 0,
             next: None,
             len: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -102,86 +119,117 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the most recently popped time: the
-    /// wheel's cursor has already swept past it.
+    /// ring's cursor has already swept past it.
     pub fn push(&mut self, at: Cycle, event: E) {
         let t = at.as_u64();
         assert!(
             t >= self.cursor,
-            "event scheduled before the queue's current time: at={t}, cursor={}",
+            "event scheduled in the past, before the queue's current time: at={t}, cursor={}",
             self.cursor
         );
-        self.place(t, event);
+        if t - self.cursor < SPAN {
+            self.link(t, event);
+        } else {
+            self.overflow.insert((t, self.overflow_pushes), event);
+            self.overflow_pushes += 1;
+        }
         self.len += 1;
-        self.next = Some(match self.next {
-            Some(n) => n.min(t),
-            None => t,
-        });
+        self.next = Some(self.next.map_or(t, |n| n.min(t)));
     }
 
-    /// Buckets an event by its distance from the cursor. Does not touch
-    /// `len`/`next` — shared by [`push`](EventQueue::push) and cascades.
+    /// Appends an event to its slot's list; `t` must be inside the window.
     #[inline]
-    fn place(&mut self, t: u64, event: E) {
-        let lvl = level_for(t ^ self.cursor);
-        let idx = slot_index(t, lvl);
-        self.slots[lvl * SLOTS + idx].push_back((t, event));
-        self.occupied[lvl] |= 1 << idx;
+    fn link(&mut self, t: u64, event: E) {
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        let id = if self.free == NIL {
+            let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 events in the ring");
+            self.nodes.push(node);
+            id
+        } else {
+            let id = self.free;
+            self.free = self.nodes[id as usize].next;
+            self.nodes[id as usize] = node;
+            id
+        };
+        let slot = (t % SPAN) as usize;
+        let list = &mut self.slots[slot];
+        if list.head == NIL {
+            list.head = id;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.summary |= 1 << (slot / 64);
+        } else {
+            self.nodes[list.tail as usize].next = id;
+        }
+        list.tail = id;
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let t = self.next?;
-        let lvl = level_for(t ^ self.cursor);
-        if lvl > 0 {
-            // Advance the cursor to `t` and cascade the one slot whose
-            // mapping that invalidates: the slot holding `t` itself. Its
-            // residents re-bucket relative to `t` (preserving order, so
-            // same-cycle FIFO survives the cascade); `t`'s own events
-            // land in level 0.
-            let cell = lvl * SLOTS + slot_index(t, lvl);
-            let mut scratch = mem::take(&mut self.scratch);
-            scratch.extend(self.slots[cell].drain(..));
-            self.occupied[lvl] &= !(1 << slot_index(t, lvl));
+        if t != self.cursor {
             self.cursor = t;
-            for (te, e) in scratch.drain(..) {
-                self.place(te, e);
-            }
-            self.scratch = scratch;
+            self.refill();
         }
-        self.cursor = t;
-        let idx = slot_index(t, 0);
-        let slot = &mut self.slots[idx];
-        let (at, event) = slot.pop_front().expect("cached next time has an event");
-        debug_assert_eq!(at, t, "level-0 slot holds a single time");
+        let slot = (t % SPAN) as usize;
+        let id = self.slots[slot].head;
+        let node = &mut self.nodes[id as usize];
+        let event = node
+            .event
+            .take()
+            .expect("an occupied slot lists live nodes");
+        let next = node.next;
+        node.next = self.free;
+        self.free = id;
+        self.slots[slot].head = next;
         self.len -= 1;
-        if slot.is_empty() {
-            self.occupied[0] &= !(1 << idx);
+        if next == NIL {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            if self.occupied[slot / 64] == 0 {
+                self.summary &= !(1 << (slot / 64));
+            }
             self.next = self.scan_next();
-        } else {
-            self.next = Some(t);
         }
-        Some((Cycle::new(at), event))
+        Some((Cycle::new(t), event))
     }
 
-    /// Earliest pending time after the cursor's slot drained. Pending
-    /// times at level `l` always index at or after the cursor's own slot
-    /// (they share the bits above band `l` with the cursor), so one
-    /// masked bitmap scan per level finds the first occupied slot; any
-    /// occupied lower level beats any higher one.
-    fn scan_next(&self) -> Option<u64> {
-        for lvl in 0..LEVELS {
-            let bits = self.occupied[lvl] & (!0u64 << slot_index(self.cursor, lvl));
-            if bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                if lvl == 0 {
-                    // Level-0 slots hold one exact time in the cursor's span.
-                    return Some((self.cursor & !(SLOTS as u64 - 1)) | idx as u64);
-                }
-                // A higher-level slot spans many times; take its minimum.
-                return self.slots[lvl * SLOTS + idx].iter().map(|&(t, _)| t).min();
+    /// Moves the overflow events the window now covers into the ring, in
+    /// `(time, push order)`.
+    fn refill(&mut self) {
+        while let Some(entry) = self.overflow.first_entry() {
+            let t = entry.key().0;
+            if t - self.cursor >= SPAN {
+                break;
             }
+            let event = entry.remove();
+            self.link(t, event);
         }
-        None
+    }
+
+    /// Earliest pending time once the cursor's slot has drained: the first
+    /// occupied slot at or after the cursor's, wrapping around the ring,
+    /// or else the overflow's earliest time (which always lies beyond
+    /// every ring time).
+    fn scan_next(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return self.overflow.first_key_value().map(|(&(t, _), _)| t);
+        }
+        let from = (self.cursor % SPAN) as usize;
+        let (word, bit) = (from / 64, from % 64);
+        let here = self.occupied[word] & (!0u64 << bit);
+        let slot = if here != 0 {
+            word * 64 + here.trailing_zeros() as usize
+        } else {
+            // Later words first, then wrap to the lowest; wrapping back
+            // onto `word` finds only bits below `bit`, which are later
+            // times too.
+            let later = self.summary & (!1u64 << word);
+            let w = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        Some(self.cursor + (slot as u64 + SPAN - from as u64) % SPAN)
     }
 
     /// Time of the earliest pending event, if any.
@@ -219,6 +267,10 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
 
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(u64, E)> {
+        std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_u64(), e))).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -253,9 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_down_in_order() {
-        // Spans several wheel levels, including a same-cycle pair parked
-        // beyond the first horizon that must stay FIFO across cascades.
+    fn far_future_events_come_back_in_order() {
+        // Spans the ring and the overflow, including a same-cycle pair
+        // parked beyond the window that must stay FIFO as it moves in.
         let mut q = EventQueue::new();
         q.push(Cycle::new(1 << 20), "far-a");
         q.push(Cycle::new(3), "near");
@@ -282,6 +334,61 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::new(100), 3)));
         assert_eq!(q.pop(), Some((Cycle::new(150), 4)));
         assert_eq!(q.pop(), Some((Cycle::new(200), 2)));
+    }
+
+    #[test]
+    fn events_at_the_ring_boundary() {
+        // From a cursor of 0: span−1 is the window's last slot, span and
+        // span+1 overflow; span shares slot 0 with the cursor's own time.
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(SPAN + 1), "span+1");
+        q.push(Cycle::new(SPAN), "span");
+        q.push(Cycle::new(SPAN - 1), "span-1");
+        q.push(Cycle::ZERO, "zero");
+        assert_eq!(q.overflow.len(), 2);
+        assert_eq!(
+            drain(&mut q),
+            [
+                (0, "zero"),
+                (SPAN - 1, "span-1"),
+                (SPAN, "span"),
+                (SPAN + 1, "span+1")
+            ]
+        );
+    }
+
+    #[test]
+    fn same_time_stays_fifo_from_far_to_near() {
+        // "far" is pushed while its time lies beyond the window; after the
+        // cursor advances, "near" is pushed for the same time straight
+        // into the ring. The overflow event must still come out first.
+        let t = SPAN + 10;
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(t), "far");
+        q.push(Cycle::new(20), "step");
+        assert_eq!(q.pop(), Some((Cycle::new(20), "step")));
+        q.push(Cycle::new(t), "near");
+        assert_eq!(q.pop(), Some((Cycle::new(t), "far")));
+        assert_eq!(q.pop(), Some((Cycle::new(t), "near")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn push_at_the_cursor_while_its_slot_drains() {
+        // Pushing at the current time between pops of that time's slot
+        // joins the back of the same list, behind what is still queued.
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(5), 0);
+        q.push(Cycle::new(5), 1);
+        q.push(Cycle::new(5 + SPAN - 1), 9);
+        assert_eq!(q.pop(), Some((Cycle::new(5), 0)));
+        q.push(Cycle::new(5), 2);
+        assert_eq!(q.pop(), Some((Cycle::new(5), 1)));
+        assert_eq!(q.pop(), Some((Cycle::new(5), 2)));
+        // The slot drained; a push at the cursor re-opens it.
+        q.push(Cycle::new(5), 3);
+        assert_eq!(q.peek_time(), Some(Cycle::new(5)));
+        assert_eq!(drain(&mut q), [(5, 3), (5 + SPAN - 1, 9)]);
     }
 
     #[test]

@@ -22,6 +22,8 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
+// Every layer compares and advances time stamps on its per-packet path,
+// from other crates, so the small methods below are `#[inline]`.
 impl Cycle {
     /// Time zero: the start of every simulation.
     pub const ZERO: Cycle = Cycle(0);
@@ -37,17 +39,20 @@ impl Cycle {
     }
 
     /// Returns the later of two time stamps.
+    #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
 
     /// Returns the earlier of two time stamps.
+    #[inline]
     pub fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
 
     /// Cycles elapsed since `earlier`, saturating at zero if `earlier` is
     /// actually later than `self`.
+    #[inline]
     pub fn saturating_since(self, earlier: Cycle) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
@@ -55,12 +60,14 @@ impl Cycle {
 
 impl Add<u64> for Cycle {
     type Output = Cycle;
+    #[inline]
     fn add(self, rhs: u64) -> Cycle {
         Cycle(self.0 + rhs)
     }
 }
 
 impl AddAssign<u64> for Cycle {
+    #[inline]
     fn add_assign(&mut self, rhs: u64) {
         self.0 += rhs;
     }
@@ -73,6 +80,7 @@ impl Sub<Cycle> for Cycle {
     /// # Panics
     ///
     /// Panics in debug builds if `rhs` is later than `self`.
+    #[inline]
     fn sub(self, rhs: Cycle) -> u64 {
         debug_assert!(self.0 >= rhs.0, "negative cycle difference");
         self.0 - rhs.0

@@ -7,8 +7,8 @@ use cellsim_kernel::stats::Summary;
 use cellsim_kernel::{Cycle, EventQueue, MachineClock};
 use proptest::prelude::*;
 
-/// Reference model for the time wheel: a `BinaryHeap` keyed by
-/// `(time, push-sequence)`, i.e. exactly the structure the wheel replaced.
+/// Reference model for the event queue: a `BinaryHeap` keyed by
+/// `(time, push-sequence)`, the ordering contract the queue promises.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
@@ -37,11 +37,13 @@ struct Step {
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
-    // Deltas mix same-cycle bursts (0), near-future, and far-future
-    // horizon spills that park several wheel levels up (up to 2^40).
+    // Deltas mix same-cycle bursts (0), near-future, a band around the
+    // calendar ring's 1024-cycle span (the last in-ring slot and the first
+    // overflow times), and far-future spills (up to 2^40).
     let delta = prop_oneof![
         0u64..64,
         0u64..64,
+        1020u64..1029,
         0u64..4096,
         0u64..1_000_000,
         0u64..(1u64 << 40),
@@ -51,10 +53,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 proptest! {
-    /// The time wheel pops an arbitrary interleaved schedule in exactly
+    /// The event queue pops an arbitrary interleaved schedule in exactly
     /// the order of the `BinaryHeap` reference model: non-decreasing
-    /// time, FIFO within a cycle — including same-cycle bursts and
-    /// far-future events that cascade down through the wheel levels.
+    /// time, FIFO within a cycle — including same-cycle bursts, events
+    /// either side of the ring's span, and far-future events that move
+    /// from the overflow into the ring.
     #[test]
     fn wheel_matches_heap_reference(steps in proptest::collection::vec(step_strategy(), 1..40)) {
         let mut wheel = EventQueue::new();
