@@ -24,11 +24,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cellsim_eib::{EibStats, RingStats};
+use cellsim_kernel::fnv::fnv1a;
 use cellsim_mem::{BankId, BankStats};
 
 use crate::exec::RunKey;
 use crate::fabric::FabricReport;
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, Writer};
 use crate::latency::{LatencyHistogram, LatencyMetrics, PathLatency};
 use crate::metrics::{BankMetrics, FabricMetrics, FaultStats, SpeMetrics};
 
@@ -170,50 +171,57 @@ impl DiskCache {
     }
 }
 
-/// FNV-1a, 64-bit — the same pinned hash as
-/// [`config_fingerprint`](crate::exec::config_fingerprint), chosen over
-/// `DefaultHasher` because the standard library's algorithm may change
-/// across Rust releases, which would orphan every persisted entry.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical JSON of a [`RunKey`]: names the entry file and is embedded
 /// in the entry (and in every trace-store manifest) so loads verify the
 /// full cache identity, not just the filename hash.
 #[must_use]
 pub fn key_json(key: &RunKey) -> String {
-    let w = &key.workload;
-    format!(
-        "{{\"config\":{},\"faults\":{},\"pattern\":\"{}\",\"spes\":{},\
-         \"volume\":{},\"elem\":{},\"list\":{},\"sync\":\"{}\",\
-         \"params\":{},\"placement\":{}}}",
-        key.config,
-        key.faults,
-        json::escape(w.pattern),
-        w.spes,
-        w.volume,
-        w.elem,
-        w.list,
-        json::escape(&format!("{:?}", w.sync)),
-        w.params,
-        u64_array(key.placement.iter().map(|&p| u64::from(p)))
-    )
+    let mut w = Writer::with_capacity(256);
+    write_key(&mut w, key);
+    w.finish()
+}
+
+/// Writes [`key_json`]'s object into `w`.
+pub(crate) fn write_key(w: &mut Writer, key: &RunKey) {
+    let wl = &key.workload;
+    w.begin_object()
+        .key("config")
+        .u64(key.config)
+        .key("faults")
+        .u64(key.faults)
+        .key("pattern")
+        .str(wl.pattern)
+        .key("spes")
+        .u64(u64::from(wl.spes))
+        .key("volume")
+        .u64(wl.volume)
+        .key("elem")
+        .u64(u64::from(wl.elem))
+        .key("list")
+        .bool(wl.list)
+        .key("sync")
+        .str(&format!("{:?}", wl.sync))
+        .key("params")
+        .u64(wl.params)
+        .key("placement")
+        .u64s(key.placement.iter().map(|&p| u64::from(p)))
+        .end_object();
 }
 
 fn entry_json(key: &RunKey, report: &FabricReport) -> String {
     let body = report_json(report);
-    format!(
-        "{{\"schema\":{SCHEMA},\"checksum\":\"{:016x}\",\"key\":{},\"report\":{}}}\n",
-        fnv1a(body.as_bytes()),
-        key_json(key),
-        body
-    )
+    let mut w = Writer::with_capacity(body.len() + 512);
+    w.begin_object()
+        .key("schema")
+        .u64(SCHEMA)
+        .key("checksum")
+        .hex(fnv1a(body.as_bytes()), false)
+        .key("key");
+    write_key(&mut w, key);
+    w.key("report").raw(&body).end_object();
+    let mut text = w.finish();
+    text.push('\n');
+    text
 }
 
 /// Full verification: schema version, key identity, and the content
@@ -262,57 +270,61 @@ pub fn report_from_json(v: &JsonValue) -> Option<FabricReport> {
 }
 
 // ---- canonical emission -------------------------------------------------
+//
+// `f64`s persist as IEEE-754 bit patterns so replays are bit-identical
+// (decimal round-trips are not, and NaN payloads would not survive).
 
-fn u64_array(values: impl Iterator<Item = u64>) -> String {
-    let items: Vec<String> = values.map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
+fn write_hist(w: &mut Writer, h: &LatencyHistogram) {
+    w.begin_object()
+        .key("count")
+        .u64(h.count)
+        .key("total")
+        .u64(h.total)
+        .key("max")
+        .u64(h.max)
+        .key("buckets")
+        .u64s(h.buckets)
+        .end_object();
 }
 
-/// `f64`s persist as IEEE-754 bit patterns so replays are bit-identical
-/// (decimal round-trips are not, and NaN payloads would not survive).
-fn bits_array(values: &[f64]) -> String {
-    u64_array(values.iter().map(|v| v.to_bits()))
+fn write_path(w: &mut Writer, p: &PathLatency) {
+    w.begin_object()
+        .key("commands")
+        .u64(p.commands)
+        .key("end_to_end");
+    write_hist(w, &p.end_to_end);
+    w.key("phase_cycles")
+        .u64s(p.phase_cycles)
+        .key("dominant_counts")
+        .u64s(p.dominant_counts)
+        .key("nacks")
+        .u64(p.nacks)
+        .key("retries")
+        .u64(p.retries)
+        .key("retry_backoff_cycles")
+        .u64(p.retry_backoff_cycles)
+        .key("exhausted_commands")
+        .u64(p.exhausted_commands)
+        .end_object();
 }
 
-fn hist_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{\"count\":{},\"total\":{},\"max\":{},\"buckets\":{}}}",
-        h.count,
-        h.total,
-        h.max,
-        u64_array(h.buckets.iter().copied())
-    )
-}
-
-fn path_json(p: &PathLatency) -> String {
-    format!(
-        "{{\"commands\":{},\"end_to_end\":{},\"phase_cycles\":{},\
-         \"dominant_counts\":{},\"nacks\":{},\"retries\":{},\
-         \"retry_backoff_cycles\":{},\"exhausted_commands\":{}}}",
-        p.commands,
-        hist_json(&p.end_to_end),
-        u64_array(p.phase_cycles.iter().copied()),
-        u64_array(p.dominant_counts.iter().copied()),
-        p.nacks,
-        p.retries,
-        p.retry_backoff_cycles,
-        p.exhausted_commands
-    )
-}
-
-fn spe_json(m: &SpeMetrics) -> String {
-    format!(
-        "{{\"busy_cycles\":{},\"idle_cycles\":{},\"stall_mfc_full_cycles\":{},\
-         \"stall_sync_cycles\":{},\"stall_eib_cycles\":{},\"stall_mem_cycles\":{},\
-         \"occupancy_cycles\":{}}}",
-        m.busy_cycles,
-        m.idle_cycles,
-        m.stall_mfc_full_cycles,
-        m.stall_sync_cycles,
-        m.stall_eib_cycles,
-        m.stall_mem_cycles,
-        u64_array(m.occupancy_cycles.iter().copied())
-    )
+fn write_spe(w: &mut Writer, m: &SpeMetrics) {
+    w.begin_object()
+        .key("busy_cycles")
+        .u64(m.busy_cycles)
+        .key("idle_cycles")
+        .u64(m.idle_cycles)
+        .key("stall_mfc_full_cycles")
+        .u64(m.stall_mfc_full_cycles)
+        .key("stall_sync_cycles")
+        .u64(m.stall_sync_cycles)
+        .key("stall_eib_cycles")
+        .u64(m.stall_eib_cycles)
+        .key("stall_mem_cycles")
+        .u64(m.stall_mem_cycles)
+        .key("occupancy_cycles")
+        .u64s(m.occupancy_cycles.iter().copied())
+        .end_object();
 }
 
 fn bank_name(bank: BankId) -> &'static str {
@@ -322,79 +334,124 @@ fn bank_name(bank: BankId) -> &'static str {
     }
 }
 
-fn bank_json(b: &BankMetrics) -> String {
+fn write_bank(w: &mut Writer, b: &BankMetrics) {
     let s = &b.stats;
-    format!(
-        "{{\"bank\":\"{}\",\"accesses\":{},\"bytes\":{},\"turnaround_cycles\":{},\
-         \"refresh_cycles\":{},\"busy_cycles\":{},\"conflicts\":{}}}",
-        bank_name(b.bank),
-        s.accesses,
-        s.bytes,
-        s.turnaround_cycles,
-        s.refresh_cycles,
-        s.busy_cycles,
-        s.conflicts
-    )
+    w.begin_object()
+        .key("bank")
+        .str(bank_name(b.bank))
+        .key("accesses")
+        .u64(s.accesses)
+        .key("bytes")
+        .u64(s.bytes)
+        .key("turnaround_cycles")
+        .u64(s.turnaround_cycles)
+        .key("refresh_cycles")
+        .u64(s.refresh_cycles)
+        .key("busy_cycles")
+        .u64(s.busy_cycles)
+        .key("conflicts")
+        .u64(s.conflicts)
+        .end_object();
 }
 
-fn metrics_json(m: &FabricMetrics) -> String {
-    let spes: Vec<String> = m.per_spe.iter().map(spe_json).collect();
-    let rings: Vec<String> = m
-        .rings
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"grants\":{},\"bytes\":{},\"busy_cycles\":{}}}",
-                r.grants, r.bytes, r.busy_cycles
-            )
-        })
-        .collect();
-    let banks: Vec<String> = m.banks.iter().map(bank_json).collect();
+fn write_metrics(w: &mut Writer, m: &FabricMetrics) {
+    w.begin_object()
+        .key("run_cycles")
+        .u64(m.run_cycles)
+        .key("per_spe")
+        .begin_array();
+    for spe in &m.per_spe {
+        write_spe(w, spe);
+    }
+    w.end_array().key("rings").begin_array();
+    for r in &m.rings {
+        w.begin_object()
+            .key("grants")
+            .u64(r.grants)
+            .key("bytes")
+            .u64(r.bytes)
+            .key("busy_cycles")
+            .u64(r.busy_cycles)
+            .end_object();
+    }
+    w.end_array().key("banks").begin_array();
+    for bank in &m.banks {
+        write_bank(w, bank);
+    }
     let f = &m.faults;
-    format!(
-        "{{\"run_cycles\":{},\"per_spe\":[{}],\"rings\":[{}],\"banks\":[{}],\
-         \"faults\":{{\"nacks\":{},\"retries\":{},\"retries_exhausted\":{},\
-         \"abandoned_packets\":{},\"degraded_cycles\":{}}},\
-         \"events\":{},\"suppressed_pumps\":{},\"peak_live_packets\":{}}}",
-        m.run_cycles,
-        spes.join(","),
-        rings.join(","),
-        banks.join(","),
-        f.nacks,
-        f.retries,
-        f.retries_exhausted,
-        f.abandoned_packets,
-        f.degraded_cycles,
-        m.events,
-        m.suppressed_pumps,
-        m.peak_live_packets
-    )
+    w.end_array()
+        .key("faults")
+        .begin_object()
+        .key("nacks")
+        .u64(f.nacks)
+        .key("retries")
+        .u64(f.retries)
+        .key("retries_exhausted")
+        .u64(f.retries_exhausted)
+        .key("abandoned_packets")
+        .u64(f.abandoned_packets)
+        .key("degraded_cycles")
+        .u64(f.degraded_cycles)
+        .end_object()
+        .key("events")
+        .u64(m.events)
+        .key("suppressed_pumps")
+        .u64(m.suppressed_pumps)
+        .key("peak_live_packets")
+        .u64(m.peak_live_packets)
+        .end_object();
 }
+
+/// Writes [`report_to_json`]'s object into `w`, for documents that embed
+/// a report (the serve protocol's `result` lines).
+pub fn write_report(w: &mut Writer, r: &FabricReport) {
+    w.begin_object()
+        .key("cycles")
+        .u64(r.cycles)
+        .key("total_bytes")
+        .u64(r.total_bytes)
+        .key("aggregate_gbps_bits")
+        .u64(r.aggregate_gbps.to_bits())
+        .key("sum_gbps_bits")
+        .u64(r.sum_gbps.to_bits())
+        .key("per_spe_bytes")
+        .u64s(r.per_spe_bytes.iter().copied())
+        .key("per_spe_cycles")
+        .u64s(r.per_spe_cycles.iter().copied())
+        .key("per_spe_gbps_bits")
+        .u64s(r.per_spe_gbps.iter().map(|v| v.to_bits()))
+        .key("eib")
+        .begin_object()
+        .key("grants")
+        .u64(r.eib.grants)
+        .key("bytes")
+        .u64(r.eib.bytes)
+        .key("wait_cycles")
+        .u64(r.eib.wait_cycles)
+        .key("segment_cycles")
+        .u64(r.eib.segment_cycles)
+        .end_object()
+        .key("packets")
+        .u64(r.packets)
+        .key("metrics");
+    write_metrics(w, &r.metrics);
+    w.key("latency").begin_object().key("paths").begin_array();
+    for p in &r.latency.paths {
+        write_path(w, p);
+    }
+    w.end_array().key("element_service");
+    write_hist(w, &r.latency.element_service);
+    w.end_object().end_object();
+}
+
+/// Room for a report's canonical JSON (about 4 KiB with 8 SPEs), so
+/// writing one never reallocates.
+pub const REPORT_JSON_CAPACITY: usize = 8 << 10;
 
 fn report_json(r: &FabricReport) -> String {
-    let paths: Vec<String> = r.latency.paths.iter().map(path_json).collect();
-    format!(
-        "{{\"cycles\":{},\"total_bytes\":{},\"aggregate_gbps_bits\":{},\
-         \"sum_gbps_bits\":{},\"per_spe_bytes\":{},\"per_spe_cycles\":{},\
-         \"per_spe_gbps_bits\":{},\"eib\":{{\"grants\":{},\"bytes\":{},\
-         \"wait_cycles\":{},\"segment_cycles\":{}}},\"packets\":{},\
-         \"metrics\":{},\"latency\":{{\"paths\":[{}],\"element_service\":{}}}}}",
-        r.cycles,
-        r.total_bytes,
-        r.aggregate_gbps.to_bits(),
-        r.sum_gbps.to_bits(),
-        u64_array(r.per_spe_bytes.iter().copied()),
-        u64_array(r.per_spe_cycles.iter().copied()),
-        bits_array(&r.per_spe_gbps),
-        r.eib.grants,
-        r.eib.bytes,
-        r.eib.wait_cycles,
-        r.eib.segment_cycles,
-        r.packets,
-        metrics_json(&r.metrics),
-        paths.join(","),
-        hist_json(&r.latency.element_service)
-    )
+    let mut w = Writer::with_capacity(REPORT_JSON_CAPACITY);
+    write_report(&mut w, r);
+    w.finish()
 }
 
 // ---- verified parsing ---------------------------------------------------

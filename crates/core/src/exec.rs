@@ -41,6 +41,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use cellsim_kernel::fnv::Fnv1a;
+
 use crate::config::{CellConfig, CellSystem};
 use crate::diskcache::{DiskCache, DiskCacheStats};
 use crate::fabric::FabricReport;
@@ -69,13 +71,10 @@ const _: () = {
 /// cached reports or metric baselines.
 #[must_use]
 pub fn config_fingerprint(config: &CellConfig) -> u64 {
-    // FNV-1a, 64-bit (offset basis / prime per the FNV reference).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{config:?}").bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    use std::fmt::Write;
+    let mut h = Fnv1a::new();
+    write!(h, "{config:?}").expect("hashing formatted text cannot fail");
+    h.finish()
 }
 
 /// What a run simulates, minus the placement: the experiment-point

@@ -140,9 +140,9 @@ pub(crate) fn gups_plan(w: &Workload) -> Result<TransferPlan, WorkloadError> {
     let mut b = TransferPlan::builder();
     for spe in 0..spes {
         let offsets = params
-            .offsets(spe as u8, count, w.elem)
+            .stream(spe as u8, count, w.elem)
             .map_err(|e| bad_params("gups", e))?;
-        b = b.update_elems_at(spe, TransferPlan::get_region(spe), &offsets, w.elem);
+        b = b.update_elems_from(spe, TransferPlan::get_region(spe), offsets, w.elem);
     }
     b.build().map_err(WorkloadError::Plan)
 }
@@ -449,10 +449,10 @@ pub(crate) fn pairlist_plan(w: &Workload) -> Result<TransferPlan, WorkloadError>
     let count = w.volume / u64::from(w.elem);
     let mut b = TransferPlan::builder();
     for spe in 0..spes {
-        let elements = params
-            .elements(spe as u8, count, w.elem)
+        let offsets = params
+            .stream(spe as u8, count, w.elem)
             .map_err(|e| bad_params("pairlist", e))?;
-        b = b.update_list_at(spe, TransferPlan::get_region(spe), &elements);
+        b = b.update_list_from(spe, TransferPlan::get_region(spe), offsets, w.elem);
     }
     b.build().map_err(WorkloadError::Plan)
 }

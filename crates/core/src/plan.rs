@@ -1,10 +1,12 @@
 //! Per-SPE DMA programs: what each SPE transfers, and how it synchronizes.
 //!
-//! A script is a short list of steps. The scattered builders queue
-//! explicit commands; the regular streams (memory streams, partner
-//! streams, copy, exchange) queue one closed-form [`Run`] whose j-th
-//! command is computed when it is taken, so a paper-scale plan costs a
-//! few hundred bytes instead of one stored command per DMA.
+//! A script is a short list of steps. The scattered builders that take
+//! explicit offsets queue explicit commands; the regular streams
+//! (memory streams, partner streams, copy, exchange) queue one
+//! closed-form [`Run`], and the seeded scattered updates (GUPS, pair
+//! lists) one [`Scatter`] over an [`OffsetStream`]. Their j-th command
+//! is computed when it is taken, so a paper-scale plan costs a few
+//! hundred bytes instead of one stored command per DMA.
 
 use std::error::Error;
 use std::fmt;
@@ -14,6 +16,8 @@ use cellsim_mfc::{
     DmaCommand, DmaError, DmaKind, DmaListCommand, EffectiveAddr, ListElement, LsAddr, TagId,
     LOCAL_STORE_BYTES, MAX_LIST_ELEMENTS,
 };
+
+use cellsim_workloads::OffsetStream;
 
 use crate::SPE_COUNT;
 
@@ -192,41 +196,159 @@ impl Run {
     /// Returns the error of the run's first invalid command, without
     /// building them all.
     ///
-    /// A command's validity depends on its size, its LS offset, its
-    /// partner-window offset and its memory offset modulo 16. Unit `u`
-    /// starts `u * stride` bytes into the stream, so all four repeat
-    /// with period `LS_WINDOW / gcd(LS_WINDOW, stride)` units (16
-    /// divides `LS_WINDOW`): an invalid unit past the first period has
-    /// an earlier invalid twin, which fails first. A shorter last list
-    /// holds a prefix of its twin's elements, so the same holds for it.
+    /// Sizes are checked on the first unit's commands. Past them, with a
+    /// valid size, the Local Store side and the effective address agree
+    /// modulo 16 and stay aligned (`LS_WINDOW` and every window base are
+    /// quadword multiples), so the only failure left is a PUT into a
+    /// partner's incoming window running past the end of its Local
+    /// Store. Units start every `stride` bytes of the stream, each one's
+    /// window offset is its start modulo `LS_WINDOW`, and its elements
+    /// follow without wrapping. So some unit straddles a window boundary
+    /// exactly when one lies inside the stream (`elems * elem_bytes >
+    /// LS_WINDOW`) and is not a unit start (`stride` does not divide
+    /// `LS_WINDOW`). The first unit never straddles, and the error,
+    /// [`DmaError::LocalStoreOverrun`], names no position.
     fn validate(&self) -> Result<(), DmaError> {
+        if self.elems == 0 {
+            return Ok(());
+        }
+        for i in 0..self.width() {
+            self.command(i)?;
+        }
+        let put_window = matches!(
+            self.legs,
+            Legs::One(DmaKind::Put, Target::Window { .. }) | Legs::GetPut(_, Target::Window { .. })
+        );
         let stride = if self.list {
             self.per_list() * u64::from(self.elem_bytes)
         } else {
             u64::from(self.elem_bytes)
         };
         let window = u64::from(LS_WINDOW);
-        let period = window / gcd(window, stride);
-        for i in 0..self.units().min(period) * self.width() {
-            self.command(i)?;
+        let straddles =
+            !window.is_multiple_of(stride) && self.elems * u64::from(self.elem_bytes) > window;
+        if put_window && straddles {
+            return Err(DmaError::LocalStoreOverrun);
         }
         Ok(())
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
+/// A scattered read-modify-write stream in closed form: unit `j` is a
+/// GET then a fenced PUT on unit `j`'s tag chain, of one element at
+/// offset `j` of `region` (`list: false`, both commands fenced), or of
+/// the next batch of up to [`Scatter::per_list`] elements as a GETL and
+/// a PUTL (`list: true`). Offsets come from the stream as commands are
+/// taken.
+#[derive(Debug, Clone, Copy)]
+struct Scatter {
+    region: RegionId,
+    offsets: OffsetStream,
+    bytes: u32,
+    list: bool,
 }
 
-/// One step of a script: an explicit command, or a run expanded on
-/// demand. Every step holds at least one command.
+impl Scatter {
+    /// Elements per list batch, as [`TransferPlanBuilder::update_list_at`]
+    /// batches them: as many as fit the Local Store window, at least
+    /// one, at most the hardware's 2048.
+    fn per_list(&self) -> u64 {
+        match self.bytes {
+            0 => MAX_LIST_ELEMENTS as u64,
+            bytes => elems_per_list(bytes) as u64,
+        }
+    }
+
+    fn units(&self) -> u64 {
+        if self.list {
+            self.offsets.len().div_ceil(self.per_list())
+        } else {
+            self.offsets.len()
+        }
+    }
+
+    fn len(&self) -> u64 {
+        2 * self.units()
+    }
+
+    fn bytes(&self) -> u64 {
+        2 * self.offsets.len() * u64::from(self.bytes)
+    }
+
+    fn packets(&self, packet_bytes: u32) -> u64 {
+        2 * self.offsets.len() * u64::from(self.bytes.div_ceil(packet_bytes))
+    }
+
+    /// The stream's `i`-th command.
+    fn command(&self, i: u64) -> Result<Planned, DmaError> {
+        let unit = i / 2;
+        let kind = if i.is_multiple_of(2) {
+            DmaKind::Get
+        } else {
+            DmaKind::Put
+        };
+        let chain = chain_tag(unit);
+        if self.list {
+            let first = unit * self.per_list();
+            let last = (first + self.per_list()).min(self.offsets.len());
+            let elements = (first..last)
+                .map(|k| ListElement {
+                    ea_offset: self.offsets.offset(k),
+                    bytes: self.bytes,
+                })
+                .collect();
+            let cmd =
+                DmaListCommand::new(kind, LsAddr(0), region_ea(self.region, 0), elements, chain)?;
+            Ok(Planned::List(match kind {
+                DmaKind::Get => cmd,
+                DmaKind::Put => cmd.with_fence(),
+            }))
+        } else {
+            let ls = ls_slot(unit, self.bytes.max(16));
+            let ea = region_ea(self.region, self.offsets.offset(unit));
+            let cmd = DmaCommand::new(kind, ls, ea, self.bytes, chain)?;
+            Ok(Planned::Elem(cmd.with_fence()))
+        }
+    }
+
+    /// Returns the error of the stream's first invalid command, without
+    /// building them all.
+    ///
+    /// Every offset of an [`OffsetStream`] is quadword-aligned, so every
+    /// effective address is, and no transfer can overrun the Local
+    /// Store. A command's validity then depends only on its size and its
+    /// Local Store offsets mod 16.
+    /// Elem-mode slots sit at multiples of `max(bytes, 16)`, list
+    /// elements at multiples of `bytes` from 0: for a valid size every
+    /// position past the first is quadword-aligned, except in a list of
+    /// sub-quadword elements, whose second element is the first
+    /// misaligned one. So the first invalid command, if any, is the first
+    /// GET, and its first invalid element is one of its first two.
+    fn validate(&self) -> Result<(), DmaError> {
+        if self.offsets.is_empty() {
+            return Ok(());
+        }
+        if !self.list {
+            return self.command(0).map(drop);
+        }
+        let elements = (0..self.offsets.len().min(2))
+            .map(|k| ListElement {
+                ea_offset: self.offsets.offset(k),
+                bytes: self.bytes,
+            })
+            .collect();
+        let base = region_ea(self.region, 0);
+        DmaListCommand::new(DmaKind::Get, LsAddr(0), base, elements, chain_tag(0)).map(drop)
+    }
+}
+
+/// One step of a script: an explicit command, or a run or scattered
+/// stream expanded on demand. Every step holds at least one command.
 #[derive(Debug, Clone)]
 enum Step {
     Cmd(Planned),
     Run(Run),
+    Scatter(Scatter),
 }
 
 impl Step {
@@ -234,6 +356,7 @@ impl Step {
         match self {
             Step::Cmd(_) => 1,
             Step::Run(run) => run.len(),
+            Step::Scatter(scatter) => scatter.len(),
         }
     }
 
@@ -243,7 +366,28 @@ impl Step {
             Step::Run(run) => run
                 .command(i)
                 .expect("a run is validated before it is queued"),
+            Step::Scatter(scatter) => scatter
+                .command(i)
+                .expect("a stream is validated before it is queued"),
         }
+    }
+
+    fn bytes(&self) -> u64 {
+        match self {
+            Step::Cmd(cmd) => cmd.bytes(),
+            Step::Run(run) => run.bytes(),
+            Step::Scatter(scatter) => scatter.bytes(),
+        }
+    }
+
+    /// Commands plus the bus packets they unroll into.
+    fn cost(&self, packet_bytes: u32) -> u64 {
+        self.len()
+            + match self {
+                Step::Cmd(cmd) => cmd.packets(packet_bytes),
+                Step::Run(run) => run.packets(packet_bytes),
+                Step::Scatter(scatter) => scatter.packets(packet_bytes),
+            }
     }
 }
 
@@ -273,13 +417,7 @@ impl SpeScript {
 
     /// Total payload bytes across the whole script.
     pub fn total_bytes(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|step| match step {
-                Step::Cmd(cmd) => cmd.bytes(),
-                Step::Run(run) => run.bytes(),
-            })
-            .sum()
+        self.steps.iter().map(Step::bytes).sum()
     }
 
     /// Whether this SPE has no work.
@@ -287,15 +425,16 @@ impl SpeScript {
         self.steps.is_empty()
     }
 
+    /// Steps the script stores: one per explicit command, one per
+    /// closed-form run or stream. A script's memory is proportional to
+    /// this, not to its command count.
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
     /// Commands plus the bus packets they unroll into.
     fn cost(&self, packet_bytes: u32) -> u64 {
-        self.steps
-            .iter()
-            .map(|step| match step {
-                Step::Cmd(cmd) => 1 + cmd.packets(packet_bytes),
-                Step::Run(run) => run.len() + run.packets(packet_bytes),
-            })
-            .sum()
+        self.steps.iter().map(|step| step.cost(packet_bytes)).sum()
     }
 }
 
@@ -367,7 +506,7 @@ impl TransferPlan {
 
     /// Estimated simulation work: DMA commands plus the bus packets of
     /// `packet_bytes` they unroll into, summed over every SPE.
-    pub(crate) fn cost(&self, packet_bytes: u32) -> u64 {
+    pub fn cost(&self, packet_bytes: u32) -> u64 {
         self.scripts.iter().map(|s| s.cost(packet_bytes)).sum()
     }
 
@@ -841,6 +980,64 @@ impl TransferPlanBuilder {
     /// chain — the indexed pair-list update shape.
     pub fn update_list_at(self, spe: usize, region: RegionId, elements: &[ListElement]) -> Self {
         self.list_at(spe, region, elements, ListOp::Update)
+    }
+
+    /// [`TransferPlanBuilder::update_elems_at`] over a closed-form offset
+    /// stream: the same commands, each built when it is taken, so the
+    /// plan holds one step however long the stream.
+    pub fn update_elems_from(
+        self,
+        spe: usize,
+        region: RegionId,
+        offsets: OffsetStream,
+        bytes: u32,
+    ) -> Self {
+        self.push_scatter(spe, region, offsets, bytes, false)
+    }
+
+    /// [`TransferPlanBuilder::update_list_at`] over a closed-form offset
+    /// stream of `bytes`-sized elements: the same batches, each built
+    /// when it is taken.
+    pub fn update_list_from(
+        self,
+        spe: usize,
+        region: RegionId,
+        offsets: OffsetStream,
+        bytes: u32,
+    ) -> Self {
+        self.push_scatter(spe, region, offsets, bytes, true)
+    }
+
+    fn push_scatter(
+        mut self,
+        spe: usize,
+        region: RegionId,
+        offsets: OffsetStream,
+        bytes: u32,
+        list: bool,
+    ) -> Self {
+        if self.err.is_some() {
+            return self;
+        }
+        if spe >= SPE_COUNT {
+            self.err = Some(PlanError::BadSpe(spe));
+            return self;
+        }
+        let scatter = Scatter {
+            region,
+            offsets,
+            bytes,
+            list,
+        };
+        if let Err(e) = scatter.validate() {
+            self.err = Some(e.into());
+            return self;
+        }
+        if !offsets.is_empty() {
+            self.scripts[spe].steps.push(Step::Scatter(scatter));
+            self.scripts[spe].sync.get_or_insert(SyncPolicy::AfterAll);
+        }
+        self
     }
 
     fn elems_at(

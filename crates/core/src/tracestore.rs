@@ -43,15 +43,16 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cellsim_kernel::fnv::{fnv1a, Fnv1a};
 use cellsim_kernel::varint::{decode_u64, encode_u64, MAX_VARINT_BYTES};
 use cellsim_kernel::{Cycle, MachineClock};
 
 use crate::config::CellSystem;
-use crate::diskcache::{fnv1a, key_fingerprint, key_json};
+use crate::diskcache::{key_fingerprint, key_json, write_key};
 use crate::exec::{RunKey, RunSpec};
 use crate::fabric::FabricReport;
 use crate::failure::RunFailure;
-use crate::json;
+use crate::json::{self, Writer};
 use crate::latency::DmaPathClass;
 use crate::placement::Placement;
 use crate::plan::TransferPlan;
@@ -370,8 +371,8 @@ struct OpenBlock {
 pub struct TraceStoreWriter<W: Write> {
     out: W,
     error: Option<io::Error>,
-    /// Incremental FNV-1a over everything emitted so far.
-    checksum: u64,
+    /// FNV-1a over everything emitted so far.
+    checksum: Fnv1a,
     /// Bytes emitted so far (header + completed blocks).
     written: u64,
     /// Encoding buffer of the block currently being filled.
@@ -388,7 +389,7 @@ impl<W: Write> TraceStoreWriter<W> {
         let mut w = TraceStoreWriter {
             out,
             error: None,
-            checksum: 0xcbf2_9ce4_8422_2325,
+            checksum: Fnv1a::new(),
             written: 0,
             buf: Vec::with_capacity(64 << 10),
             cur: OpenBlock::default(),
@@ -408,10 +409,7 @@ impl<W: Write> TraceStoreWriter<W> {
         if self.error.is_some() {
             return;
         }
-        for &b in bytes {
-            self.checksum ^= u64::from(b);
-            self.checksum = self.checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.checksum.update(bytes);
         match self.out.write_all(bytes) {
             Ok(()) => self.written += bytes.len() as u64,
             Err(e) => self.error = Some(e),
@@ -458,7 +456,7 @@ impl<W: Write> TraceStoreWriter<W> {
         let payload_checksum = if self.error.is_some() {
             0
         } else {
-            self.checksum
+            self.checksum.finish()
         };
         let mut index = Vec::with_capacity(self.blocks.len() * INDEX_ENTRY_BYTES);
         for block in &self.blocks {
@@ -1050,29 +1048,52 @@ fn manifest_json(key: &RunKey, report: &FabricReport, summary: &StoreSummary) ->
         .iter()
         .map(crate::metrics::SpeMetrics::stall_cycles)
         .sum();
-    format!(
-        "{{\"schema\":{MANIFEST_SCHEMA},\"fingerprint\":\"{:016x}\",\
-         \"config\":\"{:#018x}\",\"faults\":\"{:#018x}\",\"key\":{},\
-         \"metrics\":{{\"cycles\":{},\"total_bytes\":{},\"events\":{},\
-         \"packets\":{},\"abandoned\":{},\"aggregate_gbps_bits\":{},\
-         \"stall_cycles\":{stall_cycles},\"dominant_stall\":\"{}\"}},\
-         \"trace\":{{\"file\":\"{TRACE_FILE}\",\"bytes\":{},\"events\":{},\
-         \"checksum\":\"{:016x}\"}}}}\n",
-        key_fingerprint(key),
-        key.config,
-        key.faults,
-        key_json(key),
-        report.cycles,
-        report.total_bytes,
-        report.metrics.events,
-        report.packets,
-        report.metrics.faults.abandoned_packets,
-        report.aggregate_gbps.to_bits(),
-        report.metrics.dominant_stall().0,
-        summary.bytes,
-        summary.events,
-        summary.checksum,
-    )
+    let mut w = Writer::with_capacity(768);
+    w.begin_object()
+        .key("schema")
+        .u64(MANIFEST_SCHEMA)
+        .key("fingerprint")
+        .hex(key_fingerprint(key), false)
+        .key("config")
+        .hex(key.config, true)
+        .key("faults")
+        .hex(key.faults, true)
+        .key("key");
+    write_key(&mut w, key);
+    w.key("metrics")
+        .begin_object()
+        .key("cycles")
+        .u64(report.cycles)
+        .key("total_bytes")
+        .u64(report.total_bytes)
+        .key("events")
+        .u64(report.metrics.events)
+        .key("packets")
+        .u64(report.packets)
+        .key("abandoned")
+        .u64(report.metrics.faults.abandoned_packets)
+        .key("aggregate_gbps_bits")
+        .u64(report.aggregate_gbps.to_bits())
+        .key("stall_cycles")
+        .u64(stall_cycles)
+        .key("dominant_stall")
+        .str(report.metrics.dominant_stall().0)
+        .end_object()
+        .key("trace")
+        .begin_object()
+        .key("file")
+        .str(TRACE_FILE)
+        .key("bytes")
+        .u64(summary.bytes)
+        .key("events")
+        .u64(summary.events)
+        .key("checksum")
+        .hex(summary.checksum, false)
+        .end_object()
+        .end_object();
+    let mut text = w.finish();
+    text.push('\n');
+    text
 }
 
 /// A parsed run manifest: the identity/metrics half of an artifact

@@ -330,16 +330,6 @@ pub struct FaultPlan {
     pub retry: RetryPolicy,
 }
 
-/// FNV-1a over a byte string (matches `cellsim_core::exec`'s local FNV).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl FaultPlan {
     /// Whether this plan injects nothing (behaviourally identical to a
     /// healthy machine; the seed and retry policy are then irrelevant).
@@ -363,7 +353,7 @@ impl FaultPlan {
         if self.is_empty() {
             return 0;
         }
-        fnv1a(self.to_json().as_bytes())
+        cellsim_kernel::fnv::fnv1a(self.to_json().as_bytes())
     }
 
     /// Checks plan invariants (window sanity, ranges, retry bounds).

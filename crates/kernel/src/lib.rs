@@ -41,6 +41,7 @@ mod engine;
 mod queue;
 mod time;
 
+pub mod fnv;
 pub mod json;
 pub mod rng;
 pub mod stats;

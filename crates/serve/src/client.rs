@@ -156,6 +156,7 @@ impl Client {
     /// Any [`std::io::Error`] from connecting.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: LineReader::new(BufReader::new(stream), MAX_LINE_BYTES),
@@ -178,9 +179,12 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // The line and its newline in one write (the socket has Nagle
+        // disabled, so two writes would be two segments).
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())?;
         Ok(())
     }
 

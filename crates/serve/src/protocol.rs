@@ -51,8 +51,9 @@
 //! ```
 //!
 //! `report` is the canonical bit-exact report JSON shared with the disk
-//! cache ([`report_to_json`]): floats travel as IEEE-754 bit patterns,
-//! so a replayed report compares equal to a locally simulated one.
+//! cache ([`report_to_json`](cellsim_core::diskcache::report_to_json)):
+//! floats travel as IEEE-754 bit patterns, so a replayed report compares
+//! equal to a locally simulated one.
 //! `failed` reuses the typed [`RunError`] taxonomy: stalls carry the
 //! full [`StallDiagnosis`](cellsim_core::StallDiagnosis) JSON, panics a
 //! `message` string, watchdog timeouts a `limit_ms` budget. `error`
@@ -63,10 +64,10 @@
 //! daemon shutdown (after a `reason":"shutting-down"` error per batch
 //! still owed runs).
 
-use cellsim_core::diskcache::{key_fingerprint, report_to_json};
-use cellsim_core::exec::{RunError, RunKey, RunSpec, Workload};
+use cellsim_core::diskcache::{key_fingerprint, write_report, REPORT_JSON_CAPACITY};
+use cellsim_core::exec::{config_fingerprint, RunError, RunKey, RunSpec, Workload};
 use cellsim_core::experiments::{canonical_pattern, workload_plan};
-use cellsim_core::json::{self, JsonValue};
+use cellsim_core::json::{self, JsonValue, Writer};
 use cellsim_core::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy};
 
 /// Longest accepted request/response line, newline included. Frames a
@@ -214,9 +215,15 @@ fn decode_run_request(v: &JsonValue) -> Result<BatchRequest, ProtocolError> {
             ),
         ));
     }
+    // Every run of the batch shares the machine, so its fingerprints
+    // are computed once rather than per run.
+    let machine = (
+        config_fingerprint(system.config()),
+        system.faults_fingerprint(),
+    );
     let mut specs = Vec::with_capacity(runs.len());
     for (index, run) in runs.iter().enumerate() {
-        let spec = decode_run(run, &system, fused)
+        let spec = decode_run(run, &system, machine, fused)
             .map_err(|cause| ProtocolError::bad_request(&id, format!("run {index}: {cause}")))?;
         specs.push(spec);
     }
@@ -230,10 +237,16 @@ fn field_u64(run: &JsonValue, name: &str) -> Result<u64, String> {
 }
 
 /// Decodes and fully validates one run object into a [`RunSpec`] on
-/// `system`. Everything is checked here — pattern, parameter ranges,
-/// plan buildability, placement permutation, fused-SPE collisions — so
-/// a spec that decodes is a spec the executor can run.
-fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<RunSpec, String> {
+/// `system`, whose config and fault-plan fingerprints are `machine`.
+/// Everything is checked here — pattern, parameter ranges, plan
+/// buildability, placement permutation, fused-SPE collisions — so a
+/// spec that decodes is a spec the executor can run.
+fn decode_run(
+    run: &JsonValue,
+    system: &CellSystem,
+    machine: (u64, u64),
+    fused: u8,
+) -> Result<RunSpec, String> {
     let pattern = run
         .get("pattern")
         .and_then(JsonValue::as_str)
@@ -307,29 +320,58 @@ fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<RunSpec
             ));
         }
     }
-    Ok(RunSpec::new(system, workload, placement, plan))
+    // `RunSpec::new` with the batch's fingerprints.
+    Ok(RunSpec {
+        key: RunKey {
+            config: machine.0,
+            faults: machine.1,
+            workload,
+            placement: *placement.mapping(),
+        },
+        system: system.clone(),
+        plan,
+        placement,
+    })
 }
 
 // ---- response emission --------------------------------------------------
 
+/// Starts a response line: `{"op":<op>` plus `"id":<id>` when given.
+fn line(op: &str, id: Option<&str>) -> Writer {
+    let mut w = Writer::with_capacity(128);
+    w.begin_object().key("op").str(op);
+    if let Some(id) = id {
+        w.key("id").str(id);
+    }
+    w
+}
+
+/// Closes and returns a line begun by [`line`].
+fn finish(mut w: Writer) -> String {
+    w.end_object();
+    w.finish()
+}
+
 /// `accepted`: the batch passed admission; results will stream.
 #[must_use]
 pub fn accepted_line(id: &str, runs: usize) -> String {
-    format!(
-        "{{\"op\":\"accepted\",\"id\":\"{}\",\"runs\":{runs}}}",
-        json::escape(id)
-    )
+    let mut w = line("accepted", Some(id));
+    w.key("runs").u64(runs as u64);
+    finish(w)
 }
 
 /// `reject`: the admission queue is past its high-water mark. Nothing
 /// of the batch was enqueued; the client retries later.
 #[must_use]
 pub fn reject_line(id: &str, queued: usize, high_water: usize) -> String {
-    format!(
-        "{{\"op\":\"reject\",\"id\":\"{}\",\"reason\":\"overloaded\",\
-         \"queued\":{queued},\"high_water\":{high_water}}}",
-        json::escape(id)
-    )
+    let mut w = line("reject", Some(id));
+    w.key("reason")
+        .str("overloaded")
+        .key("queued")
+        .u64(queued as u64)
+        .key("high_water")
+        .u64(high_water as u64);
+    finish(w)
 }
 
 /// `reject` with reason `draining`: the daemon is finishing in-flight
@@ -337,17 +379,21 @@ pub fn reject_line(id: &str, queued: usize, high_water: usize) -> String {
 /// the client retries against the restarted daemon.
 #[must_use]
 pub fn drain_reject_line(id: &str) -> String {
-    format!(
-        "{{\"op\":\"reject\",\"id\":\"{}\",\"reason\":\"draining\"}}",
-        json::escape(id)
-    )
+    let mut w = line("reject", Some(id));
+    w.key("reason").str("draining");
+    finish(w)
 }
 
 /// `draining`: the ack for an `{"op":"drain"}` request, reporting the
 /// work the daemon will still finish before exiting.
 #[must_use]
 pub fn draining_line(queued: usize, inflight: usize) -> String {
-    format!("{{\"op\":\"draining\",\"queued\":{queued},\"inflight\":{inflight}}}")
+    let mut w = line("draining", None);
+    w.key("queued")
+        .u64(queued as u64)
+        .key("inflight")
+        .u64(inflight as u64);
+    finish(w)
 }
 
 /// `error` with reason `shutting-down`: a typed goodbye for a batch
@@ -365,27 +411,27 @@ pub fn shutting_down_line(id: &str) -> String {
 /// `error`: the request line itself was refused (see [`ProtocolError`]).
 #[must_use]
 pub fn error_line(id: Option<&str>, reason: &str, detail: &str) -> String {
-    let id = match id {
-        Some(id) => format!("\"id\":\"{}\",", json::escape(id)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"op\":\"error\",{id}\"reason\":\"{}\",\"detail\":\"{}\"}}",
-        json::escape(reason),
-        json::escape(detail)
-    )
+    let mut w = line("error", id);
+    w.key("reason").str(reason).key("detail").str(detail);
+    finish(w)
 }
 
 /// `result`: run `index` of batch `id` completed with `report`.
 #[must_use]
 pub fn result_line(id: &str, index: usize, key: &RunKey, report: &FabricReport) -> String {
-    format!(
-        "{{\"op\":\"result\",\"id\":\"{}\",\"index\":{index},\
-         \"key\":\"{:016x}\",\"report\":{}}}",
-        json::escape(id),
-        key_fingerprint(key),
-        report_to_json(report)
-    )
+    let mut w = Writer::with_capacity(REPORT_JSON_CAPACITY);
+    w.begin_object()
+        .key("op")
+        .str("result")
+        .key("id")
+        .str(id)
+        .key("index")
+        .u64(index as u64)
+        .key("key")
+        .hex(key_fingerprint(key), false)
+        .key("report");
+    write_report(&mut w, report);
+    finish(w)
 }
 
 /// `failed`: run `index` produced a typed [`RunError`] instead of a
@@ -393,39 +439,36 @@ pub fn result_line(id: &str, index: usize, key: &RunKey, report: &FabricReport) 
 #[must_use]
 pub fn failed_line(id: &str, index: usize, error: &RunError) -> String {
     let key = error.key();
-    let head = format!(
-        "{{\"op\":\"failed\",\"id\":\"{}\",\"index\":{index},\
-         \"key\":\"{:016x}\",\"run\":\"{}\"",
-        json::escape(id),
-        key_fingerprint(key),
-        json::escape(&key.to_string())
-    );
+    let mut w = line("failed", Some(id));
+    w.key("index")
+        .u64(index as u64)
+        .key("key")
+        .hex(key_fingerprint(key), false)
+        .key("run")
+        .str(&key.to_string());
     match error {
         RunError::Stall { diagnosis, .. } => {
-            format!(
-                "{head},\"kind\":\"stall\",\"diagnosis\":{}}}",
-                diagnosis.to_json()
-            )
+            w.key("kind")
+                .str("stall")
+                .key("diagnosis")
+                .raw(&diagnosis.to_json());
         }
         RunError::Panicked { message, .. } => {
-            format!(
-                "{head},\"kind\":\"panic\",\"message\":\"{}\"}}",
-                json::escape(message)
-            )
+            w.key("kind").str("panic").key("message").str(message);
         }
         RunError::Timeout { limit_ms, .. } => {
-            format!("{head},\"kind\":\"timeout\",\"limit_ms\":{limit_ms}}}")
+            w.key("kind").str("timeout").key("limit_ms").u64(*limit_ms);
         }
     }
+    finish(w)
 }
 
 /// `done`: every run of the batch has been answered.
 #[must_use]
 pub fn done_line(id: &str, ok: usize, failed: usize) -> String {
-    format!(
-        "{{\"op\":\"done\",\"id\":\"{}\",\"ok\":{ok},\"failed\":{failed}}}",
-        json::escape(id)
-    )
+    let mut w = line("done", Some(id));
+    w.key("ok").u64(ok as u64).key("failed").u64(failed as u64);
+    finish(w)
 }
 
 /// Encodes one spec as a request run object — the client half of
@@ -433,29 +476,37 @@ pub fn done_line(id: &str, ok: usize, failed: usize) -> String {
 /// [`RunKey`].
 #[must_use]
 pub fn encode_run(spec: &RunSpec) -> String {
-    let w = &spec.key.workload;
-    let sync = match w.sync {
-        SyncPolicy::AfterAll => "\"all\"".to_string(),
-        SyncPolicy::Every(n) => format!("{{\"every\":{n}}}"),
+    let mut w = Writer::with_capacity(192);
+    write_run(&mut w, spec);
+    w.finish()
+}
+
+fn write_run(w: &mut Writer, spec: &RunSpec) {
+    let wl = &spec.key.workload;
+    w.begin_object()
+        .key("pattern")
+        .str(wl.pattern)
+        .key("spes")
+        .u64(u64::from(wl.spes))
+        .key("volume")
+        .u64(wl.volume)
+        .key("elem")
+        .u64(u64::from(wl.elem))
+        .key("list")
+        .bool(wl.list)
+        .key("sync");
+    match wl.sync {
+        SyncPolicy::AfterAll => w.str("all"),
+        SyncPolicy::Every(n) => w.begin_object().key("every").u64(u64::from(n)).end_object(),
     };
-    let placement: Vec<String> = spec.key.placement.iter().map(u8::to_string).collect();
     // Workload params are emitted only when nonzero: streaming-figure
     // request lines stay byte-identical to what older clients sent.
-    let params = if w.params == 0 {
-        String::new()
-    } else {
-        format!("\"params\":{},", w.params)
-    };
-    format!(
-        "{{\"pattern\":\"{}\",\"spes\":{},\"volume\":{},\"elem\":{},\
-         \"list\":{},\"sync\":{sync},{params}\"placement\":[{}]}}",
-        json::escape(w.pattern),
-        w.spes,
-        w.volume,
-        w.elem,
-        w.list,
-        placement.join(",")
-    )
+    if wl.params != 0 {
+        w.key("params").u64(wl.params);
+    }
+    w.key("placement")
+        .u64s(spec.key.placement.iter().map(|&p| u64::from(p)))
+        .end_object();
 }
 
 /// Encodes a whole `run` request line (without the trailing newline).
@@ -469,17 +520,20 @@ pub fn encode_run_request(
     specs: &[RunSpec],
     record: bool,
 ) -> String {
-    let runs: Vec<String> = specs.iter().map(encode_run).collect();
-    let faults = match faults {
-        Some(plan) => format!("\"faults\":{},", plan.to_json()),
-        None => String::new(),
-    };
-    let record = if record { "\"record\":true," } else { "" };
-    format!(
-        "{{\"op\":\"run\",\"id\":\"{}\",{faults}{record}\"runs\":[{}]}}",
-        json::escape(id),
-        runs.join(",")
-    )
+    let mut w = Writer::with_capacity(64 + 192 * specs.len());
+    w.begin_object().key("op").str("run").key("id").str(id);
+    if let Some(plan) = faults {
+        w.key("faults").raw(&plan.to_json());
+    }
+    if record {
+        w.key("record").bool(true);
+    }
+    w.key("runs").begin_array();
+    for spec in specs {
+        write_run(&mut w, spec);
+    }
+    w.end_array().end_object();
+    w.finish()
 }
 
 #[cfg(test)]

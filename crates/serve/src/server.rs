@@ -414,6 +414,17 @@ fn stats_history(
     }
 }
 
+/// Most bytes the connection writer joins into one `write`: queued
+/// lines are coalesced up to about this much, so a burst of cached
+/// results goes out in a few segments without an unbounded buffer.
+const WRITE_BATCH_BYTES: usize = 256 << 10;
+
+/// Appends `line` and its newline to a write buffer.
+fn frame(buf: &mut Vec<u8>, line: &str) {
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+}
+
 /// Everything a connection's reader needs, bundled.
 struct ConnContext {
     scheduler: Arc<Scheduler>,
@@ -429,6 +440,10 @@ struct ConnContext {
 
 /// The per-connection reader loop: frame, decode, dispatch.
 fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
+    // Every response is a complete line the client is waiting for:
+    // without TCP_NODELAY, Nagle's algorithm holds a short line back
+    // until the peer's delayed ACK (tens of ms per batch).
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(ctx.read_timeout);
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -440,6 +455,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
         .name(format!("cellsim-serve-write-{conn}", conn = ctx.conn))
         .spawn(move || {
             let mut out = write_half;
+            let mut buf = Vec::new();
             loop {
                 if monitor.is_dead() {
                     break;
@@ -451,12 +467,18 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
                     Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
                 };
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
+                // One write per wakeup: this line and whatever else is
+                // already queued, each with its newline. Nothing waits
+                // for more lines to arrive.
+                buf.clear();
+                frame(&mut buf, &line);
+                while buf.len() < WRITE_BATCH_BYTES {
+                    match rx.try_recv() {
+                        Ok(line) => frame(&mut buf, &line),
+                        Err(_) => break,
+                    }
+                }
+                if out.write_all(&buf).is_err() {
                     monitor.mark_dead();
                     break;
                 }
@@ -466,9 +488,9 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
             // reader thread wakes too.
             if monitor.is_dead() {
                 if let Some(words) = monitor.take_last_words() {
-                    let _ = out
-                        .write_all(words.as_bytes())
-                        .and_then(|()| out.write_all(b"\n"));
+                    buf.clear();
+                    frame(&mut buf, &words);
+                    let _ = out.write_all(&buf);
                 }
                 let _ = out.shutdown(Shutdown::Both);
             }

@@ -459,3 +459,90 @@ fn faulted_batches_match_a_local_faulted_executor() {
     assert_eq!(from_wire, from_local);
     daemon.stop();
 }
+
+/// Every file under `dir`, by relative path, with its bytes.
+fn snapshot(dir: &std::path::Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).expect("readable dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("readable file");
+                files.insert(
+                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
+                    bytes,
+                );
+            }
+        }
+    }
+    files
+}
+
+/// The warm path: a daemon restarted over the cache and run directories
+/// a first daemon filled answers every recorded run from disk. Nothing
+/// is simulated, every report equals the first pass, and the run
+/// directory is left byte for byte as it was.
+#[test]
+fn restarted_daemon_replays_warm_directories_without_simulating() {
+    let cache = temp_dir("warm-cache");
+    let runs = temp_dir("warm-runs");
+    let opts = ServeOptions {
+        workers: 2,
+        cache_dir: Some(cache.clone()),
+        run_dir: Some(runs.clone()),
+        ..ServeOptions::default()
+    };
+    let system = CellSystem::blade();
+    let batches: Vec<(&str, Vec<RunSpec>)> = ["8", "12", "gups"]
+        .into_iter()
+        .map(|figure| (figure, tiny_specs(&system, figure)))
+        .collect();
+    let replay = |daemon: &Daemon| {
+        let mut client = Client::connect(daemon.addr).expect("connect");
+        let reports: Vec<Vec<_>> = batches
+            .iter()
+            .map(|(figure, specs)| {
+                let outcome = client
+                    .run_batch_recorded(&format!("figure-{figure}"), None, specs, true)
+                    .expect("batch");
+                assert_eq!(outcome.failed, 0, "figure {figure}");
+                outcome
+                    .results
+                    .into_iter()
+                    .map(|r| r.expect("ok result"))
+                    .collect()
+            })
+            .collect();
+        (reports, client.stats().expect("stats"))
+    };
+
+    let cold = start_daemon(&opts);
+    let (first, stats) = replay(&cold);
+    cold.stop();
+    assert!(
+        stats.cache_misses > 0,
+        "the first pass simulates: {stats:?}"
+    );
+    let recorded = snapshot(&runs);
+    assert!(!recorded.is_empty());
+
+    let warm = start_daemon(&opts);
+    let (second, stats) = replay(&warm);
+    warm.stop();
+    assert_eq!(
+        stats.cache_misses, 0,
+        "a warm replay simulates nothing: {stats:?}"
+    );
+    assert_eq!(
+        stats.cache_hits,
+        batches.iter().map(|(_, s)| s.len() as u64).sum::<u64>(),
+        "{stats:?}"
+    );
+    assert_eq!(second, first, "warm reports equal the first pass");
+    assert!(snapshot(&runs) == recorded, "the run dir changed on replay");
+    let _ = std::fs::remove_dir_all(cache);
+    let _ = std::fs::remove_dir_all(runs);
+}

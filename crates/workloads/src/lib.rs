@@ -166,16 +166,30 @@ impl GupsParams {
     /// 8..=128; [`StreamError::BadTableLog2`] if the table is
     /// out of range.
     pub fn offsets(&self, spe: u8, count: u64, grain: u32) -> Result<Vec<u64>, StreamError> {
+        let stream = self.stream(spe, count, grain)?;
+        Ok((0..count).map(|i| stream.offset(i)).collect())
+    }
+
+    /// [`GupsParams::offsets`] in closed form: the `i`-th offset is
+    /// computed when asked for.
+    ///
+    /// # Errors
+    ///
+    /// As [`GupsParams::offsets`].
+    pub fn stream(&self, spe: u8, count: u64, grain: u32) -> Result<OffsetStream, StreamError> {
         check_table_log2(self.table_log2)?;
         if !grain.is_power_of_two() || !(8..=128).contains(&grain) {
             return Err(StreamError::BadGrain(grain));
         }
         let stride = u64::from(grain.max(16));
-        let slots = self.table_bytes() / stride;
-        let seed = u64::from(self.seed);
-        Ok((0..count)
-            .map(|i| (draw(seed, u64::from(spe), i) % slots) * stride)
-            .collect())
+        Ok(OffsetStream {
+            seed: u64::from(self.seed),
+            lane: u64::from(spe),
+            len: count,
+            slots: self.table_bytes() / stride,
+            hot: None,
+            stride,
+        })
     }
 }
 
@@ -431,6 +445,27 @@ impl PairlistParams {
         count: u64,
         record_bytes: u32,
     ) -> Result<Vec<ListElement>, StreamError> {
+        let stream = self.stream(spe, count, record_bytes)?;
+        Ok((0..count)
+            .map(|i| ListElement {
+                ea_offset: stream.offset(i),
+                bytes: record_bytes,
+            })
+            .collect())
+    }
+
+    /// The offsets of [`PairlistParams::elements`] in closed form: the
+    /// `i`-th element's offset is computed when asked for.
+    ///
+    /// # Errors
+    ///
+    /// As [`PairlistParams::elements`].
+    pub fn stream(
+        &self,
+        spe: u8,
+        count: u64,
+        record_bytes: u32,
+    ) -> Result<OffsetStream, StreamError> {
         check_table_log2(self.table_log2)?;
         let valid = record_bytes.is_power_of_two()
             && (16..=MAX_DMA_BYTES).contains(&record_bytes)
@@ -439,22 +474,62 @@ impl PairlistParams {
             return Err(StreamError::BadRecord(record_bytes));
         }
         let slots = self.table_bytes() / u64::from(record_bytes);
-        let hot = (1u64 << self.hot_log2).min(slots);
-        let seed = u64::from(self.seed);
-        Ok((0..count)
-            .map(|i| {
-                let r = draw(seed, u64::from(spe), i);
-                let idx = if r & 3 < HOT_DRAWS_IN_4 {
-                    (r >> 2) % hot
-                } else {
-                    (r >> 2) % slots
-                };
-                ListElement {
-                    ea_offset: idx * u64::from(record_bytes),
-                    bytes: record_bytes,
-                }
-            })
-            .collect())
+        Ok(OffsetStream {
+            seed: u64::from(self.seed),
+            lane: u64::from(spe),
+            len: count,
+            slots,
+            hot: Some((1u64 << self.hot_log2).min(slots)),
+            stride: u64::from(record_bytes),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form offset streams
+// ---------------------------------------------------------------------------
+
+/// One SPE's scattered table offsets, computed on demand: offset `i` is
+/// a pure function of `draw(seed, spe, i)`, so a plan can hold the
+/// stream instead of the offsets. Built by [`GupsParams::stream`] and
+/// [`PairlistParams::stream`]; every offset is a multiple of a power of
+/// two of at least 16 bytes, so it is quadword-aligned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffsetStream {
+    seed: u64,
+    lane: u64,
+    len: u64,
+    /// Table slots of `stride` bytes.
+    slots: u64,
+    /// Pair-list skew: three draws in four land in the first `hot`
+    /// slots. `None` draws uniformly (GUPS).
+    hot: Option<u64>,
+    stride: u64,
+}
+
+impl OffsetStream {
+    /// How many offsets the stream holds.
+    #[must_use]
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the stream holds no offsets.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th offset (`i < len`).
+    #[must_use]
+    pub fn offset(&self, i: u64) -> u64 {
+        let r = draw(self.seed, self.lane, i);
+        let slot = match self.hot {
+            None => r % self.slots,
+            Some(hot) if r & 3 < HOT_DRAWS_IN_4 => (r >> 2) % hot,
+            Some(_) => (r >> 2) % self.slots,
+        };
+        slot * self.stride
     }
 }
 

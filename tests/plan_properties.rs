@@ -408,3 +408,226 @@ proptest! {
         }
     }
 }
+
+/// Eager reference for the seeded scattered updates: today's GUPS and
+/// pair-list builders, every offset drawn up front and every command
+/// stored (`update_elems_at` / `update_list_at`). The closed-form streams
+/// must match them command for command. `size` is the stream's grain or
+/// record size; `bytes` the transfer size handed to the builder, which
+/// may differ so that invalid commands reach the plan validator.
+mod eager_scatter {
+    use cellsim::mem::RegionId;
+    use cellsim::mfc::ListElement;
+    use cellsim::workloads::{GupsParams, PairlistParams};
+    use cellsim::TransferPlan;
+
+    pub fn gups(
+        p: GupsParams,
+        spes: usize,
+        r: fn(usize) -> RegionId,
+        n: u64,
+        size: u32,
+        bytes: u32,
+    ) -> super::Built {
+        let mut b = TransferPlan::builder();
+        for spe in 0..spes {
+            let offsets = p.offsets(spe as u8, n, size)?;
+            b = b.update_elems_at(spe, r(spe), &offsets, bytes);
+        }
+        Ok(b.build())
+    }
+
+    pub fn pairlist(
+        p: PairlistParams,
+        spes: usize,
+        r: fn(usize) -> RegionId,
+        n: u64,
+        size: u32,
+        bytes: u32,
+    ) -> super::Built {
+        let mut b = TransferPlan::builder();
+        for spe in 0..spes {
+            let elements: Vec<ListElement> = p
+                .elements(spe as u8, n, size)?
+                .into_iter()
+                .map(|e| ListElement { bytes, ..e })
+                .collect();
+            b = b.update_list_at(spe, r(spe), &elements);
+        }
+        Ok(b.build())
+    }
+}
+
+/// The closed-form counterparts of [`eager_scatter`]: same parameters,
+/// offsets streamed.
+mod streamed_scatter {
+    use cellsim::mem::RegionId;
+    use cellsim::workloads::{GupsParams, PairlistParams};
+    use cellsim::TransferPlan;
+
+    pub fn gups(
+        p: GupsParams,
+        spes: usize,
+        r: fn(usize) -> RegionId,
+        n: u64,
+        size: u32,
+        bytes: u32,
+    ) -> super::Built {
+        let mut b = TransferPlan::builder();
+        for spe in 0..spes {
+            b = b.update_elems_from(spe, r(spe), p.stream(spe as u8, n, size)?, bytes);
+        }
+        Ok(b.build())
+    }
+
+    pub fn pairlist(
+        p: PairlistParams,
+        spes: usize,
+        r: fn(usize) -> RegionId,
+        n: u64,
+        size: u32,
+        bytes: u32,
+    ) -> super::Built {
+        let mut b = TransferPlan::builder();
+        for spe in 0..spes {
+            b = b.update_list_from(spe, r(spe), p.stream(spe as u8, n, size)?, bytes);
+        }
+        Ok(b.build())
+    }
+}
+
+type Built = Result<Result<TransferPlan, cellsim::PlanError>, cellsim::workloads::StreamError>;
+
+/// Both builds agree: the same parameter error, the same first plan
+/// error, or plans with the same commands per SPE, bytes and cost.
+fn same_plans(want: Built, got: Built) -> Result<(), TestCaseError> {
+    match (want, got) {
+        (Err(want), Err(got)) => prop_assert_eq!(got, want),
+        (Ok(Err(want)), Ok(Err(got))) => prop_assert_eq!(got, want),
+        (Ok(Ok(want)), Ok(Ok(got))) => {
+            for (spe, (w, g)) in want.scripts().iter().zip(got.scripts()).enumerate() {
+                prop_assert_eq!(g.is_empty(), w.is_empty());
+                prop_assert_eq!(g.sync(), w.sync());
+                prop_assert_eq!(g.commands().len(), w.commands().len());
+                prop_assert_eq!(g.total_bytes(), w.total_bytes());
+                prop_assert!(g.commands().eq(w.commands()), "SPE {} commands differ", spe);
+                // One closed-form step per active SPE.
+                prop_assert!(g.step_count() <= 1);
+            }
+            prop_assert_eq!(got.total_bytes(), want.total_bytes());
+            for packet in [16, 128] {
+                prop_assert_eq!(got.cost(packet), want.cost(packet));
+            }
+        }
+        (want, got) => prop_assert!(false, "outcomes differ: {:?} vs {:?}", want, got),
+    }
+    Ok(())
+}
+
+/// Valid and invalid update sizes: zero, sub-quadword, powers of two
+/// up to 16 KiB, quadword multiples, 24 B, oversized, and arbitrary
+/// small sizes.
+fn scatter_size() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+        (3u32..=14).prop_map(|k| 1 << k),
+        (1u32..=1024).prop_map(|k| 16 * k),
+        Just(24u32),
+        16385u32..40000,
+        1u32..200,
+    ]
+}
+
+/// A stream size (mostly valid, so most cases reach the builder) and the
+/// transfer size the builder is given (mostly the same, else any size).
+fn sizes(valid: impl Strategy<Value = u32> + 'static) -> impl Strategy<Value = (u32, u32)> {
+    let size = prop_oneof![valid.clone(), valid.clone(), valid, scatter_size()];
+    let bytes = prop_oneof![Just(None), Just(None), scatter_size().prop_map(Some)];
+    (size, bytes).prop_map(|(size, bytes)| (size, bytes.unwrap_or(size)))
+}
+
+fn scatter_region() -> impl Strategy<Value = fn(usize) -> cellsim::mem::RegionId> {
+    prop_oneof![
+        Just(TransferPlan::get_region as fn(usize) -> cellsim::mem::RegionId),
+        Just(TransferPlan::put_region as fn(usize) -> cellsim::mem::RegionId),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// GUPS updates streamed from their offsets match the eager builder:
+    /// commands, bytes, cost and the first error. Counts reach past the
+    /// Local Store slot period (8192 16 B slots).
+    #[test]
+    fn streamed_gups_matches_the_eager_reference(
+        table_log2 in 10u8..=26,
+        seed in any::<u32>(),
+        spes in 0usize..=9,
+        count in 0u64..10_000,
+        (grain, bytes) in sizes((3u32..=7).prop_map(|k| 1 << k)),
+        region in scatter_region(),
+    ) {
+        let p = cellsim::workloads::GupsParams { table_log2, seed };
+        same_plans(
+            eager_scatter::gups(p, spes, region, count, grain, bytes),
+            streamed_scatter::gups(p, spes, region, count, grain, bytes),
+        )?;
+    }
+
+    /// Pair-list gather/scatter batches streamed from their offsets match
+    /// the eager builder, including the short last batch.
+    #[test]
+    fn streamed_pairlist_matches_the_eager_reference(
+        table_log2 in 10u8..=26,
+        hot_log2 in 0u8..12,
+        seed in any::<u32>(),
+        spes in 0usize..=9,
+        count in 0u64..10_000,
+        (record, bytes) in sizes((4u32..=14).prop_map(|k| 1 << k)),
+        region in scatter_region(),
+    ) {
+        let p = cellsim::workloads::PairlistParams { table_log2, hot_log2, seed };
+        same_plans(
+            eager_scatter::pairlist(p, spes, region, count, record, bytes),
+            streamed_scatter::pairlist(p, spes, region, count, record, bytes),
+        )?;
+    }
+}
+
+/// GUPS and pair-list plans at the paper's 32 MiB per SPE (4 Mi and
+/// 2 Mi updates each) hold one step per SPE, not stored commands.
+#[test]
+fn paper_scale_gups_plan_holds_one_step_per_spe() {
+    use cellsim::core::exec::Workload;
+    use cellsim::core::experiments::workload_plan;
+    let gups = cellsim::workloads::GupsParams {
+        table_log2: 24,
+        seed: 0x5EED,
+    };
+    let pairlist = cellsim::workloads::PairlistParams {
+        table_log2: 20,
+        hot_log2: 8,
+        seed: 0x5EED,
+    };
+    for (pattern, elem, list, params) in [
+        ("gups", 8u32, false, gups.pack()),
+        ("pairlist", 16, true, pairlist.pack()),
+    ] {
+        let w = Workload {
+            pattern,
+            spes: 8,
+            volume: 32 << 20,
+            elem,
+            list,
+            sync: SyncPolicy::AfterAll,
+            params,
+        };
+        let plan = workload_plan(&w).expect("paper-scale plan builds");
+        let steps: usize = plan.scripts().iter().map(|s| s.step_count()).sum();
+        assert_eq!(steps, 8, "{pattern}: one step per SPE");
+        let commands: usize = plan.scripts().iter().map(|s| s.commands().len()).sum();
+        assert!(commands >= 1000 * steps, "{pattern}: {commands} commands");
+    }
+}
