@@ -15,7 +15,7 @@ use crate::fabric::{self, FabricReport};
 use crate::failure::RunFailure;
 use crate::placement::Placement;
 use crate::plan::TransferPlan;
-use crate::tracing::{FabricTrace, TraceSink};
+use crate::tracing::TraceSink;
 
 /// Every tunable of the simulated blade in one place.
 ///
@@ -154,7 +154,7 @@ impl CellSystem {
         placement: &Placement,
         plan: &TransferPlan,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan(&self.config, self.faults(), placement, plan, None)
+        fabric::run_plan(&self.config, self.faults(), placement, plan, None, None)
     }
 
     /// Runs a plan *and moves real bytes*: every delivered packet copies
@@ -172,67 +172,18 @@ impl CellSystem {
         plan: &TransferPlan,
         state: &mut MachineState,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan(&self.config, self.faults(), placement, plan, Some(state))
-    }
-
-    /// Runs a plan while recording a [`FabricTrace`] of every packet
-    /// phase, for post-hoc analysis (throughput timelines, ring shares,
-    /// hop statistics). Timing is identical to [`CellSystem::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunFailure::Stall`] under the same conditions as
-    /// [`CellSystem::try_run`]; the partial trace is dropped.
-    pub fn try_run_traced(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-    ) -> Result<(FabricReport, FabricTrace), RunFailure> {
-        let mut trace = FabricTrace::new();
-        let report = fabric::run_plan_traced(
+        fabric::run_plan(
             &self.config,
             self.faults(),
             placement,
             plan,
+            Some(state),
             None,
-            Some(&mut trace),
-        )?;
-        Ok((report, trace))
-    }
-
-    /// Like [`CellSystem::try_run_traced`], but with an explicit
-    /// trace-buffer capacity. The default capacity overflows at paper
-    /// scale (a `--full` run generates ~8M events); a complete trace
-    /// needs room for up to four phases per bus packet.
-    ///
-    /// # Errors
-    ///
-    /// [`RunFailure::Stall`] under the same conditions as
-    /// [`CellSystem::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn try_run_traced_with_capacity(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        capacity: usize,
-    ) -> Result<(FabricReport, FabricTrace), RunFailure> {
-        let mut trace = FabricTrace::with_capacity(capacity);
-        let report = fabric::run_plan_traced(
-            &self.config,
-            self.faults(),
-            placement,
-            plan,
-            None,
-            Some(&mut trace),
-        )?;
-        Ok((report, trace))
+        )
     }
 
     /// Runs a plan streaming every packet-phase event into `sink` — the
-    /// unbounded-trace entry point behind the persistent trace store
+    /// one trace entry point, behind the persistent trace store
     /// ([`crate::tracestore`]). Timing is identical to
     /// [`CellSystem::try_run`]: sinks observe the simulation, they never
     /// perturb it.
@@ -248,7 +199,7 @@ impl CellSystem {
         plan: &TransferPlan,
         sink: &mut dyn TraceSink,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan_traced(
+        fabric::run_plan(
             &self.config,
             self.faults(),
             placement,
@@ -256,78 +207,6 @@ impl CellSystem {
             None,
             Some(sink),
         )
-    }
-
-    /// Deprecated panicking form of [`CellSystem::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run`, which reports stalls as values"
-    )]
-    pub fn run(&self, placement: &Placement, plan: &TransferPlan) -> FabricReport {
-        self.try_run(placement, plan)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of [`CellSystem::try_run_with_data`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_with_data`, which reports stalls as values"
-    )]
-    pub fn run_with_data(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        state: &mut MachineState,
-    ) -> FabricReport {
-        self.try_run_with_data(placement, plan, state)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of [`CellSystem::try_run_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_traced`, which reports stalls as values"
-    )]
-    pub fn run_traced(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-    ) -> (FabricReport, FabricTrace) {
-        self.try_run_traced(placement, plan)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of
-    /// [`CellSystem::try_run_traced_with_capacity`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls, or if
-    /// `capacity` is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_traced_with_capacity`, which reports stalls as values"
-    )]
-    pub fn run_traced_with_capacity(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        capacity: usize,
-    ) -> (FabricReport, FabricTrace) {
-        self.try_run_traced_with_capacity(placement, plan, capacity)
-            .unwrap_or_else(|failure| panic!("{failure}"))
     }
 
     /// The PPE pipeline model configured for this machine.

@@ -158,15 +158,9 @@ impl DiskCache {
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
-        let written = crate::iofault::write(&tmp, entry_json(key, report))
-            .and_then(|()| crate::iofault::rename(&tmp, self.entry_path(key)));
-        match written {
-            Ok(()) => {
-                self.stored.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-            }
+        let dest = self.entry_path(key);
+        if crate::iofault::write_atomic(&tmp, &dest, entry_json(key, report)).is_ok() {
+            self.stored.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

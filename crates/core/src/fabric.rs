@@ -244,7 +244,7 @@ struct Fabric<'d> {
     /// Optional functional storage: when present, every delivered packet
     /// copies real bytes.
     data: Option<&'d mut MachineState>,
-    /// Optional event sink (in-memory trace or streaming store writer).
+    /// Optional event sink (the streaming trace-store writer).
     trace: Option<&'d mut (dyn TraceSink + 'd)>,
 }
 
@@ -435,7 +435,7 @@ impl Fabric<'_> {
         self.peak_live_packets = self.peak_live_packets.max(live);
         let cmd_done = self.cmdbus.issue(now);
         if let Some(t) = self.trace.as_mut() {
-            t.record(now, trace_meta(&info), FabricEvent::CommandIssued { spe });
+            t.record(now, trace_meta(&info), FabricEvent::CommandIssued);
         }
         sched.schedule(cmd_done, Ev::CmdDone(id));
     }
@@ -669,10 +669,7 @@ impl Fabric<'_> {
             t.record(
                 now,
                 trace_meta(&info),
-                FabricEvent::Delivered {
-                    spe: info.spe,
-                    bytes: info.bytes,
-                },
+                FabricEvent::Delivered { bytes: info.bytes },
             );
         }
         let ctx = &mut self.spes[info.spe];
@@ -736,7 +733,9 @@ impl Model for FabricModel<'_, '_> {
     }
 }
 
-/// Runs `plan` on the machine described by `cfg` under `placement`.
+/// Runs `plan` on the machine described by `cfg` under `placement`,
+/// copying payloads through `data` and streaming events into `trace`
+/// when given.
 ///
 /// # Errors
 ///
@@ -744,17 +743,7 @@ impl Model for FabricModel<'_, '_> {
 /// horizon, churns events without time advancing, or drains its event
 /// queue with SPEs still holding work. The diagnosis snapshots the stuck
 /// machine; no partial report is produced.
-pub(crate) fn run_plan(
-    cfg: &CellConfig,
-    faults: Option<&FaultPlan>,
-    placement: &Placement,
-    plan: &TransferPlan,
-    data: Option<&mut MachineState>,
-) -> Result<FabricReport, RunFailure> {
-    run_plan_traced(cfg, faults, placement, plan, data, None)
-}
-
-pub(crate) fn run_plan_traced<'d>(
+pub(crate) fn run_plan<'d>(
     cfg: &CellConfig,
     faults: Option<&FaultPlan>,
     placement: &Placement,

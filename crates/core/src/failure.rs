@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use crate::json::Writer;
+
 /// Why a fabric run could not produce a [`FabricReport`]
 /// (crate::FabricReport).
 #[derive(Debug, Clone, PartialEq)]
@@ -155,25 +157,31 @@ impl SpeStall {
         self.pending_commands > 0 || self.mfc_queue_depth > 0 || self.outstanding > 0
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"spe\":{},\"physical\":{},\"state\":\"{}\",\
-             \"pending_commands\":{},\"mfc_queue_depth\":{},\
-             \"outstanding\":{},\"slot_budget\":{},\"waiting_sync\":{},\
-             \"packets_waiting_eib\":{},\"packets_waiting_mem\":{},\
-             \"last_delivery_cycle\":{}}}",
-            self.spe,
-            self.physical,
-            self.state,
-            self.pending_commands,
-            self.mfc_queue_depth,
-            self.outstanding,
-            self.slot_budget,
-            self.waiting_sync,
-            self.packets_waiting_eib,
-            self.packets_waiting_mem,
-            self.last_delivery_cycle
-        )
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object()
+            .key("spe")
+            .u64(self.spe as u64)
+            .key("physical")
+            .u64(u64::from(self.physical))
+            .key("state")
+            .str(self.state)
+            .key("pending_commands")
+            .u64(self.pending_commands as u64)
+            .key("mfc_queue_depth")
+            .u64(self.mfc_queue_depth as u64)
+            .key("outstanding")
+            .u64(self.outstanding as u64)
+            .key("slot_budget")
+            .u64(self.slot_budget as u64)
+            .key("waiting_sync")
+            .bool(self.waiting_sync)
+            .key("packets_waiting_eib")
+            .u64(u64::from(self.packets_waiting_eib))
+            .key("packets_waiting_mem")
+            .u64(u64::from(self.packets_waiting_mem))
+            .key("last_delivery_cycle")
+            .u64(self.last_delivery_cycle)
+            .end_object();
     }
 }
 
@@ -221,33 +229,46 @@ impl StallDiagnosis {
     /// Deterministic machine JSON (one line, fixed key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let phases: Vec<String> = PacketPhase::IN_FLIGHT
-            .iter()
-            .zip(&self.packets_by_phase)
-            .map(|(p, n)| format!("\"{}\":{n}", p.name()))
-            .collect();
-        let spes: Vec<String> = self.per_spe.iter().map(SpeStall::to_json).collect();
-        format!(
-            "{{\"kind\":\"{}\",\"at_cycle\":{},\"horizon\":{},\
-             \"last_progress_cycle\":{},\"events_processed\":{},\
-             \"events_since_progress\":{},\"delivered_packets\":{},\
-             \"packets_in_flight\":{},\"packets_by_phase\":{{{}}},\
-             \"faults\":{{\"nacks\":{},\"retries\":{},\
-             \"retries_exhausted\":{}}},\"per_spe\":[{}]}}",
-            self.kind.name(),
-            self.at_cycle,
-            self.horizon,
-            self.last_progress_cycle,
-            self.events_processed,
-            self.events_since_progress,
-            self.delivered_packets,
-            self.packets_in_flight(),
-            phases.join(","),
-            self.nacks,
-            self.retries,
-            self.retries_exhausted,
-            spes.join(",")
-        )
+        let mut w = Writer::with_capacity(512 + 256 * self.per_spe.len());
+        w.begin_object()
+            .key("kind")
+            .str(self.kind.name())
+            .key("at_cycle")
+            .u64(self.at_cycle)
+            .key("horizon")
+            .u64(self.horizon)
+            .key("last_progress_cycle")
+            .u64(self.last_progress_cycle)
+            .key("events_processed")
+            .u64(self.events_processed)
+            .key("events_since_progress")
+            .u64(self.events_since_progress)
+            .key("delivered_packets")
+            .u64(self.delivered_packets)
+            .key("packets_in_flight")
+            .u64(self.packets_in_flight())
+            .key("packets_by_phase")
+            .begin_object();
+        for (phase, &n) in PacketPhase::IN_FLIGHT.iter().zip(&self.packets_by_phase) {
+            w.key(phase.name()).u64(n);
+        }
+        w.end_object()
+            .key("faults")
+            .begin_object()
+            .key("nacks")
+            .u64(self.nacks)
+            .key("retries")
+            .u64(self.retries)
+            .key("retries_exhausted")
+            .u64(self.retries_exhausted)
+            .end_object()
+            .key("per_spe")
+            .begin_array();
+        for spe in &self.per_spe {
+            spe.write_json(&mut w);
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

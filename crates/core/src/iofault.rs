@@ -224,6 +224,17 @@ pub fn rename<P: AsRef<Path>, Q: AsRef<Path>>(from: P, to: Q) -> io::Result<()> 
     fs::rename(from, to)
 }
 
+/// Writes `contents` to `tmp`, then renames it onto `dest`, both through
+/// the seam, so readers see either the old `dest` or the whole new one.
+/// On any error `tmp` is removed and `dest` is left as it was.
+pub fn write_atomic<C: AsRef<[u8]>>(tmp: &Path, dest: &Path, contents: C) -> io::Result<()> {
+    write(tmp, contents)
+        .and_then(|()| rename(tmp, dest))
+        .inspect_err(|_| {
+            let _ = fs::remove_file(tmp);
+        })
+}
+
 /// `fs::File::create` through the seam (streaming writers open their
 /// temp file here; a write error surfaces as a failed create).
 pub fn create_file<P: AsRef<Path>>(path: P) -> io::Result<fs::File> {

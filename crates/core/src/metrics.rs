@@ -3,12 +3,13 @@
 //! Every fabric run accumulates pure counters inline — per-SPE stall
 //! breakdowns, per-ring traffic, per-bank occupancy, and the MFC
 //! outstanding-slot histogram — and carries them in
-//! [`FabricReport::metrics`](crate::FabricReport). Unlike a
-//! [`FabricTrace`](crate::FabricTrace), which records individual events
-//! into a bounded buffer and can overflow at paper scale, metrics cost
-//! O(1) per event, never truncate, and are part of the deterministic
-//! report: bit-identical for any `--jobs` count and cached alongside the
-//! bandwidth numbers.
+//! [`FabricReport::metrics`](crate::FabricReport). Unlike a trace store
+//! ([`crate::tracestore`]), which records individual events to a file on
+//! request, metrics cost O(1) per event, are always present, and are part
+//! of the deterministic report: bit-identical for any `--jobs` count and
+//! cached alongside the bandwidth numbers. The per-ring grant counts and
+//! bytes and the per-bank bytes here, like the report's per-SPE
+//! delivered bytes, equal what summing a trace's events would give.
 //!
 //! The counters are chosen to *explain* the paper's results the way the
 //! paper does: the outstanding-slot histogram is the Little's-law account

@@ -13,6 +13,7 @@ use std::fmt;
 use cellsim_kernel::stats::Summary;
 use cellsim_mfc::DmaPhase;
 
+use crate::json::Writer;
 use crate::latency::{DmaPathClass, LatencyHistogram};
 use crate::metrics::MetricsSummary;
 
@@ -366,140 +367,158 @@ impl MetricsTable {
     /// One histogram as a JSON object with its digest percentiles and
     /// the log2 bucket counts (trailing zero buckets trimmed — a pure
     /// function of the counts, so still deterministic).
-    fn hist_json(h: &LatencyHistogram) -> String {
+    fn write_hist(w: &mut Writer, h: &LatencyHistogram) {
         let last = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-        let buckets: Vec<String> = h.buckets[..last].iter().map(u64::to_string).collect();
-        format!(
-            "{{\"count\":{},\"total\":{},\"max\":{},\"p50\":{},\"p95\":{},\
-             \"p99\":{},\"buckets\":[{}]}}",
-            h.count,
-            h.total,
-            h.max,
-            h.percentile(50),
-            h.percentile(95),
-            h.percentile(99),
-            buckets.join(",")
-        )
+        w.begin_object()
+            .key("count")
+            .u64(h.count)
+            .key("total")
+            .u64(h.total)
+            .key("max")
+            .u64(h.max)
+            .key("p50")
+            .u64(h.percentile(50))
+            .key("p95")
+            .u64(h.percentile(95))
+            .key("p99")
+            .u64(h.percentile(99))
+            .key("buckets")
+            .u64s(h.buckets[..last].iter().copied())
+            .end_object();
     }
 
-    /// Renders the digest as a JSON object (hand-rolled; every value is
-    /// an integer, a string, or an exact-format float, so the output is
-    /// byte-deterministic).
+    /// Renders the digest as a JSON object. Every value is an integer, a
+    /// string, or a fixed-precision float, so the output is
+    /// byte-deterministic.
     pub fn to_json(&self) -> String {
         let s = &self.summary;
         let m = &s.spe;
-        let occ: Vec<String> = m.occupancy_cycles.iter().map(u64::to_string).collect();
-        let rings: Vec<String> = s
-            .rings
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"grants\":{},\"bytes\":{},\"busy_cycles\":{}}}",
-                    r.grants, r.bytes, r.busy_cycles
-                )
-            })
-            .collect();
-        let banks: Vec<String> = s
-            .banks
-            .iter()
-            .map(|b| {
-                format!(
-                    "{{\"bank\":\"{}\",\"accesses\":{},\"bytes\":{},\
-                     \"busy_cycles\":{},\"conflicts\":{},\
-                     \"turnaround_cycles\":{},\"refresh_cycles\":{}}}",
-                    format!("{:?}", b.bank).to_lowercase(),
-                    b.stats.accesses,
-                    b.stats.bytes,
-                    b.stats.busy_cycles,
-                    b.stats.conflicts,
-                    b.stats.turnaround_cycles,
-                    b.stats.refresh_cycles
-                )
-            })
-            .collect();
-        let paths: Vec<String> = DmaPathClass::ALL
-            .iter()
-            .enumerate()
-            .map(|(pi, path)| {
-                let p = &s.latency.paths[pi];
-                let phases: Vec<String> = DmaPhase::ALL
-                    .iter()
-                    .zip(&p.phase_cycles)
-                    .map(|(phase, n)| format!("\"{}\":{n}", phase.name()))
-                    .collect();
-                let dominant: Vec<String> = DmaPhase::ALL
-                    .iter()
-                    .zip(&p.dominant_counts)
-                    .map(|(phase, n)| format!("\"{}\":{n}", phase.name()))
-                    .collect();
-                format!(
-                    "{{\"path\":\"{}\",\"commands\":{},\"nacks\":{},\
-                     \"retries\":{},\"retry_backoff_cycles\":{},\
-                     \"exhausted_commands\":{},\"end_to_end\":{},\
-                     \"phase_cycles\":{{{}}},\"dominant_commands\":{{{}}}}}",
-                    path.name(),
-                    p.commands,
-                    p.nacks,
-                    p.retries,
-                    p.retry_backoff_cycles,
-                    p.exhausted_commands,
-                    Self::hist_json(&p.end_to_end),
-                    phases.join(","),
-                    dominant.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"figure\":\"{}\",\"runs\":{},\"run_cycles\":{},\
-             \"events\":{},\"packets\":{},\"suppressed_pumps\":{},\
-             \"peak_live_packets\":{},\
-             \"spe\":{{\"busy_cycles\":{},\"idle_cycles\":{},\
-             \"stall_mfc_full_cycles\":{},\"stall_sync_cycles\":{},\
-             \"stall_eib_cycles\":{},\"stall_mem_cycles\":{},\
-             \"occupancy_cycles\":[{}]}},\
-             \"occupancy_mean_inflight\":{:.4},\
-             \"occupancy_saturated_share\":{:.4},\
-             \"dominant_stall\":\"{}\",\
-             \"runs_limited_by\":{{{}}},\"runs_unstalled\":{},\
-             \"rings\":[{}],\"banks\":[{}],\
-             \"faults\":{{\"nacks\":{},\"retries\":{},\
-             \"retries_exhausted\":{},\"abandoned_packets\":{},\
-             \"degraded_cycles\":{}}},\
-             \"latency\":{{\"paths\":[{}],\"element_service\":{}}}}}",
-            self.id.replace('\\', "\\\\").replace('"', "\\\""),
-            s.runs,
-            s.run_cycles,
-            s.events,
-            s.packets,
-            s.suppressed_pumps,
-            s.peak_live_packets,
-            m.busy_cycles,
-            m.idle_cycles,
-            m.stall_mfc_full_cycles,
-            m.stall_sync_cycles,
-            m.stall_eib_cycles,
-            m.stall_mem_cycles,
-            occ.join(","),
-            s.occupancy_mean_inflight(),
-            s.occupancy_saturated_share(),
-            s.dominant_stall().0,
-            crate::metrics::STALL_CAUSES
-                .iter()
-                .zip(&s.limiter_runs)
-                .map(|(cause, n)| format!("\"{cause}\":{n}"))
-                .collect::<Vec<_>>()
-                .join(","),
-            s.unstalled_runs,
-            rings.join(","),
-            banks.join(","),
-            s.faults.nacks,
-            s.faults.retries,
-            s.faults.retries_exhausted,
-            s.faults.abandoned_packets,
-            s.faults.degraded_cycles,
-            paths.join(","),
-            Self::hist_json(&s.latency.element_service)
-        )
+        let mut w = Writer::with_capacity(8 << 10);
+        w.begin_object()
+            .key("figure")
+            .str(&self.id)
+            .key("runs")
+            .u64(s.runs)
+            .key("run_cycles")
+            .u64(s.run_cycles)
+            .key("events")
+            .u64(s.events)
+            .key("packets")
+            .u64(s.packets)
+            .key("suppressed_pumps")
+            .u64(s.suppressed_pumps)
+            .key("peak_live_packets")
+            .u64(s.peak_live_packets)
+            .key("spe")
+            .begin_object()
+            .key("busy_cycles")
+            .u64(m.busy_cycles)
+            .key("idle_cycles")
+            .u64(m.idle_cycles)
+            .key("stall_mfc_full_cycles")
+            .u64(m.stall_mfc_full_cycles)
+            .key("stall_sync_cycles")
+            .u64(m.stall_sync_cycles)
+            .key("stall_eib_cycles")
+            .u64(m.stall_eib_cycles)
+            .key("stall_mem_cycles")
+            .u64(m.stall_mem_cycles)
+            .key("occupancy_cycles")
+            .u64s(m.occupancy_cycles.iter().copied())
+            .end_object()
+            .key("occupancy_mean_inflight")
+            .raw(&format!("{:.4}", s.occupancy_mean_inflight()))
+            .key("occupancy_saturated_share")
+            .raw(&format!("{:.4}", s.occupancy_saturated_share()))
+            .key("dominant_stall")
+            .str(s.dominant_stall().0)
+            .key("runs_limited_by")
+            .begin_object();
+        for (cause, &n) in crate::metrics::STALL_CAUSES.iter().zip(&s.limiter_runs) {
+            w.key(cause).u64(n);
+        }
+        w.end_object()
+            .key("runs_unstalled")
+            .u64(s.unstalled_runs)
+            .key("rings")
+            .begin_array();
+        for r in &s.rings {
+            w.begin_object()
+                .key("grants")
+                .u64(r.grants)
+                .key("bytes")
+                .u64(r.bytes)
+                .key("busy_cycles")
+                .u64(r.busy_cycles)
+                .end_object();
+        }
+        w.end_array().key("banks").begin_array();
+        for b in &s.banks {
+            w.begin_object()
+                .key("bank")
+                .str(&format!("{:?}", b.bank).to_lowercase())
+                .key("accesses")
+                .u64(b.stats.accesses)
+                .key("bytes")
+                .u64(b.stats.bytes)
+                .key("busy_cycles")
+                .u64(b.stats.busy_cycles)
+                .key("conflicts")
+                .u64(b.stats.conflicts)
+                .key("turnaround_cycles")
+                .u64(b.stats.turnaround_cycles)
+                .key("refresh_cycles")
+                .u64(b.stats.refresh_cycles)
+                .end_object();
+        }
+        w.end_array()
+            .key("faults")
+            .begin_object()
+            .key("nacks")
+            .u64(s.faults.nacks)
+            .key("retries")
+            .u64(s.faults.retries)
+            .key("retries_exhausted")
+            .u64(s.faults.retries_exhausted)
+            .key("abandoned_packets")
+            .u64(s.faults.abandoned_packets)
+            .key("degraded_cycles")
+            .u64(s.faults.degraded_cycles)
+            .end_object()
+            .key("latency")
+            .begin_object()
+            .key("paths")
+            .begin_array();
+        for (p, path) in s.latency.paths.iter().zip(DmaPathClass::ALL) {
+            w.begin_object()
+                .key("path")
+                .str(path.name())
+                .key("commands")
+                .u64(p.commands)
+                .key("nacks")
+                .u64(p.nacks)
+                .key("retries")
+                .u64(p.retries)
+                .key("retry_backoff_cycles")
+                .u64(p.retry_backoff_cycles)
+                .key("exhausted_commands")
+                .u64(p.exhausted_commands)
+                .key("end_to_end");
+            Self::write_hist(&mut w, &p.end_to_end);
+            w.key("phase_cycles").begin_object();
+            for (phase, &n) in DmaPhase::ALL.iter().zip(&p.phase_cycles) {
+                w.key(phase.name()).u64(n);
+            }
+            w.end_object().key("dominant_commands").begin_object();
+            for (phase, &n) in DmaPhase::ALL.iter().zip(&p.dominant_counts) {
+                w.key(phase.name()).u64(n);
+            }
+            w.end_object().end_object();
+        }
+        w.end_array().key("element_service");
+        Self::write_hist(&mut w, &s.latency.element_service);
+        w.end_object().end_object();
+        w.finish()
     }
 }
 

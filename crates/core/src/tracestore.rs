@@ -502,7 +502,7 @@ impl<W: Write> TraceSink for TraceStoreWriter<W> {
     fn record(&mut self, at: Cycle, meta: TraceMeta, event: FabricEvent) {
         let at = at.as_u64();
         let (kind, aux, hops, bytes) = match event {
-            FabricEvent::CommandIssued { .. } => (TraceKind::Issue, 0u8, 0u8, 0u32),
+            FabricEvent::CommandIssued => (TraceKind::Issue, 0u8, 0u8, 0u32),
             FabricEvent::MemoryAccess { bank, bytes } => (TraceKind::Mem, bank as u8, 0, bytes),
             FabricEvent::Granted { ring, hops, bytes } => (
                 TraceKind::Grant,
@@ -510,7 +510,7 @@ impl<W: Write> TraceSink for TraceStoreWriter<W> {
                 u8::try_from(hops).unwrap_or(u8::MAX),
                 bytes,
             ),
-            FabricEvent::Delivered { bytes, .. } => {
+            FabricEvent::Delivered { bytes } => {
                 self.delivered_bytes += u64::from(bytes);
                 (TraceKind::Deliver, 0, 0, bytes)
             }
@@ -784,8 +784,7 @@ impl TraceStore {
     }
 
     /// Streams the store as Chrome tracing JSON (`chrome://tracing`,
-    /// Perfetto) — the projection the `--trace-out` flag renders. Event
-    /// shapes match the original in-memory exporter byte for byte.
+    /// Perfetto) — the projection the `--trace-out` flag renders.
     ///
     /// # Errors
     ///
@@ -981,12 +980,7 @@ impl RunDir {
         let committed = fs::create_dir_all(&dir)
             .and_then(|()| crate::iofault::rename(&tmp, dir.join(TRACE_FILE)))
             .and_then(|()| {
-                let mtmp = self.tmp_path();
-                crate::iofault::write(&mtmp, &manifest)
-                    .and_then(|()| crate::iofault::rename(&mtmp, dir.join(MANIFEST_FILE)))
-                    .inspect_err(|_| {
-                        let _ = fs::remove_file(&mtmp);
-                    })
+                crate::iofault::write_atomic(&self.tmp_path(), &dir.join(MANIFEST_FILE), &manifest)
             });
         match committed {
             Ok(()) => {

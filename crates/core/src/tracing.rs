@@ -1,32 +1,27 @@
 //! Fabric tracing: what the machine did, cycle by cycle.
 //!
-//! [`crate::CellSystem::try_run_traced`] records a [`FabricTrace`]: one event
-//! per packet phase (command issue, memory access, ring grant, delivery).
-//! The analysis methods turn that into the quantities an architect asks
-//! for — a throughput timeline, per-ring grant shares, per-SPE delivery
-//! breakdowns — without re-running the simulation.
-//!
-//! The trace buffer is bounded; once it fills, later events are counted
-//! but not stored ([`FabricTrace::dropped`]). A paper-scale run (32 MiB ×
-//! 8 SPEs) generates ~8M events and overflows the default capacity, so
-//! every aggregate analysis method returns `Err(`[`TraceTruncated`]`)`
-//! rather than a silently-partial answer; size the buffer with
-//! [`crate::CellSystem::try_run_traced_with_capacity`] when you need complete
-//! aggregates.
-
-use std::fmt;
+//! [`crate::CellSystem::try_run_with_sink`] streams one [`FabricEvent`]
+//! per packet phase (command issue, memory access, ring grant, delivery)
+//! into a [`TraceSink`]. The one sink is the persistent trace store's
+//! [`TraceStoreWriter`](crate::tracestore::TraceStoreWriter): events are
+//! encoded block by block as they arrive, so a paper-scale run (32 MiB ×
+//! 8 SPEs, ~8M events) is recorded whole with no full-run buffer.
+//! Post-hoc analyses (throughput timelines, hop statistics, Chrome
+//! projections) read the finished store through
+//! [`TraceStore::for_each`](crate::tracestore::TraceStore::for_each).
+//! Per-SPE, per-ring and per-bank byte totals need no trace at all: the
+//! always-on [`FabricMetrics`](crate::FabricMetrics) in every report
+//! carry them.
 
 use cellsim_eib::RingId;
-use cellsim_kernel::trace::Trace;
-use cellsim_kernel::{Cycle, MachineClock};
+use cellsim_kernel::Cycle;
 use cellsim_mem::BankId;
 
 use crate::latency::DmaPathClass;
 
-/// Context the fabric knows at every trace point but [`FabricEvent`]
-/// does not carry: the initiating logical SPE and the DMA path class of
-/// the packet. The in-memory [`FabricTrace`] ignores it (its analyses
-/// predate it); the persistent trace store indexes on it.
+/// Context the fabric knows at every trace point, shared by all event
+/// kinds: the initiating logical SPE and the DMA path class of the
+/// packet. The trace store indexes its blocks on both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Initiating logical SPE.
@@ -35,32 +30,23 @@ pub struct TraceMeta {
     pub path: DmaPathClass,
 }
 
-/// Where the fabric sends trace events. One simulation drives at most
-/// one sink; the two implementations are the bounded in-memory
-/// [`FabricTrace`] (post-hoc analyses) and the streaming
-/// [`TraceStoreWriter`](crate::tracestore::TraceStoreWriter) (persistent
-/// per-run artifacts, no full-run buffering). Sinks must be infallible:
-/// a sink that can fail (I/O) latches its error internally and reports
-/// it when finalized, never mid-run.
+/// Where the fabric sends trace events: the streaming
+/// [`TraceStoreWriter`](crate::tracestore::TraceStoreWriter), behind a
+/// trait object so the fabric does not carry the writer's output type.
+/// One simulation drives at most one sink. Sinks must be infallible: a
+/// sink that can fail (I/O) latches its error internally and reports it
+/// when finalized, never mid-run.
 pub trait TraceSink {
     /// Records one event at simulated time `at`.
     fn record(&mut self, at: Cycle, meta: TraceMeta, event: FabricEvent);
 }
 
-impl TraceSink for FabricTrace {
-    fn record(&mut self, at: Cycle, _meta: TraceMeta, event: FabricEvent) {
-        self.trace.record(at, event);
-    }
-}
-
-/// One traced fabric occurrence.
+/// One traced fabric occurrence. The initiating SPE of every kind is
+/// [`TraceMeta::spe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricEvent {
     /// An MFC put a packet on the command bus.
-    CommandIssued {
-        /// Initiating logical SPE.
-        spe: usize,
-    },
+    CommandIssued,
     /// A DRAM access was queued.
     MemoryAccess {
         /// Which bank served it.
@@ -83,319 +69,7 @@ pub enum FabricEvent {
     /// equals [`FabricReport::packets`](crate::FabricReport::packets)
     /// exactly, even when a fault plan abandons packets mid-flight.
     Delivered {
-        /// Initiating logical SPE.
-        spe: usize,
         /// Payload size.
         bytes: u32,
     },
-}
-
-/// The trace buffer overflowed: aggregate analyses over it would be
-/// silently wrong, so they refuse instead. Re-run with a larger capacity
-/// ([`crate::CellSystem::try_run_traced_with_capacity`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceTruncated {
-    /// Events recorded before the buffer filled.
-    pub recorded: usize,
-    /// Events that arrived after the buffer filled and were not stored.
-    pub dropped: u64,
-}
-
-impl fmt::Display for TraceTruncated {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace truncated: {} events dropped after {} recorded; \
-             re-run with a larger trace capacity",
-            self.dropped, self.recorded
-        )
-    }
-}
-
-impl std::error::Error for TraceTruncated {}
-
-/// A recorded fabric run.
-#[derive(Debug, Clone, Default)]
-pub struct FabricTrace {
-    pub(crate) trace: Trace<FabricEvent>,
-}
-
-impl FabricTrace {
-    /// An empty trace with the default capacity.
-    pub fn new() -> FabricTrace {
-        FabricTrace::default()
-    }
-
-    /// An empty trace that stores up to `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> FabricTrace {
-        FabricTrace {
-            trace: Trace::with_capacity(capacity),
-        }
-    }
-
-    /// The raw events, in time order.
-    pub fn events(&self) -> &[cellsim_kernel::trace::TraceEvent<FabricEvent>] {
-        self.trace.events()
-    }
-
-    /// Events that arrived after the trace filled.
-    pub fn dropped(&self) -> u64 {
-        self.trace.dropped()
-    }
-
-    /// `Err` iff the trace overflowed and aggregates would be partial.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when any event was dropped.
-    pub fn require_complete(&self) -> Result<(), TraceTruncated> {
-        if self.trace.dropped() > 0 {
-            Err(TraceTruncated {
-                recorded: self.trace.events().len(),
-                dropped: self.trace.dropped(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Delivered-bytes throughput (GB/s) per `bucket_cycles` window —
-    /// the time-resolved version of the experiment's single number.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped: a timeline over a
-    /// truncated trace would silently undercount the tail of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_cycles` is zero.
-    pub fn throughput_timeline(
-        &self,
-        clock: &MachineClock,
-        bucket_cycles: u64,
-    ) -> Result<Vec<(Cycle, f64)>, TraceTruncated> {
-        assert!(bucket_cycles > 0, "bucket must be non-zero");
-        self.require_complete()?;
-        let mut buckets: Vec<u64> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Delivered { bytes, .. } = e.kind {
-                let idx = (e.at.as_u64() / bucket_cycles) as usize;
-                if buckets.len() <= idx {
-                    buckets.resize(idx + 1, 0);
-                }
-                buckets[idx] += u64::from(bytes);
-            }
-        }
-        Ok(buckets
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| {
-                (
-                    Cycle::new(i as u64 * bucket_cycles),
-                    clock.gbytes_per_sec(b, bucket_cycles),
-                )
-            })
-            .collect())
-    }
-
-    /// Bytes granted per ring: how evenly the arbiter spread the load.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn ring_shares(&self) -> Result<Vec<(RingId, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut shares: Vec<(RingId, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Granted { ring, bytes, .. } = e.kind {
-                match shares.iter_mut().find(|(r, _)| *r == ring) {
-                    Some((_, b)) => *b += u64::from(bytes),
-                    None => shares.push((ring, u64::from(bytes))),
-                }
-            }
-        }
-        shares.sort_by_key(|&(r, _)| r);
-        Ok(shares)
-    }
-
-    /// Mean hop count over all grants — the placement-quality metric.
-    ///
-    /// Unlike the byte-exact aggregates, a mean over the recorded prefix
-    /// is still a meaningful estimate, so this method stays infallible on
-    /// a truncated trace; check [`FabricTrace::dropped`] if exactness
-    /// matters.
-    pub fn mean_hops(&self) -> f64 {
-        let (sum, n) = self
-            .trace
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                FabricEvent::Granted { hops, .. } => Some(hops as u64),
-                _ => None,
-            })
-            .fold((0u64, 0u64), |(s, n), h| (s + h, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
-
-    /// Delivered bytes per logical SPE.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn per_spe_bytes(&self) -> Result<Vec<(usize, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut out: Vec<(usize, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Delivered { spe, bytes } = e.kind {
-                match out.iter_mut().find(|(s, _)| *s == spe) {
-                    Some((_, b)) => *b += u64::from(bytes),
-                    None => out.push((spe, u64::from(bytes))),
-                }
-            }
-        }
-        out.sort_by_key(|&(s, _)| s);
-        Ok(out)
-    }
-
-    /// Bytes served per memory bank.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn bank_bytes(&self) -> Result<Vec<(BankId, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut out: Vec<(BankId, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::MemoryAccess { bank, bytes } = e.kind {
-                match out.iter_mut().find(|(b, _)| *b == bank) {
-                    Some((_, acc)) => *acc += u64::from(bytes),
-                    None => out.push((bank, u64::from(bytes))),
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{CellSystem, Placement, SyncPolicy, TransferPlan};
-
-    fn traced_run() -> FabricTrace {
-        let sys = CellSystem::blade();
-        let plan = TransferPlan::builder()
-            .get_from_memory(0, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .get_from_memory(1, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .build()
-            .unwrap();
-        let (_, trace) = sys.try_run_traced(&Placement::identity(), &plan).unwrap();
-        trace
-    }
-
-    #[test]
-    fn trace_captures_every_packet_phase() {
-        let trace = traced_run();
-        let events = trace.events();
-        let count =
-            |pred: fn(&FabricEvent) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
-        // 512 KiB / 128 B = 4096 packets, each with one of each phase.
-        assert_eq!(
-            count(|k| matches!(k, FabricEvent::CommandIssued { .. })),
-            4096
-        );
-        assert_eq!(count(|k| matches!(k, FabricEvent::Delivered { .. })), 4096);
-        assert_eq!(count(|k| matches!(k, FabricEvent::Granted { .. })), 4096);
-        assert_eq!(trace.dropped(), 0);
-    }
-
-    #[test]
-    fn timeline_integrates_to_total_bytes() {
-        let trace = traced_run();
-        let clock = MachineClock::default();
-        let bucket = 1000;
-        let timeline = trace.throughput_timeline(&clock, bucket).unwrap();
-        assert!(!timeline.is_empty());
-        let total: f64 = timeline
-            .iter()
-            .map(|(_, gbps)| gbps * clock.seconds(bucket) * 1e9)
-            .sum();
-        assert!((total - 512.0 * 1024.0).abs() < 1.0, "total={total}");
-    }
-
-    #[test]
-    fn banks_split_the_two_spe_load() {
-        let trace = traced_run();
-        let banks = trace.bank_bytes().unwrap();
-        assert_eq!(banks.len(), 2, "round-robin regions use both banks");
-        for (_, bytes) in banks {
-            assert_eq!(bytes, 256 << 10);
-        }
-    }
-
-    #[test]
-    fn per_spe_accounting_matches_the_plan() {
-        let trace = traced_run();
-        assert_eq!(
-            trace.per_spe_bytes().unwrap(),
-            vec![(0, 256 << 10), (1, 256 << 10)]
-        );
-    }
-
-    #[test]
-    fn mean_hops_is_positive_and_small() {
-        let trace = traced_run();
-        let h = trace.mean_hops();
-        assert!((1.0..=6.0).contains(&h), "h={h}");
-    }
-
-    #[test]
-    fn truncated_trace_refuses_aggregate_analysis() {
-        // A tiny buffer overflows immediately; before this regression
-        // test, the analyses silently returned prefix-only aggregates.
-        let sys = CellSystem::blade();
-        let plan = TransferPlan::builder()
-            .get_from_memory(0, 64 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .build()
-            .unwrap();
-        let (report, trace) = sys
-            .try_run_traced_with_capacity(&Placement::identity(), &plan, 8)
-            .unwrap();
-        assert!(trace.dropped() > 0, "64 KiB must overflow 8 events");
-        let err = trace.per_spe_bytes().unwrap_err();
-        assert_eq!(err.recorded, 8);
-        assert!(err.dropped > 0);
-        assert!(trace.bank_bytes().is_err());
-        assert!(trace.ring_shares().is_err());
-        assert!(trace
-            .throughput_timeline(&MachineClock::default(), 1000)
-            .is_err());
-        // The always-on metrics are unaffected by trace truncation.
-        assert_eq!(report.metrics.per_spe[0].occupancy_cycles.len(), 9);
-    }
-
-    #[test]
-    fn sized_capacity_keeps_the_trace_complete() {
-        let sys = CellSystem::blade();
-        let plan = TransferPlan::builder()
-            .get_from_memory(0, 64 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .build()
-            .unwrap();
-        // 512 packets × ≤4 phases each.
-        let (_, trace) = sys
-            .try_run_traced_with_capacity(&Placement::identity(), &plan, 4 * 512)
-            .unwrap();
-        assert_eq!(trace.dropped(), 0);
-        assert!(trace.require_complete().is_ok());
-        assert_eq!(trace.per_spe_bytes().unwrap(), vec![(0, 64 << 10)]);
-    }
 }

@@ -45,7 +45,6 @@ pub mod fnv;
 pub mod json;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 pub mod varint;
 
 pub use engine::{Model, RunOutcome, Scheduler, Simulation};

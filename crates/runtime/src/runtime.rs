@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use cellsim_core::{CellSystem, Placement, PlanError, TransferPlan};
+use cellsim_core::{CellSystem, Placement, PlanError, RunFailure, TransferPlan};
 use cellsim_kernels::SpuComputeModel;
 
 use crate::report::{LaneUsage, RuntimeReport};
@@ -25,6 +25,8 @@ pub enum RuntimeError {
     },
     /// The generated transfer plan was invalid.
     Plan(PlanError),
+    /// The job's DMA traffic stalled the fabric.
+    Stall(RunFailure),
 }
 
 impl fmt::Display for RuntimeError {
@@ -39,6 +41,7 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::Plan(e) => write!(f, "plan construction failed: {e}"),
+            RuntimeError::Stall(e) => write!(f, "fabric run failed: {e}"),
         }
     }
 }
@@ -47,6 +50,7 @@ impl Error for RuntimeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             RuntimeError::Plan(e) => Some(e),
+            RuntimeError::Stall(e) => Some(e),
             _ => None,
         }
     }
@@ -55,6 +59,12 @@ impl Error for RuntimeError {
 impl From<PlanError> for RuntimeError {
     fn from(e: PlanError) -> Self {
         RuntimeError::Plan(e)
+    }
+}
+
+impl From<RunFailure> for RuntimeError {
+    fn from(e: RunFailure) -> Self {
+        RuntimeError::Stall(e)
     }
 }
 
@@ -111,7 +121,8 @@ impl<'a> StreamRuntime<'a> {
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] for an empty job or invalid block
-    /// sizes.
+    /// sizes, and [`RuntimeError::Stall`] when the job's traffic stalls
+    /// the fabric.
     pub fn execute(&self, tasks: &[Task]) -> Result<RuntimeReport, RuntimeError> {
         if tasks.is_empty() {
             return Err(RuntimeError::NoTasks);
@@ -167,7 +178,7 @@ impl<'a> StreamRuntime<'a> {
             }
         }
         let plan = builder.build()?;
-        let fabric = self.system.try_run(&Placement::identity(), &plan).unwrap();
+        let fabric = self.system.try_run(&Placement::identity(), &plan)?;
 
         // Per-lane occupancy: measured communication, analytic compute.
         let mut lanes = Vec::with_capacity(self.lanes);

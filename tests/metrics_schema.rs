@@ -4,6 +4,8 @@
 //! elided), and RFC-4180 quoting round-trips awkward figure ids. Tools
 //! built on `--metrics` output may rely on these columns existing.
 
+use cellsim::exec::SweepExecutor;
+use cellsim::experiments::{figure_metrics_with, ExperimentConfig};
 use cellsim::json::{self, JsonValue};
 use cellsim::report::MetricsTable;
 use cellsim::{CellSystem, MetricsSummary, Placement, SyncPolicy, TransferPlan};
@@ -236,4 +238,27 @@ fn csv_and_json_are_byte_deterministic() {
     };
     assert_eq!(a.to_csv(), b.to_csv());
     assert_eq!(a.to_json(), b.to_json());
+}
+
+/// The quick figure 8 digest is pinned byte for byte: the fixture was
+/// recorded (`repro --quick --figure 8 --metrics`) from the
+/// hand-formatted writer that preceded `json::Writer`.
+#[test]
+fn quick_figure8_json_matches_the_golden() {
+    let summary = figure_metrics_with(
+        &SweepExecutor::new(2),
+        &CellSystem::blade(),
+        &ExperimentConfig::quick(),
+        "8",
+    )
+    .unwrap()
+    .expect("figure 8 runs on the fabric");
+    let table = MetricsTable {
+        id: "8".into(),
+        summary,
+    };
+    assert_eq!(
+        table.to_json(),
+        include_str!("fixtures/metrics_fig8_quick.json")
+    );
 }

@@ -1,8 +1,10 @@
 //! The typed failure pipeline: a pathological machine configuration
 //! yields `Err(RunFailure::Stall(..))` with a usable diagnosis instead
-//! of a process abort, and the deprecated panicking wrappers surface
-//! the same diagnosis as their panic message.
+//! of a process abort, through every run entry point and the task
+//! runtime built on them.
 
+use cellsim::runtime::{RuntimeError, StreamRuntime, Task};
+use cellsim::tracestore::TraceStoreWriter;
 use cellsim::{CellConfig, CellSystem, Placement, RunFailure, StallKind, SyncPolicy, TransferPlan};
 
 /// A blade whose local bank answers after 100 G bus cycles: the first
@@ -83,6 +85,30 @@ fn diagnosis_serializes_and_displays() {
     assert!(value.get("per_spe").is_some());
 }
 
+/// The diagnosis JSON is pinned byte for byte: the fixture was recorded
+/// from the hand-formatted writer that preceded `json::Writer`.
+#[test]
+fn horizon_exceeded_diagnosis_json_matches_the_golden() {
+    let failure = glacial_blade()
+        .try_run(&Placement::identity(), &plan())
+        .unwrap_err();
+    assert_eq!(
+        failure.to_json(),
+        include_str!("fixtures/stall_horizon_exceeded.json")
+    );
+}
+
+#[test]
+fn task_runtime_returns_the_stall_instead_of_panicking() {
+    let system = glacial_blade();
+    let tasks = [Task::new("t0").input(64 << 10).flops(1000.0)];
+    let err = StreamRuntime::new(&system, 1).execute(&tasks).unwrap_err();
+    let RuntimeError::Stall(failure) = err else {
+        panic!("expected a stall, got {err}");
+    };
+    assert_eq!(failure.diagnosis().kind, StallKind::HorizonExceeded);
+}
+
 #[test]
 fn data_and_traced_variants_report_the_same_stall() {
     let system = glacial_blade();
@@ -92,16 +118,10 @@ fn data_and_traced_variants_report_the_same_stall() {
     let with_data = system
         .try_run_with_data(&Placement::identity(), &plan, &mut state)
         .unwrap_err();
+    let mut writer = TraceStoreWriter::new(Vec::new());
     let traced = system
-        .try_run_traced(&Placement::identity(), &plan)
+        .try_run_with_sink(&Placement::identity(), &plan, &mut writer)
         .unwrap_err();
     assert_eq!(direct.diagnosis().kind, with_data.diagnosis().kind);
     assert_eq!(direct.diagnosis().kind, traced.diagnosis().kind);
-}
-
-#[test]
-#[should_panic(expected = "horizon-exceeded")]
-fn deprecated_wrapper_panics_with_the_diagnosis() {
-    #[allow(deprecated)]
-    let _ = glacial_blade().run(&Placement::identity(), &plan());
 }

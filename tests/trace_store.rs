@@ -1,8 +1,10 @@
 //! The trace store's determinism and conservation contract: a recorded
 //! run directory is byte-identical whether the sweep ran serially, on
 //! four workers, or against a warm run cache; every artifact's counts
-//! reconcile exactly with its metrics digest; and corruption surfaces
-//! as typed errors that the next recording pass heals.
+//! reconcile exactly with its metrics digest; the per-SPE, per-ring and
+//! per-bank sums over its events equal the report's always-on metrics;
+//! and corruption surfaces as typed errors that the next recording pass
+//! heals.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -10,8 +12,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cellsim::exec::{RunSpec, SweepExecutor};
 use cellsim::experiments::{figure_points, figure_specs, ExperimentConfig};
-use cellsim::tracestore::{Manifest, TraceStore, TraceStoreError, TRACE_FILE};
-use cellsim::CellSystem;
+use cellsim::tracestore::{
+    Manifest, TraceFilter, TraceKind, TraceStore, TraceStoreError, TraceStoreWriter, TRACE_FILE,
+};
+use cellsim::{CellSystem, FabricReport, Placement, SyncPolicy, TransferPlan};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -185,4 +191,89 @@ fn corrupt_artifacts_error_typed_and_are_re_recorded() {
     record(1, &dir, specs);
     assert_eq!(pristine, snapshot(&dir), "self-healed to identical bytes");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Runs `plan` with an in-memory store attached and opens the result.
+fn record_in_memory(
+    system: &CellSystem,
+    placement: &Placement,
+    plan: &TransferPlan,
+) -> (FabricReport, TraceStore) {
+    let mut writer = TraceStoreWriter::new(Vec::new());
+    let report = system
+        .try_run_with_sink(placement, plan, &mut writer)
+        .expect("healthy run");
+    let (bytes, _) = writer
+        .finalize(report.metrics.events, report.packets)
+        .expect("in-memory store");
+    (report, TraceStore::from_bytes(bytes).expect("store opens"))
+}
+
+#[test]
+fn store_event_sums_equal_the_always_on_metrics() {
+    let system = CellSystem::blade();
+    // The paper's 8-SPE cycle under a random placement, and a GET plan
+    // whose three SPEs stream with different element sizes.
+    let mut cycle = TransferPlan::builder();
+    for spe in 0..8 {
+        cycle = cycle.exchange_with(spe, (spe + 1) % 8, 64 << 10, 4096, SyncPolicy::AfterAll);
+    }
+    let get = TransferPlan::builder()
+        .get_from_memory(0, 128 << 10, 16 * 1024, SyncPolicy::AfterAll)
+        .get_from_memory(1, 64 << 10, 1024, SyncPolicy::AfterAll)
+        .get_from_memory(2, 32 << 10, 128, SyncPolicy::AfterAll)
+        .build()
+        .expect("valid plan");
+    let random = Placement::random(&mut StdRng::seed_from_u64(99));
+    // (placement, plan, bytes read from DRAM)
+    let runs = [
+        (random, cycle.build().expect("valid plan"), 0),
+        (Placement::identity(), get, 224 << 10),
+    ];
+    for (placement, plan, dram_bytes) in &runs {
+        let (report, store) = record_in_memory(&system, placement, plan);
+        let metrics = &report.metrics;
+        let mut per_spe = vec![0u64; report.per_spe_bytes.len()];
+        let mut rings = vec![(0u64, 0u64); metrics.rings.len()];
+        let mut banks = [0u64; 2];
+        let mut timeline: Vec<u64> = Vec::new();
+        let (mut hops, mut grants) = (0u64, 0u64);
+        let bucket = 1000;
+        store
+            .for_each(&TraceFilter::default(), |e| {
+                let bytes = u64::from(e.bytes);
+                match e.kind {
+                    TraceKind::Deliver => {
+                        per_spe[usize::from(e.spe)] += bytes;
+                        let idx = (e.at / bucket) as usize;
+                        if timeline.len() <= idx {
+                            timeline.resize(idx + 1, 0);
+                        }
+                        timeline[idx] += bytes;
+                    }
+                    TraceKind::Grant => {
+                        let ring = &mut rings[usize::from(e.aux)];
+                        ring.0 += 1;
+                        ring.1 += bytes;
+                        hops += u64::from(e.hops);
+                        grants += 1;
+                    }
+                    TraceKind::Mem => banks[usize::from(e.aux)] += bytes,
+                    TraceKind::Issue => {}
+                }
+                Ok(())
+            })
+            .expect("decodable store");
+        assert_eq!(per_spe, report.per_spe_bytes, "{placement}");
+        let metric_rings: Vec<(u64, u64)> =
+            metrics.rings.iter().map(|r| (r.grants, r.bytes)).collect();
+        assert_eq!(rings, metric_rings, "{placement}");
+        for bank in &metrics.banks {
+            assert_eq!(banks[bank.bank as usize], bank.stats.bytes, "{placement}");
+        }
+        assert_eq!(banks.iter().sum::<u64>(), *dram_bytes, "{placement}");
+        assert_eq!(timeline.iter().sum::<u64>(), report.total_bytes);
+        let mean_hops = hops as f64 / grants as f64;
+        assert!((1.0..=6.0).contains(&mean_hops), "mean hops {mean_hops}");
+    }
 }
