@@ -2,7 +2,7 @@
 //! blade and prints them as text tables.
 //!
 //! ```text
-//! repro [--quick|--full] [--figure <id>]... [--ablations] [--seed N]
+//! repro [--quick|--full] [--figure <id>]... [--ablations] [--kernels] [--seed N]
 //!       [--faults <plan.json>] [--jobs N] [--cache-dir <dir>] [--verbose]
 //!       [--csv <dir>] [--metrics <dir>] [--trace-out <file>]
 //!       [--run-dir <dir>] [--baseline-out <file>] [--check <file>]
@@ -20,6 +20,7 @@
 //!                       --baseline-out/--check (baselines snapshot the
 //!                       healthy blade).
 //!   --ablations         also run the design-choice ablations
+//!   --kernels           also render figure K1, the small-kernel roofline
 //!   --seed N            placement-lottery seed (default 0xCE11)
 //!   --jobs N            worker threads for the sweeps (default:
 //!                       CELLSIM_JOBS or all cores; figures are
@@ -99,14 +100,13 @@ use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
     figure10_with, figure12_with, figure13_with, figure15_with, figure16_with, figure3, figure4,
     figure6, figure8_with, figure_degraded_with, figure_gups_with, figure_metrics_with,
-    figure_pairlist_with, figure_stencil_with, section_4_2_2, ExperimentConfig, ExperimentError,
-    FIGURE_IDS,
+    figure_pairlist_with, figure_roofline_with, figure_stencil_with, section_4_2_2,
+    ExperimentConfig, ExperimentError, FIGURE_IDS,
 };
 use cellsim_core::perf::PerfBaseline;
 use cellsim_core::report::{Figure, MetricsTable, SpreadFigure};
 use cellsim_core::tracestore::{record_run_to, TraceStore, TRACE_FILE};
 use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy, TransferPlan};
-use cellsim_kernels::roofline_figure;
 
 struct Args {
     cfg: ExperimentConfig,
@@ -501,7 +501,7 @@ fn run(args: &Args, exec: &SweepExecutor) -> Result<(), String> {
     }
     if args.kernels {
         println!("— small kernels (paper §5 future work) —\n");
-        emit(csv, &roofline_figure(&system))?;
+        emit(csv, &figure_roofline_with(exec, &system))?;
     }
     Ok(())
 }

@@ -89,7 +89,8 @@ pub struct Workload {
     pub pattern: &'static str,
     /// Active SPEs.
     pub spes: u8,
-    /// Payload bytes per active SPE (per direction where bidirectional).
+    /// Payload bytes per active SPE (per direction where bidirectional;
+    /// the whole job's payload for a `"tasks"` job).
     pub volume: u64,
     /// DMA element size in bytes.
     pub elem: u32,

@@ -16,6 +16,10 @@
 //! | [`figure_stencil`] | — (extension) | Stencil halo exchange, halo width × grid shape |
 //! | [`figure_pairlist`] | — (extension) | Pair-list skewed indexed gather/scatter |
 //! | [`figure_degraded`] | — (extension) | Fault-injection ladder: healthy → 7 SPE → ring derate → bank NACKs |
+//! | [`figure_roofline_with`] | — (§5 future work) | Small-kernel roofline, GFLOP/s on 1–8 SPEs |
+//!
+//! [`kernel_estimate`] (one kernel's roofline) and [`execute_tasks`] (a
+//! CellSs-style task job on SPE lanes) run on the same executor.
 //!
 //! All DMA experiments honour the paper's protocol: weak scaling (a fixed
 //! volume per SPE), warm state (the simulator has no TLB to warm), and
@@ -36,6 +40,7 @@
 mod appwork;
 mod degraded;
 mod ppe;
+mod programs;
 mod spe_mem;
 mod spe_pairs;
 mod spu_ls;
@@ -46,6 +51,10 @@ pub use appwork::{
 };
 pub use degraded::{figure_degraded, figure_degraded_with};
 pub use ppe::{figure3, figure4, figure6};
+pub use programs::{
+    execute_tasks, figure_roofline_with, kernel_estimate, Bound, KernelEstimate, LaneUsage,
+    ProgramError, RuntimeReport,
+};
 pub use spe_mem::{figure8, figure8_with};
 pub use spe_pairs::{
     figure10, figure10_with, figure12, figure12_with, figure13, figure13_with, figure15,

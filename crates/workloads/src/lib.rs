@@ -24,11 +24,21 @@
 //! (`pack`/`unpack`), which callers fold into their run-cache keys: two
 //! runs with equal packed parameters generate identical streams, and any
 //! parameter change changes the key.
+//!
+//! # Programs
+//!
+//! The program descriptors cover the paper's §5 follow-ups: small
+//! kernels ([`KernelSpec`]) and CellSs-style tasks ([`Task`]), costed
+//! with the SPU arithmetic rates of [`SpuComputeModel`].
 
 use std::fmt;
 
 use cellsim_kernel::rng::derive_seed;
 use cellsim_mfc::{ListElement, MAX_DMA_BYTES};
+
+mod programs;
+
+pub use programs::{KernelSpec, Precision, SpuComputeModel, Task, Traffic};
 
 /// Why a parameter word or stream request is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

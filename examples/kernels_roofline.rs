@@ -1,20 +1,23 @@
 //! The paper's future work: evaluating small kernels (scalar product,
 //! matrix–vector, matrix product, streaming) on the measured fabric.
 //!
-//! For each kernel, the runner simulates its DMA traffic pattern on the
-//! fabric, measures the bandwidth actually delivered, and takes the
-//! roofline minimum against the SPU compute peak.
+//! For each kernel, the sweep executor simulates its DMA traffic pattern
+//! on the fabric, measures the bandwidth actually delivered, and takes
+//! the roofline minimum against the SPU compute peak. Kernels with the
+//! same traffic share their runs in the executor's cache.
 //!
 //! ```text
 //! cargo run --release --example kernels_roofline
 //! ```
 
-use cellsim::kernels::{KernelRunner, KernelSpec};
+use cellsim::exec::SweepExecutor;
+use cellsim::experiments::{kernel_estimate, Bound, ProgramError};
+use cellsim::workloads::KernelSpec;
 use cellsim::CellSystem;
 
-fn main() {
+fn main() -> Result<(), ProgramError> {
     let system = CellSystem::blade();
-    let runner = KernelRunner::new(&system);
+    let exec = SweepExecutor::default();
 
     println!("kernel roofline on the simulated 2.1 GHz CBE:");
     println!("(SP peak per SPU: 8.4 GFLOP/s; DP is one op every 7 cycles)\n");
@@ -26,7 +29,7 @@ fn main() {
     kernels.push(KernelSpec::matrix_multiply(64).in_double_precision());
     for spec in &kernels {
         for spes in [1usize, 4, 8] {
-            let est = runner.estimate(spec, spes);
+            let est = kernel_estimate(&exec, &system, spec, spes)?;
             println!(
                 "{:<24} {:>5} {:>12.2} {:>12.2} {:>9}",
                 est.name,
@@ -34,8 +37,8 @@ fn main() {
                 est.bandwidth_gbps,
                 est.gflops,
                 match est.bound {
-                    cellsim::kernels::Bound::Memory => "memory",
-                    cellsim::kernels::Bound::Compute => "compute",
+                    Bound::Memory => "memory",
+                    Bound::Compute => "compute",
                 }
             );
         }
@@ -48,4 +51,5 @@ fn main() {
          collapses to the slow DP pipe, exactly Dongarra's argument for\n\
          mixed-precision solvers on Cell."
     );
+    Ok(())
 }

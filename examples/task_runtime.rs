@@ -5,11 +5,14 @@
 //! cargo run --release --example task_runtime
 //! ```
 
-use cellsim::runtime::{RuntimeError, StreamRuntime, Task};
+use cellsim::exec::SweepExecutor;
+use cellsim::experiments::{execute_tasks, ProgramError};
+use cellsim::workloads::Task;
 use cellsim::CellSystem;
 
-fn main() -> Result<(), RuntimeError> {
+fn main() -> Result<(), ProgramError> {
     let system = CellSystem::blade();
+    let exec = SweepExecutor::default();
 
     // Two job shapes, scheduled over 1..8 lanes each.
     let filters: Vec<Task> = (0..32)
@@ -35,8 +38,7 @@ fn main() -> Result<(), RuntimeError> {
     ] {
         println!("job: {name}");
         for lanes in [1usize, 2, 4, 8] {
-            let runtime = StreamRuntime::new(&system, lanes);
-            let report = runtime.execute(tasks)?;
+            let report = execute_tasks(&exec, &system, lanes, tasks)?;
             let clock = system.config().clock;
             println!(
                 "  {lanes} lane(s): makespan {:>9} cycles ({:>7.1} µs)  {:>6.2} GFLOP/s  {}/{} lanes memory-bound",
@@ -50,7 +52,8 @@ fn main() -> Result<(), RuntimeError> {
         println!();
     }
     // Per-lane detail for the streaming job on the full machine.
-    let report = StreamRuntime::new(&system, 8).execute(&filters)?;
+    // The same job again: answered from the executor's run cache.
+    let report = execute_tasks(&exec, &system, 8, &filters)?;
     println!("streaming job, per-lane breakdown at 8 lanes:");
     print!("{report}");
     println!(

@@ -24,11 +24,9 @@
 //!   experiments;
 //! * [`workloads`] — seeded application-shaped address-stream
 //!   generators (GUPS random updates, stencil halos, pair lists) that
-//!   `core` compiles into transfer plans;
-//! * [`kernels`] — small-kernel (dot product, triad, GEMM) performance
-//!   estimation on the simulated fabric — the paper's stated future work;
-//! * [`runtime`] — a CellSs-style task runtime model: scheduling and
-//!   makespan prediction over the simulated machine.
+//!   `core` compiles into transfer plans, and the program descriptors
+//!   (small kernels, CellSs-style tasks) of the paper's stated future
+//!   work, which [`experiments`] runs on the simulated fabric.
 //!
 //! The most useful entry points are re-exported at the top level.
 //!
@@ -49,11 +47,9 @@ pub use cellsim_core as core;
 pub use cellsim_eib as eib;
 pub use cellsim_faults as faults;
 pub use cellsim_kernel as kernel;
-pub use cellsim_kernels as kernels;
 pub use cellsim_mem as mem;
 pub use cellsim_mfc as mfc;
 pub use cellsim_ppe as ppe;
-pub use cellsim_runtime as runtime;
 pub use cellsim_spe as spe;
 pub use cellsim_workloads as workloads;
 

@@ -1,10 +1,12 @@
 //! The typed failure pipeline: a pathological machine configuration
 //! yields `Err(RunFailure::Stall(..))` with a usable diagnosis instead
-//! of a process abort, through every run entry point and the task
-//! runtime built on them.
+//! of a process abort, through every run entry point and the kernel
+//! roofline and task runtime built on them.
 
-use cellsim::runtime::{RuntimeError, StreamRuntime, Task};
+use cellsim::exec::{RunError, SweepExecutor};
+use cellsim::experiments::{execute_tasks, kernel_estimate, ProgramError};
 use cellsim::tracestore::TraceStoreWriter;
+use cellsim::workloads::{KernelSpec, Task};
 use cellsim::{CellConfig, CellSystem, Placement, RunFailure, StallKind, SyncPolicy, TransferPlan};
 
 /// A blade whose local bank answers after 100 G bus cycles: the first
@@ -98,15 +100,29 @@ fn horizon_exceeded_diagnosis_json_matches_the_golden() {
     );
 }
 
-#[test]
-fn task_runtime_returns_the_stall_instead_of_panicking() {
-    let system = glacial_blade();
-    let tasks = [Task::new("t0").input(64 << 10).flops(1000.0)];
-    let err = StreamRuntime::new(&system, 1).execute(&tasks).unwrap_err();
-    let RuntimeError::Stall(failure) = err else {
+/// The stall a program run passed on, or a panic naming what came back.
+fn program_stall(err: ProgramError) -> StallKind {
+    let ProgramError::Run(RunError::Stall { diagnosis, .. }) = err else {
         panic!("expected a stall, got {err}");
     };
-    assert_eq!(failure.diagnosis().kind, StallKind::HorizonExceeded);
+    diagnosis.kind
+}
+
+#[test]
+fn task_runtime_returns_the_stall_instead_of_panicking() {
+    let exec = SweepExecutor::new(1);
+    let tasks = [Task::new("t0").input(64 << 10).flops(1000.0)];
+    let err = execute_tasks(&exec, &glacial_blade(), 1, &tasks).unwrap_err();
+    assert_eq!(program_stall(err), StallKind::HorizonExceeded);
+    assert_eq!(exec.take_failures().len(), 1, "the executor records it");
+}
+
+#[test]
+fn kernel_estimate_returns_the_stall_instead_of_panicking() {
+    let exec = SweepExecutor::new(1);
+    let err = kernel_estimate(&exec, &glacial_blade(), &KernelSpec::dot_product(), 2).unwrap_err();
+    assert_eq!(program_stall(err), StallKind::HorizonExceeded);
+    assert_eq!(exec.take_failures().len(), 1, "the executor records it");
 }
 
 #[test]
