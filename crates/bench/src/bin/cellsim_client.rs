@@ -37,7 +37,7 @@
 //! [`cellsim_core::experiments::figure_specs`]), streams it to the
 //! daemon, verifies every returned report against the run key that
 //! requested it, preloads the reports into a local cache-only
-//! executor, and renders through the same `figureN_with` entry points.
+//! executor, and renders through the same [`FIGURES`] rows.
 //! The figure text is therefore byte-identical to
 //! `repro --figure <id> ...` minus repro's two header lines
 //! (`tail -n +3`).
@@ -46,9 +46,7 @@ use std::process::ExitCode;
 
 use cellsim_core::exec::{RunSpec, SweepExecutor};
 use cellsim_core::experiments::{
-    figure10_with, figure12_with, figure13_with, figure15_with, figure16_with, figure8_with,
-    figure_gups_with, figure_pairlist_with, figure_points, figure_specs, figure_stencil_with,
-    ExperimentConfig, ExperimentError,
+    figure_points, figure_specs, ExperimentConfig, ExperimentError, FigureRow, Render, FIGURES,
 };
 use cellsim_core::{CellSystem, FaultPlan};
 use cellsim_serve::{Client, ClientError, ResilientClient, RetryPolicy};
@@ -56,10 +54,11 @@ use cellsim_serve::{Client, ClientError, ResilientClient, RetryPolicy};
 const EXIT_FAILED_RUNS: u8 = 2;
 const EXIT_BAD_INVOCATION: u8 = 3;
 
-/// The fabric figures the serve protocol can replay, in render order.
-const FABRIC_FIGURES: &[&str] = &[
-    "8", "10", "12", "13", "15", "16", "gups", "stencil", "pairlist",
-];
+/// The figures the serve protocol can replay: the [`FIGURES`] rows
+/// that sweep the DMA fabric, in render order.
+fn fabric_figures() -> impl Iterator<Item = &'static FigureRow> {
+    FIGURES.iter().filter(|row| row.points.is_some())
+}
 
 struct Args {
     addr: String,
@@ -95,10 +94,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--figure" => {
                 let id = value("an id")?;
-                if !FABRIC_FIGURES.contains(&id.as_str()) {
+                if !fabric_figures().any(|row| row.id == id) {
+                    let ids: Vec<&str> = fabric_figures().map(|row| row.id).collect();
                     return Err(format!(
                         "figure {id} is not served over the wire (fabric figures only: {})",
-                        FABRIC_FIGURES.join(", ")
+                        ids.join(", ")
                     ));
                 }
                 figures.push(id);
@@ -243,59 +243,26 @@ fn run(args: &Args) -> Result<usize, String> {
     let exec = SweepExecutor::new(1);
     let wanted = |id: &str| args.figures.is_empty() || args.figures.iter().any(|f| f == id);
     let mut failed = 0;
-    for id in FABRIC_FIGURES {
-        if !wanted(id) {
-            continue;
-        }
+    for row in fabric_figures().filter(|row| wanted(row.id)) {
+        let id = row.id;
         let points = figure_points(cfg, id)
             .map_err(err_string)?
-            .ok_or_else(|| format!("figure {id} has no fabric sweep"))?;
+            .expect("fabric rows carry sweep points");
         let specs = figure_specs(&system, cfg, &points);
         failed += fetch_figure(&mut client, &exec, specs, id, args.faults.as_ref())
             .map_err(|e| format!("figure {id}: {e}"))?;
-        match *id {
-            "8" => {
-                for f in figure8_with(&exec, &system, cfg).map_err(err_string)? {
+        match row.render {
+            Render::Figures(render) => {
+                for f in render(&exec, &system, cfg).map_err(err_string)? {
                     println!("{f}");
                 }
             }
-            "10" => println!(
-                "{}",
-                figure10_with(&exec, &system, cfg).map_err(err_string)?
-            ),
-            "12" => {
-                for f in figure12_with(&exec, &system, cfg).map_err(err_string)? {
+            Render::Spreads(render) => {
+                for f in render(&exec, &system, cfg).map_err(err_string)? {
                     println!("{f}");
                 }
             }
-            "13" => {
-                for f in figure13_with(&exec, &system, cfg).map_err(err_string)? {
-                    println!("{f}");
-                }
-            }
-            "15" => {
-                for f in figure15_with(&exec, &system, cfg).map_err(err_string)? {
-                    println!("{f}");
-                }
-            }
-            "16" => {
-                for f in figure16_with(&exec, &system, cfg).map_err(err_string)? {
-                    println!("{f}");
-                }
-            }
-            "gups" => println!(
-                "{}",
-                figure_gups_with(&exec, &system, cfg).map_err(err_string)?
-            ),
-            "stencil" => println!(
-                "{}",
-                figure_stencil_with(&exec, &system, cfg).map_err(err_string)?
-            ),
-            "pairlist" => println!(
-                "{}",
-                figure_pairlist_with(&exec, &system, cfg).map_err(err_string)?
-            ),
-            _ => unreachable!("FABRIC_FIGURES is fixed"),
+            Render::Degraded(_) => unreachable!("the fault ladder has no sweep points"),
         }
         // Rendering re-requests exactly the preloaded keys; a failed
         // run would be re-simulated locally, so drain those records to

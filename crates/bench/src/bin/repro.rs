@@ -98,13 +98,11 @@ use cellsim_bench::all_ablations_with;
 use cellsim_core::baseline::Baseline;
 use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
-    figure10_with, figure12_with, figure13_with, figure15_with, figure16_with, figure3, figure4,
-    figure6, figure8_with, figure_degraded_with, figure_gups_with, figure_metrics_with,
-    figure_pairlist_with, figure_roofline_with, figure_stencil_with, section_4_2_2,
-    ExperimentConfig, ExperimentError, FIGURE_IDS,
+    figure_metrics_with, figure_roofline_with, figure_row, ExperimentConfig, ExperimentError,
+    Render, FIGURES,
 };
 use cellsim_core::perf::PerfBaseline;
-use cellsim_core::report::{Figure, MetricsTable, SpreadFigure};
+use cellsim_core::report::MetricsTable;
 use cellsim_core::tracestore::{record_run_to, TraceStore, TRACE_FILE};
 use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy, TransferPlan};
 
@@ -155,11 +153,8 @@ fn parse_args() -> Result<Args, String> {
             "--full" => cfg = ExperimentConfig::full(),
             "--figure" => {
                 let id = argv.next().ok_or("--figure needs an id")?;
-                if !FIGURE_IDS.contains(&id.as_str()) {
-                    return Err(format!(
-                        "unknown figure id: {id} (valid: {})",
-                        FIGURE_IDS.join(", ")
-                    ));
+                if figure_row(&id).is_none() {
+                    return Err(format!("unknown figure id: {id} (valid: {})", figure_ids()));
                 }
                 figures.push(id);
             }
@@ -197,8 +192,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tolerance" => {
                 let n = argv.next().ok_or("--tolerance needs a value")?;
-                let t: f64 = n.parse().map_err(|_| format!("bad tolerance: {n}"))?;
-                tolerance = Some(t);
+                tolerance = Some(band("--tolerance", &n)?);
             }
             "--perf-baseline-out" => {
                 let file = argv.next().ok_or("--perf-baseline-out needs a file path")?;
@@ -210,11 +204,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--perf-band" => {
                 let n = argv.next().ok_or("--perf-band needs a value")?;
-                let b: f64 = n.parse().map_err(|_| format!("bad perf band: {n}"))?;
-                if b.is_nan() || b < 0.0 {
-                    return Err(format!("--perf-band must be >= 0, got {n}"));
-                }
-                perf_band = Some(b);
+                perf_band = Some(band("--perf-band", &n)?);
             }
             "--seed" => {
                 let n = argv.next().ok_or("--seed needs a value")?;
@@ -248,7 +238,7 @@ fn parse_args() -> Result<Args, String> {
                      2  one or more runs failed (stall or panic); failed run keys \
                      are named on stderr\n  \
                      3  bad invocation or I/O error",
-                    FIGURE_IDS.join(", ")
+                    figure_ids()
                 );
                 std::process::exit(0);
             }
@@ -269,7 +259,10 @@ fn parse_args() -> Result<Args, String> {
             );
         }
         if plan.fused_mask() != 0 {
-            let only_degraded = !figures.is_empty() && figures.iter().all(|f| f == "degraded");
+            let only_degraded = !figures.is_empty()
+                && figures.iter().all(|f| {
+                    figure_row(f).is_some_and(|row| matches!(row.render, Render::Degraded(_)))
+                });
             if !only_degraded || trace_out.is_some() {
                 return Err(
                     "fault plans with fused_spes need --figure degraded: the paper \
@@ -301,6 +294,26 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Every `--figure` id, comma-separated, in output order.
+fn figure_ids() -> String {
+    FIGURES
+        .iter()
+        .map(|row| row.id)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Parses a relative band (`--tolerance`, `--perf-band`): a finite
+/// number >= 0. The baseline files store it as a JSON number, which
+/// has no spelling for infinity or NaN.
+fn band(flag: &str, n: &str) -> Result<f64, String> {
+    match n.parse::<f64>() {
+        Ok(b) if b.is_finite() && b >= 0.0 => Ok(b),
+        Ok(_) => Err(format!("{flag} must be a finite number >= 0, got {n}")),
+        Err(_) => Err(format!("bad {flag} value: {n}")),
+    }
+}
+
 /// Exit codes, enumerated in `--help`: success is `ExitCode::SUCCESS`.
 const EXIT_DRIFT: u8 = 1;
 const EXIT_FAILED_RUNS: u8 = 2;
@@ -328,35 +341,17 @@ fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<(), String> 
     std::fs::write(&path, contents).map_err(|e| format!("could not write {}: {e}", path.display()))
 }
 
-/// A result table repro can print and export: both figure shapes.
-trait Emittable: fmt::Display {
-    fn id(&self) -> &str;
-    fn to_csv(&self) -> String;
-}
-
-impl Emittable for Figure {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn to_csv(&self) -> String {
-        Figure::to_csv(self)
-    }
-}
-
-impl Emittable for SpreadFigure {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn to_csv(&self) -> String {
-        SpreadFigure::to_csv(self)
-    }
-}
-
-fn emit<T: Emittable>(csv_dir: &Option<PathBuf>, fig: &T) -> Result<(), String> {
-    println!("{fig}");
+/// Prints a result table and, under `--csv`, exports it as
+/// `figure_<id>.csv`.
+fn emit(
+    csv_dir: &Option<PathBuf>,
+    id: &str,
+    table: &dyn fmt::Display,
+    csv: impl FnOnce() -> String,
+) -> Result<(), String> {
+    println!("{table}");
     if let Some(dir) = csv_dir {
-        let name = format!("figure_{}.csv", slug(fig.id()));
-        write_artifact(dir, &name, &fig.to_csv())?;
+        write_artifact(dir, &format!("figure_{}.csv", slug(id)), &csv())?;
     }
     Ok(())
 }
@@ -384,9 +379,15 @@ fn emit_metrics(
     if args.verbose {
         println!("{table}");
     }
-    if let Some(dir) = &args.metrics_dir {
-        write_artifact(dir, &format!("metrics_{}.csv", slug(id)), &table.to_csv())?;
-        write_artifact(dir, &format!("metrics_{}.json", slug(id)), &table.to_json())?;
+    export_metrics(&args.metrics_dir, &table)
+}
+
+/// Under `--metrics`, writes a digest as `metrics_<id>.{csv,json}`.
+fn export_metrics(metrics_dir: &Option<PathBuf>, table: &MetricsTable) -> Result<(), String> {
+    if let Some(dir) = metrics_dir {
+        let name = slug(&table.id);
+        write_artifact(dir, &format!("metrics_{name}.csv"), &table.to_csv())?;
+        write_artifact(dir, &format!("metrics_{name}.json"), &table.to_json())?;
     }
     Ok(())
 }
@@ -408,100 +409,40 @@ fn run(args: &Args, exec: &SweepExecutor) -> Result<(), String> {
     let system = machine(args);
     let cfg = &args.cfg;
     let csv = &args.csv_dir;
-    if wanted(&args.figures, "3") {
-        for f in figure3(&system) {
-            emit(csv, &f)?;
+    for row in FIGURES.iter().filter(|row| wanted(&args.figures, row.id)) {
+        match row.render {
+            Render::Figures(render) => {
+                for f in render(exec, &system, cfg).map_err(err_string)? {
+                    emit(csv, &f.id, &f, || f.to_csv())?;
+                }
+            }
+            Render::Spreads(render) => {
+                for f in render(exec, &system, cfg).map_err(err_string)? {
+                    emit(csv, &f.id, &f, || f.to_csv())?;
+                }
+            }
+            Render::Degraded(render) => {
+                let (fig, table) = render(exec, &system, cfg).map_err(err_string)?;
+                emit(csv, &fig.id, &fig, || fig.to_csv())?;
+                // The degraded digest carries the NACK/retry counters the
+                // ladder exists to surface, so it prints with the figure,
+                // not only under --verbose.
+                println!("{table}");
+                export_metrics(&args.metrics_dir, &table)?;
+            }
         }
-    }
-    if wanted(&args.figures, "4") {
-        for f in figure4(&system) {
-            emit(csv, &f)?;
-        }
-    }
-    if wanted(&args.figures, "6") {
-        for f in figure6(&system) {
-            emit(csv, &f)?;
-        }
-    }
-    if wanted(&args.figures, "8") {
-        for f in figure8_with(exec, &system, cfg).map_err(err_string)? {
-            emit(csv, &f)?;
-        }
-        emit_metrics(args, exec, &system, "8")?;
-    }
-    if wanted(&args.figures, "4.2.2") {
-        emit(csv, &section_4_2_2(&system))?;
-    }
-    if wanted(&args.figures, "10") {
-        emit(csv, &figure10_with(exec, &system, cfg).map_err(err_string)?)?;
-        emit_metrics(args, exec, &system, "10")?;
-    }
-    if wanted(&args.figures, "12") {
-        for f in figure12_with(exec, &system, cfg).map_err(err_string)? {
-            emit(csv, &f)?;
-        }
-        emit_metrics(args, exec, &system, "12")?;
-    }
-    if wanted(&args.figures, "13") {
-        for f in figure13_with(exec, &system, cfg).map_err(err_string)? {
-            emit(csv, &f)?;
-        }
-        emit_metrics(args, exec, &system, "13")?;
-    }
-    if wanted(&args.figures, "15") {
-        for f in figure15_with(exec, &system, cfg).map_err(err_string)? {
-            emit(csv, &f)?;
-        }
-        emit_metrics(args, exec, &system, "15")?;
-    }
-    if wanted(&args.figures, "16") {
-        for f in figure16_with(exec, &system, cfg).map_err(err_string)? {
-            emit(csv, &f)?;
-        }
-        emit_metrics(args, exec, &system, "16")?;
-    }
-    if wanted(&args.figures, "gups") {
-        emit(
-            csv,
-            &figure_gups_with(exec, &system, cfg).map_err(err_string)?,
-        )?;
-        emit_metrics(args, exec, &system, "gups")?;
-    }
-    if wanted(&args.figures, "stencil") {
-        emit(
-            csv,
-            &figure_stencil_with(exec, &system, cfg).map_err(err_string)?,
-        )?;
-        emit_metrics(args, exec, &system, "stencil")?;
-    }
-    if wanted(&args.figures, "pairlist") {
-        emit(
-            csv,
-            &figure_pairlist_with(exec, &system, cfg).map_err(err_string)?,
-        )?;
-        emit_metrics(args, exec, &system, "pairlist")?;
-    }
-    if wanted(&args.figures, "degraded") {
-        let (fig, table) = figure_degraded_with(exec, &system, cfg).map_err(err_string)?;
-        emit(csv, &fig)?;
-        // The degraded digest carries the NACK/retry counters the ladder
-        // exists to surface, so it prints with the figure, not only
-        // under --verbose.
-        println!("{table}");
-        if let Some(dir) = &args.metrics_dir {
-            write_artifact(dir, "metrics_degraded.csv", &table.to_csv())?;
-            write_artifact(dir, "metrics_degraded.json", &table.to_json())?;
-        }
+        emit_metrics(args, exec, &system, row.id)?;
     }
     if args.ablations {
         println!("— ablations —\n");
         for f in all_ablations_with(exec, cfg) {
-            emit(csv, &f)?;
+            emit(csv, &f.id, &f, || f.to_csv())?;
         }
     }
     if args.kernels {
         println!("— small kernels (paper §5 future work) —\n");
-        emit(csv, &figure_roofline_with(exec, &system))?;
+        let f = figure_roofline_with(exec, &system);
+        emit(csv, &f.id, &f, || f.to_csv())?;
     }
     Ok(())
 }

@@ -162,6 +162,12 @@ impl fmt::Display for BaselineError {
 
 impl std::error::Error for BaselineError {}
 
+impl From<String> for BaselineError {
+    fn from(message: String) -> BaselineError {
+        BaselineError { message }
+    }
+}
+
 fn bad(message: impl Into<String>) -> BaselineError {
     BaselineError {
         message: message.into(),
@@ -190,9 +196,9 @@ impl Baseline {
     ) -> Result<Baseline, ExperimentError> {
         let (figures, spreads) = experiments::all_figures_with(exec, system, cfg)?;
         let mut latency = Vec::new();
-        for id in experiments::FIGURE_IDS {
-            if let Some(summary) = experiments::figure_metrics_with(exec, system, cfg, id)? {
-                latency.push(LatencyDigest::from_summary(id, &summary));
+        for row in experiments::FIGURES {
+            if let Some(summary) = experiments::figure_metrics_with(exec, system, cfg, row.id)? {
+                latency.push(LatencyDigest::from_summary(row.id, &summary));
             }
         }
         Ok(Baseline {
@@ -390,12 +396,6 @@ impl Baseline {
     /// Serializes the baseline as deterministic JSON (keys in fixed
     /// order, floats at 6 decimals, one line).
     pub fn to_json(&self) -> String {
-        let sizes: Vec<String> = self
-            .experiment
-            .dma_elem_sizes
-            .iter()
-            .map(u32::to_string)
-            .collect();
         let figures: Vec<String> = self
             .figures
             .iter()
@@ -486,17 +486,12 @@ impl Baseline {
             })
             .collect();
         format!(
-            "{{\"version\":{},\"config_fingerprint\":{},\"tolerance\":{:.6},\
-             \"experiment\":{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\
-             \"placements\":{},\"seed\":{}}},\
+            "{{\"version\":{},\"config_fingerprint\":{},\"tolerance\":{:.6},{},\
              \"figures\":[{}],\"spreads\":[{}],\"latency\":[{}]}}\n",
             BASELINE_VERSION,
             self.config_fingerprint,
             self.tolerance,
-            self.experiment.volume_per_spe,
-            sizes.join(","),
-            self.experiment.placements,
-            self.experiment.seed,
+            experiment_json(&self.experiment),
             figures.join(","),
             spreads.join(","),
             latency.join(",")
@@ -516,27 +511,7 @@ impl Baseline {
                 "unsupported baseline version {version} (expected {BASELINE_VERSION})"
             )));
         }
-        let experiment = doc
-            .get("experiment")
-            .ok_or_else(|| bad("missing 'experiment'"))?;
-        let sizes = experiment
-            .get("dma_elem_sizes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'experiment.dma_elem_sizes'"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("bad element size"))
-            })
-            .collect::<Result<Vec<u32>, _>>()?;
-        let cfg = ExperimentConfig {
-            volume_per_spe: field_u64(experiment, "volume_per_spe")?,
-            dma_elem_sizes: sizes,
-            placements: usize::try_from(field_u64(experiment, "placements")?)
-                .map_err(|_| bad("placements out of range"))?,
-            seed: field_u64(experiment, "seed")?,
-        };
+        let cfg = experiment_from_json(&doc)?;
         let figures = doc
             .get("figures")
             .and_then(JsonValue::as_array)
@@ -649,23 +624,60 @@ impl Baseline {
     }
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, BaselineError> {
+/// The `"experiment"` member every snapshot file embeds (this file and
+/// [`crate::perf`]'s): the protocol a check re-runs.
+pub(crate) fn experiment_json(cfg: &ExperimentConfig) -> String {
+    let sizes: Vec<String> = cfg.dma_elem_sizes.iter().map(u32::to_string).collect();
+    format!(
+        "\"experiment\":{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\
+         \"placements\":{},\"seed\":{}}}",
+        cfg.volume_per_spe,
+        sizes.join(","),
+        cfg.placements,
+        cfg.seed
+    )
+}
+
+/// Reads the `"experiment"` member of a snapshot file's document.
+pub(crate) fn experiment_from_json(doc: &JsonValue) -> Result<ExperimentConfig, String> {
+    let experiment = doc.get("experiment").ok_or("missing 'experiment'")?;
+    let sizes = experiment
+        .get("dma_elem_sizes")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing 'experiment.dma_elem_sizes'")?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or("bad element size")
+        })
+        .collect::<Result<Vec<u32>, _>>()?;
+    Ok(ExperimentConfig {
+        volume_per_spe: field_u64(experiment, "volume_per_spe")?,
+        dma_elem_sizes: sizes,
+        placements: usize::try_from(field_u64(experiment, "placements")?)
+            .map_err(|_| "placements out of range")?,
+        seed: field_u64(experiment, "seed")?,
+    })
+}
+
+pub(crate) fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(JsonValue::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer '{key}'")))
+        .ok_or_else(|| format!("missing or non-integer '{key}'"))
 }
 
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, BaselineError> {
+pub(crate) fn field_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(JsonValue::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric '{key}'")))
+        .ok_or_else(|| format!("missing or non-numeric '{key}'"))
 }
 
-fn field_str(v: &JsonValue, key: &str) -> Result<String, BaselineError> {
+pub(crate) fn field_str(v: &JsonValue, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(JsonValue::as_str)
         .map(str::to_string)
-        .ok_or_else(|| bad(format!("missing or non-string '{key}'")))
+        .ok_or_else(|| format!("missing or non-string '{key}'"))
 }
 
 impl FigureDigest {

@@ -191,15 +191,6 @@ pub fn figure_gups_with(
     })
 }
 
-/// [`figure_gups_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure_gups_with`].
-pub fn figure_gups(system: &CellSystem, cfg: &ExperimentConfig) -> Result<Figure, ExperimentError> {
-    figure_gups_with(&SweepExecutor::default(), system, cfg)
-}
-
 // ---------------------------------------------------------------------------
 // Stencil
 // ---------------------------------------------------------------------------
@@ -374,18 +365,6 @@ pub fn figure_stencil_with(
     })
 }
 
-/// [`figure_stencil_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure_stencil_with`].
-pub fn figure_stencil(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Figure, ExperimentError> {
-    figure_stencil_with(&SweepExecutor::default(), system, cfg)
-}
-
 // ---------------------------------------------------------------------------
 // Pair list
 // ---------------------------------------------------------------------------
@@ -499,18 +478,6 @@ pub fn figure_pairlist_with(
         x_label: "record".into(),
         series,
     })
-}
-
-/// [`figure_pairlist_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure_pairlist_with`].
-pub fn figure_pairlist(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Figure, ExperimentError> {
-    figure_pairlist_with(&SweepExecutor::default(), system, cfg)
 }
 
 #[cfg(test)]

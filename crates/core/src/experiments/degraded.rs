@@ -175,18 +175,6 @@ pub fn figure_degraded_with(
     Ok((figure, table))
 }
 
-/// [`figure_degraded_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure_degraded_with`].
-pub fn figure_degraded(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<(Figure, MetricsTable), ExperimentError> {
-    figure_degraded_with(&SweepExecutor::default(), system, cfg)
-}
-
 fn copy_plan(spes: usize, volume: u64, elem: u32) -> TransferPlan {
     let mut b = TransferPlan::builder();
     for spe in 0..spes {
@@ -210,7 +198,8 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone_and_counts_faults() {
-        let (fig, table) = figure_degraded(&CellSystem::blade(), &tiny()).unwrap();
+        let (fig, table) =
+            figure_degraded_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         assert_eq!(fig.series.len(), 4);
         for x in ["2 KB", "16 KB"] {
             let rungs: Vec<f64> = fig

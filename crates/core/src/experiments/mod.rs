@@ -5,18 +5,23 @@
 //! | [`figure3`] | Fig. 3 (a,b,c) | PPE↔L1 load/store/copy, 1–2 threads |
 //! | [`figure4`] | Fig. 4 (a,b,c) | PPE↔L2 |
 //! | [`figure6`] | Fig. 6 (a,b,c) | PPE↔main memory |
-//! | [`figure8`] | Fig. 8 (a,b,c) | SPE↔memory DMA GET/PUT/GET+PUT, 1–8 SPEs |
+//! | [`figure8_with`] | Fig. 8 (a,b,c) | SPE↔memory DMA GET/PUT/GET+PUT, 1–8 SPEs |
 //! | [`section_4_2_2`] | §4.2.2 | SPU↔Local Store load/store/copy |
-//! | [`figure10`] | Fig. 10 | Delayed DMA synchronization, SPE↔SPE |
-//! | [`figure12`] | Fig. 12 (a,b) | Couples of SPEs, DMA-elem vs DMA-list |
-//! | [`figure13`] | Fig. 13 (a,b) | Couples: spread over placements |
-//! | [`figure15`] | Fig. 15 (a,b) | Cycle of SPEs, DMA-elem vs DMA-list |
-//! | [`figure16`] | Fig. 16 (a,b) | Cycle: spread over placements |
-//! | [`figure_gups`] | — (extension) | GUPS random 8–128 B get+put update cycles |
-//! | [`figure_stencil`] | — (extension) | Stencil halo exchange, halo width × grid shape |
-//! | [`figure_pairlist`] | — (extension) | Pair-list skewed indexed gather/scatter |
-//! | [`figure_degraded`] | — (extension) | Fault-injection ladder: healthy → 7 SPE → ring derate → bank NACKs |
+//! | [`figure10_with`] | Fig. 10 | Delayed DMA synchronization, SPE↔SPE |
+//! | [`figure12_with`] | Fig. 12 (a,b) | Couples of SPEs, DMA-elem vs DMA-list |
+//! | [`figure13_with`] | Fig. 13 (a,b) | Couples: spread over placements |
+//! | [`figure15_with`] | Fig. 15 (a,b) | Cycle of SPEs, DMA-elem vs DMA-list |
+//! | [`figure16_with`] | Fig. 16 (a,b) | Cycle: spread over placements |
+//! | [`figure_gups_with`] | — (extension) | GUPS random 8–128 B get+put update cycles |
+//! | [`figure_stencil_with`] | — (extension) | Stencil halo exchange, halo width × grid shape |
+//! | [`figure_pairlist_with`] | — (extension) | Pair-list skewed indexed gather/scatter |
+//! | [`figure_degraded_with`] | — (extension) | Fault-injection ladder: healthy → 7 SPE → ring derate → bank NACKs |
 //! | [`figure_roofline_with`] | — (§5 future work) | Small-kernel roofline, GFLOP/s on 1–8 SPEs |
+//!
+//! [`FIGURES`] lists every figure `repro --figure` accepts, one row each:
+//! its id, its sweep points and its renderer. `repro`, `cellsim-client`,
+//! [`all_figures_with`] and [`crate::baseline::Baseline`] all iterate that table,
+//! so adding a figure is adding one row.
 //!
 //! [`kernel_estimate`] (one kernel's roofline) and [`execute_tasks`] (a
 //! CellSs-style task job on SPE lanes) run on the same executor.
@@ -27,15 +32,13 @@
 //!
 //! # Parallel sweeps
 //!
-//! Every DMA experiment is a sweep of independent runs, so each figure
-//! has two entry points: `figureN(system, cfg)` runs on a private
-//! [`SweepExecutor`] (worker count from `CELLSIM_JOBS`, default: all
-//! cores), and `figureN_with(exec, system, cfg)` shares a caller-supplied
-//! executor — sharing is what lets the run cache collapse the duplicate
-//! points between Figures 10/12, 12/13 and 15/16. Results are
-//! bit-identical for any worker count: run `k` of a sweep always draws
-//! placement [`Placement::lottery`]`(cfg.seed, k)`, independent of
-//! scheduling.
+//! Every DMA experiment is a sweep of independent runs on a
+//! caller-supplied [`SweepExecutor`]: `figureN_with(exec, system, cfg)`.
+//! Sharing one executor across figures is what lets the run cache
+//! collapse the duplicate points between Figures 10/12, 12/13 and 15/16.
+//! Results are bit-identical for any worker count: run `k` of a sweep
+//! always draws placement [`Placement::lottery`]`(cfg.seed, k)`,
+//! independent of scheduling.
 
 mod appwork;
 mod degraded;
@@ -45,21 +48,15 @@ mod spe_mem;
 mod spe_pairs;
 mod spu_ls;
 
-pub use appwork::{
-    figure_gups, figure_gups_with, figure_pairlist, figure_pairlist_with, figure_stencil,
-    figure_stencil_with,
-};
-pub use degraded::{figure_degraded, figure_degraded_with};
+pub use appwork::{figure_gups_with, figure_pairlist_with, figure_stencil_with};
+pub use degraded::figure_degraded_with;
 pub use ppe::{figure3, figure4, figure6};
 pub use programs::{
     execute_tasks, figure_roofline_with, kernel_estimate, Bound, KernelEstimate, LaneUsage,
     ProgramError, RuntimeReport,
 };
-pub use spe_mem::{figure8, figure8_with};
-pub use spe_pairs::{
-    figure10, figure10_with, figure12, figure12_with, figure13, figure13_with, figure15,
-    figure15_with, figure16, figure16_with,
-};
+pub use spe_mem::figure8_with;
+pub use spe_pairs::{figure10_with, figure12_with, figure13_with, figure15_with, figure16_with};
 pub use spu_ls::section_4_2_2;
 
 use std::fmt;
@@ -71,19 +68,130 @@ use crate::exec::{RunError, RunSpec, SweepExecutor, Workload};
 use crate::fabric::FabricReport;
 use crate::metrics::MetricsSummary;
 use crate::placement::Placement;
-use crate::report::{Figure, SpreadFigure};
+use crate::report::{Figure, MetricsTable, SpreadFigure};
 use crate::{CellSystem, TransferPlan};
 
-/// Every figure id `repro --figure` accepts: the paper figures in paper
-/// order, then the application-workload extensions (`gups`, `stencil`,
-/// `pairlist` — baselined like the paper figures), then the `degraded`
-/// fault-injection extension. `degraded` is not part of the baseline
-/// set ([`crate::Baseline`] collects only healthy figures), so
-/// committed baselines are unaffected by the fault subsystem.
-pub const FIGURE_IDS: &[&str] = &[
-    "3", "4", "6", "8", "4.2.2", "10", "12", "13", "15", "16", "gups", "stencil", "pairlist",
-    "degraded",
+/// A figure's entry point: `figureN_with` or a wrapper of it.
+pub type Renderer<T> =
+    fn(&SweepExecutor, &CellSystem, &ExperimentConfig) -> Result<T, ExperimentError>;
+
+/// What a [`FigureRow`] renders, with the renderer that produces it.
+/// The shape is known before anything runs, so callers pick rows by it
+/// (baselines skip the fault ladder) without simulating them.
+#[derive(Clone, Copy)]
+pub enum Render {
+    /// Bandwidth tables.
+    Figures(Renderer<Vec<Figure>>),
+    /// Placement-spread tables.
+    Spreads(Renderer<Vec<SpreadFigure>>),
+    /// The fault-injection ladder plus the metrics digest of its runs.
+    /// Baselines snapshot the healthy blade, so they leave it out.
+    Degraded(Renderer<(Figure, MetricsTable)>),
+}
+
+/// One figure `repro --figure` accepts.
+pub struct FigureRow {
+    /// The `--figure` id.
+    pub id: &'static str,
+    /// The sweep points behind the figure; `None` for figures that do
+    /// not sweep the DMA fabric (3, 4, 6, §4.2.2) and for the fault
+    /// ladder, whose runs carry their own fault plans. The builder
+    /// expects a validated config: call it through [`figure_points`].
+    pub points: Option<fn(&ExperimentConfig) -> Vec<SweepPoint>>,
+    /// How the figure renders.
+    pub render: Render,
+}
+
+/// Every figure `repro --figure` accepts, in output order: the paper
+/// figures in paper order, then the application-workload extensions
+/// (baselined like the paper figures), then the `degraded`
+/// fault-injection ladder.
+pub const FIGURES: &[FigureRow] = &[
+    FigureRow {
+        id: "3",
+        points: None,
+        render: Render::Figures(|_, system, _| Ok(figure3(system))),
+    },
+    FigureRow {
+        id: "4",
+        points: None,
+        render: Render::Figures(|_, system, _| Ok(figure4(system))),
+    },
+    FigureRow {
+        id: "6",
+        points: None,
+        render: Render::Figures(|_, system, _| Ok(figure6(system))),
+    },
+    FigureRow {
+        id: "8",
+        points: Some(spe_mem::figure8_points),
+        render: Render::Figures(figure8_with),
+    },
+    FigureRow {
+        id: "4.2.2",
+        points: None,
+        render: Render::Figures(|_, system, _| Ok(vec![section_4_2_2(system)])),
+    },
+    FigureRow {
+        id: "10",
+        points: Some(spe_pairs::figure10_points),
+        render: Render::Figures(|exec, system, cfg| {
+            figure10_with(exec, system, cfg).map(|f| vec![f])
+        }),
+    },
+    FigureRow {
+        id: "12",
+        points: Some(spe_pairs::figure12_points),
+        render: Render::Figures(figure12_with),
+    },
+    FigureRow {
+        id: "13",
+        points: Some(spe_pairs::figure13_points),
+        render: Render::Spreads(figure13_with),
+    },
+    FigureRow {
+        id: "15",
+        points: Some(spe_pairs::figure15_points),
+        render: Render::Figures(figure15_with),
+    },
+    FigureRow {
+        id: "16",
+        points: Some(spe_pairs::figure16_points),
+        render: Render::Spreads(figure16_with),
+    },
+    FigureRow {
+        id: "gups",
+        points: Some(appwork::gups_points),
+        render: Render::Figures(|exec, system, cfg| {
+            figure_gups_with(exec, system, cfg).map(|f| vec![f])
+        }),
+    },
+    FigureRow {
+        id: "stencil",
+        points: Some(appwork::stencil_points),
+        render: Render::Figures(|exec, system, cfg| {
+            figure_stencil_with(exec, system, cfg).map(|f| vec![f])
+        }),
+    },
+    FigureRow {
+        id: "pairlist",
+        points: Some(appwork::pairlist_points),
+        render: Render::Figures(|exec, system, cfg| {
+            figure_pairlist_with(exec, system, cfg).map(|f| vec![f])
+        }),
+    },
+    FigureRow {
+        id: "degraded",
+        points: None,
+        render: Render::Degraded(figure_degraded_with),
+    },
 ];
+
+/// The [`FIGURES`] row for `id`, if there is one.
+#[must_use]
+pub fn figure_row(id: &str) -> Option<&'static FigureRow> {
+    FIGURES.iter().find(|row| row.id == id)
+}
 
 /// Shared knobs of the DMA experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -350,10 +458,10 @@ pub fn figure_specs(
     specs
 }
 
-/// The sweep points behind a fabric figure, in figure order: the same
-/// builders [`figure_metrics_with`] and the figure renderers use.
-/// Returns `Ok(None)` for figures that do not sweep the DMA fabric
-/// (3, 4, 6, §4.2.2) and for unknown ids.
+/// The sweep points behind a fabric figure, in figure order: the
+/// [`FIGURES`] row's builder, which [`figure_metrics_with`] and the
+/// figure renderers use too. Returns `Ok(None)` for rows without sweep
+/// points and for unknown ids.
 ///
 /// # Errors
 ///
@@ -362,18 +470,8 @@ pub fn figure_points(
     cfg: &ExperimentConfig,
     figure: &str,
 ) -> Result<Option<Vec<SweepPoint>>, ExperimentError> {
-    type Builder = fn(&ExperimentConfig) -> Vec<SweepPoint>;
-    let (id, builder): (&'static str, Builder) = match figure {
-        "8" => ("8", spe_mem::figure8_points),
-        "10" => ("10", spe_pairs::figure10_points),
-        "12" => ("12", spe_pairs::figure12_points),
-        "13" => ("13", spe_pairs::figure13_points),
-        "15" => ("15", spe_pairs::figure15_points),
-        "16" => ("16", spe_pairs::figure16_points),
-        "gups" => ("gups", appwork::gups_points),
-        "stencil" => ("stencil", appwork::stencil_points),
-        "pairlist" => ("pairlist", appwork::pairlist_points),
-        _ => return Ok(None),
+    let Some((id, builder)) = figure_row(figure).and_then(|row| Some((row.id, row.points?))) else {
+        return Ok(None);
     };
     cfg.validate()
         .map_err(|issue| ExperimentError::InvalidConfig { figure: id, issue })?;
@@ -552,9 +650,8 @@ pub(crate) fn mean(samples: &[f64]) -> f64 {
 /// the runs that produced the figure: run `figureN_with` and this on the
 /// *same* executor and every run here is a cache hit.
 ///
-/// Returns `Ok(None)` for figures that do not exercise the DMA fabric
-/// (the PPE and SPU↔LS microbenchmarks: 3, 4, 6 and §4.2.2) and for
-/// unknown ids — id validation belongs to the caller (see [`FIGURE_IDS`]).
+/// Returns `Ok(None)` for [`FIGURES`] rows without sweep points and for
+/// unknown ids — id validation belongs to the caller.
 ///
 /// # Errors
 ///
@@ -576,8 +673,9 @@ pub fn figure_metrics_with(
     Ok(Some(summary))
 }
 
-/// Runs every experiment on `exec` and returns all figures in paper
-/// order. Sharing one executor across figures is what deduplicates the
+/// Renders every [`FIGURES`] row except the fault ladder on `exec`, in
+/// table order: the bandwidth tables, then the placement spreads.
+/// Sharing one executor across figures is what deduplicates the
 /// overlapping sweeps (10→12 2-SPE couples, 12→13 and 15→16 8-SPE
 /// columns).
 ///
@@ -590,32 +688,13 @@ pub fn all_figures_with(
     cfg: &ExperimentConfig,
 ) -> Result<(Vec<Figure>, Vec<SpreadFigure>), ExperimentError> {
     let mut figures = Vec::new();
-    figures.extend(figure3(system));
-    figures.extend(figure4(system));
-    figures.extend(figure6(system));
-    figures.extend(figure8_with(exec, system, cfg)?);
-    figures.push(section_4_2_2(system));
-    figures.push(figure10_with(exec, system, cfg)?);
-    figures.extend(figure12_with(exec, system, cfg)?);
-    figures.extend(figure15_with(exec, system, cfg)?);
-    figures.push(figure_gups_with(exec, system, cfg)?);
-    figures.push(figure_stencil_with(exec, system, cfg)?);
-    figures.push(figure_pairlist_with(exec, system, cfg)?);
     let mut spreads = Vec::new();
-    spreads.extend(figure13_with(exec, system, cfg)?);
-    spreads.extend(figure16_with(exec, system, cfg)?);
+    for row in FIGURES {
+        match row.render {
+            Render::Figures(render) => figures.extend(render(exec, system, cfg)?),
+            Render::Spreads(render) => spreads.extend(render(exec, system, cfg)?),
+            Render::Degraded(_) => {}
+        }
+    }
     Ok((figures, spreads))
-}
-
-/// Runs every experiment on a private executor (`CELLSIM_JOBS` workers,
-/// default: all cores) and returns all figures in paper order.
-///
-/// # Errors
-///
-/// The first [`ExperimentError`] any figure reports.
-pub fn all_figures(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<(Vec<Figure>, Vec<SpreadFigure>), ExperimentError> {
-    all_figures_with(&SweepExecutor::default(), system, cfg)
 }

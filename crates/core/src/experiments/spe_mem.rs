@@ -81,18 +81,6 @@ pub fn figure8_with(
         .collect())
 }
 
-/// [`figure8_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure8_with`].
-pub fn figure8(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Figure>, ExperimentError> {
-    figure8_with(&SweepExecutor::default(), system, cfg)
-}
-
 /// Figure 8's sweep points: ops (GET, PUT, GET+PUT) × SPE counts × elems.
 /// The figure renderer and the per-figure metric digest both build from
 /// here so their runs coincide in the cache. `cfg` must already be
@@ -158,7 +146,7 @@ mod tests {
 
     #[test]
     fn figure8_reproduces_the_scaling_story() {
-        let figs = figure8(&CellSystem::blade(), &tiny()).unwrap();
+        let figs = figure8_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         assert_eq!(figs.len(), 3);
         let get = &figs[0];
         let one = get.value("1 SPE", "16 KB").unwrap();
@@ -174,7 +162,7 @@ mod tests {
 
     #[test]
     fn copy_counts_both_directions_of_traffic() {
-        let figs = figure8(&CellSystem::blade(), &tiny()).unwrap();
+        let figs = figure8_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         let copy_one = figs[2].value("1 SPE", "16 KB").unwrap();
         // Single-SPE copy ≈ 10 GB/s of combined read+write traffic.
         assert!((7.0..12.0).contains(&copy_one), "copy={copy_one}");

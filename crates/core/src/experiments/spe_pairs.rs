@@ -232,15 +232,6 @@ pub fn figure10_with(
     })
 }
 
-/// [`figure10_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure10_with`].
-pub fn figure10(system: &CellSystem, cfg: &ExperimentConfig) -> Result<Figure, ExperimentError> {
-    figure10_with(&SweepExecutor::default(), system, cfg)
-}
-
 /// Couples of SPEs (Figure 12): 1, 2 and 4 active/passive pairs,
 /// DMA-elem (a) and DMA-list (b). Runs on `exec`; the 8-SPE series
 /// shares its runs with Figure 13.
@@ -254,18 +245,6 @@ pub fn figure12_with(
     cfg: &ExperimentConfig,
 ) -> Result<Vec<Figure>, ExperimentError> {
     pattern_figures(exec, system, cfg, Pattern::Couples, "12", "Couples of SPEs")
-}
-
-/// [`figure12_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure12_with`].
-pub fn figure12(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Figure>, ExperimentError> {
-    figure12_with(&SweepExecutor::default(), system, cfg)
 }
 
 /// Couples placement spread (Figure 13): min/median/mean/max over random
@@ -291,18 +270,6 @@ pub fn figure13_with(
     )
 }
 
-/// [`figure13_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure13_with`].
-pub fn figure13(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<SpreadFigure>, ExperimentError> {
-    figure13_with(&SweepExecutor::default(), system, cfg)
-}
-
 /// Cycle of SPEs (Figure 15): 2, 4 and 8 SPEs each exchanging with their
 /// logical neighbour, DMA-elem (a) and DMA-list (b). Runs on `exec`; the
 /// 8-SPE series shares its runs with Figure 16.
@@ -316,18 +283,6 @@ pub fn figure15_with(
     cfg: &ExperimentConfig,
 ) -> Result<Vec<Figure>, ExperimentError> {
     pattern_figures(exec, system, cfg, Pattern::Cycle, "15", "Cycle of SPEs")
-}
-
-/// [`figure15_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure15_with`].
-pub fn figure15(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Figure>, ExperimentError> {
-    figure15_with(&SweepExecutor::default(), system, cfg)
 }
 
 /// Cycle placement spread (Figure 16): min/median/mean/max over random
@@ -344,18 +299,6 @@ pub fn figure16_with(
     cfg: &ExperimentConfig,
 ) -> Result<Vec<SpreadFigure>, ExperimentError> {
     spread_figures(exec, system, cfg, Pattern::Cycle, "16", "Cycle of 8 SPEs")
-}
-
-/// [`figure16_with`] on a private executor.
-///
-/// # Errors
-///
-/// See [`figure16_with`].
-pub fn figure16(
-    system: &CellSystem,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<SpreadFigure>, ExperimentError> {
-    figure16_with(&SweepExecutor::default(), system, cfg)
 }
 
 fn pattern_figures(
@@ -460,7 +403,7 @@ mod tests {
 
     #[test]
     fn figure10_eager_sync_is_worst() {
-        let fig = figure10(&CellSystem::blade(), &tiny()).unwrap();
+        let fig = figure10_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         let eager = fig.value("every 1", "16 KB").unwrap();
         let lazy = fig.value("all", "16 KB").unwrap();
         assert!(eager < lazy, "eager={eager} lazy={lazy}");
@@ -468,7 +411,7 @@ mod tests {
 
     #[test]
     fn figure12_two_spes_near_peak_and_lists_flat() {
-        let figs = figure12(&CellSystem::blade(), &tiny()).unwrap();
+        let figs = figure12_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         let elem = &figs[0];
         let list = &figs[1];
         assert!(elem.value("2 SPEs", "16 KB").unwrap() > 28.0);
@@ -481,8 +424,9 @@ mod tests {
     fn figure15_cycle_saturates_below_couples() {
         let sys = CellSystem::blade();
         let cfg = tiny();
-        let couples = figure12(&sys, &cfg).unwrap();
-        let cycle = figure15(&sys, &cfg).unwrap();
+        let exec = SweepExecutor::new(2);
+        let couples = figure12_with(&exec, &sys, &cfg).unwrap();
+        let cycle = figure15_with(&exec, &sys, &cfg).unwrap();
         let c8 = couples[0].value("8 SPEs", "16 KB").unwrap();
         let y8 = cycle[0].value("8 SPEs", "16 KB").unwrap();
         assert!(
@@ -495,7 +439,7 @@ mod tests {
 
     #[test]
     fn figure16_shows_placement_spread() {
-        let spread = figure16(&CellSystem::blade(), &tiny()).unwrap();
+        let spread = figure16_with(&SweepExecutor::new(2), &CellSystem::blade(), &tiny()).unwrap();
         assert_eq!(spread.len(), 2);
         assert!(spread[0].max_spread() > 1.0, "placements must matter");
         for (_, s) in &spread[0].rows {
@@ -525,7 +469,7 @@ mod tests {
             placements: 0,
             ..tiny()
         };
-        let err = figure12(&CellSystem::blade(), &cfg).unwrap_err();
+        let err = figure12_with(&SweepExecutor::new(1), &CellSystem::blade(), &cfg).unwrap_err();
         assert_eq!(
             err,
             ExperimentError::InvalidConfig {

@@ -27,7 +27,9 @@
 use std::fmt;
 use std::time::Instant;
 
-use crate::baseline::Drift;
+use crate::baseline::{
+    experiment_from_json, experiment_json, field_f64, field_str, field_u64, Drift,
+};
 use crate::exec::SweepExecutor;
 use crate::experiments::{self, ExperimentConfig, ExperimentError};
 use crate::json::{self, JsonValue};
@@ -111,6 +113,12 @@ impl fmt::Display for PerfError {
 }
 
 impl std::error::Error for PerfError {}
+
+impl From<String> for PerfError {
+    fn from(message: String) -> PerfError {
+        PerfError { message }
+    }
+}
 
 fn bad(message: impl Into<String>) -> PerfError {
     PerfError {
@@ -253,12 +261,6 @@ impl PerfBaseline {
     /// order, floats at 6 decimals, one line). The derived
     /// `events_per_sec` field is informational and ignored on parse.
     pub fn to_json(&self) -> String {
-        let sizes: Vec<String> = self
-            .experiment
-            .dma_elem_sizes
-            .iter()
-            .map(u32::to_string)
-            .collect();
         let figures: Vec<String> = self
             .figures
             .iter()
@@ -277,17 +279,11 @@ impl PerfBaseline {
             })
             .collect();
         format!(
-            "{{\"version\":{},\"band\":{:.6},\"jobs\":{},\
-             \"experiment\":{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\
-             \"placements\":{},\"seed\":{}}},\
-             \"figures\":[{}]}}\n",
+            "{{\"version\":{},\"band\":{:.6},\"jobs\":{},{},\"figures\":[{}]}}\n",
             PERF_VERSION,
             self.band,
             self.jobs,
-            self.experiment.volume_per_spe,
-            sizes.join(","),
-            self.experiment.placements,
-            self.experiment.seed,
+            experiment_json(&self.experiment),
             figures.join(",")
         )
     }
@@ -305,27 +301,7 @@ impl PerfBaseline {
                 "unsupported perf version {version} (expected {PERF_VERSION})"
             )));
         }
-        let experiment = doc
-            .get("experiment")
-            .ok_or_else(|| bad("missing 'experiment'"))?;
-        let sizes = experiment
-            .get("dma_elem_sizes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'experiment.dma_elem_sizes'"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("bad element size"))
-            })
-            .collect::<Result<Vec<u32>, _>>()?;
-        let cfg = ExperimentConfig {
-            volume_per_spe: field_u64(experiment, "volume_per_spe")?,
-            dma_elem_sizes: sizes,
-            placements: usize::try_from(field_u64(experiment, "placements")?)
-                .map_err(|_| bad("placements out of range"))?,
-            seed: field_u64(experiment, "seed")?,
-        };
+        let cfg = experiment_from_json(&doc)?;
         let figures = doc
             .get("figures")
             .and_then(JsonValue::as_array)
@@ -349,25 +325,6 @@ impl PerfBaseline {
             figures,
         })
     }
-}
-
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, PerfError> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer '{key}'")))
-}
-
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, PerfError> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric '{key}'")))
-}
-
-fn field_str(v: &JsonValue, key: &str) -> Result<String, PerfError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad(format!("missing or non-string '{key}'")))
 }
 
 #[cfg(test)]

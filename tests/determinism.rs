@@ -1,7 +1,8 @@
 //! Reproducibility guarantees: identical inputs give bit-identical
 //! results, and the placement lottery is seed-stable.
 
-use cellsim::experiments::{figure12, ExperimentConfig};
+use cellsim::exec::SweepExecutor;
+use cellsim::experiments::{figure12_with, ExperimentConfig};
 use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,8 +44,8 @@ fn experiments_are_seed_stable() {
         seed: 42,
     };
     let sys = CellSystem::blade();
-    let a = figure12(&sys, &cfg).unwrap();
-    let b = figure12(&sys, &cfg).unwrap();
+    let a = figure12_with(&SweepExecutor::default(), &sys, &cfg).unwrap();
+    let b = figure12_with(&SweepExecutor::default(), &sys, &cfg).unwrap();
     assert_eq!(a, b);
 }
 

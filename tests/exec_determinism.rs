@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim::experiments::{
-    all_figures_with, figure12_with, figure_metrics_with, ExperimentConfig, FIGURE_IDS,
+    all_figures_with, figure12_with, figure_metrics_with, ExperimentConfig, FIGURES,
 };
 use cellsim::report::MetricsTable;
 use cellsim::{CellConfig, CellSystem, Placement, SyncPolicy, TransferPlan};
@@ -35,10 +35,10 @@ fn rendered(
 /// --metrics` would print and export it.
 fn rendered_metrics(exec: &SweepExecutor, sys: &CellSystem, cfg: &ExperimentConfig) -> String {
     let mut out = String::new();
-    for id in FIGURE_IDS {
-        if let Some(summary) = figure_metrics_with(exec, sys, cfg, id).unwrap() {
+    for row in FIGURES {
+        if let Some(summary) = figure_metrics_with(exec, sys, cfg, row.id).unwrap() {
             let table = MetricsTable {
-                id: (*id).to_string(),
+                id: row.id.to_string(),
                 summary,
             };
             out.push_str(&table.to_string());

@@ -1,9 +1,10 @@
 //! Integration tests asserting the paper's qualitative landmarks across
 //! the whole stack — the claims EXPERIMENTS.md records.
 
+use cellsim::exec::SweepExecutor;
 use cellsim::experiments::{
-    figure10, figure12, figure13, figure15, figure16, figure3, figure4, figure6, figure8,
-    section_4_2_2, ExperimentConfig,
+    figure10_with, figure12_with, figure13_with, figure15_with, figure16_with, figure3, figure4,
+    figure6, figure8_with, section_4_2_2, ExperimentConfig,
 };
 use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
 
@@ -62,7 +63,7 @@ fn spu_local_store_peaks_at_33_6() {
 
 #[test]
 fn figure8_memory_scaling_shape() {
-    let figs = figure8(&CellSystem::blade(), &cfg()).unwrap();
+    let figs = figure8_with(&SweepExecutor::default(), &CellSystem::blade(), &cfg()).unwrap();
     let get = &figs[0];
     let one = get.value("1 SPE", "16 KB").unwrap();
     let two = get.value("2 SPEs", "16 KB").unwrap();
@@ -81,7 +82,7 @@ fn figure8_memory_scaling_shape() {
 
 #[test]
 fn figure10_sync_delay_orders_monotonically() {
-    let fig = figure10(&CellSystem::blade(), &cfg()).unwrap();
+    let fig = figure10_with(&SweepExecutor::default(), &CellSystem::blade(), &cfg()).unwrap();
     let at = |label: &str| fig.value(label, "16 KB").unwrap();
     assert!(at("every 1") < at("every 4"));
     assert!(at("every 4") < at("every 16"));
@@ -90,7 +91,7 @@ fn figure10_sync_delay_orders_monotonically() {
 
 #[test]
 fn figure12_couples_and_lists() {
-    let figs = figure12(&CellSystem::blade(), &cfg()).unwrap();
+    let figs = figure12_with(&SweepExecutor::default(), &CellSystem::blade(), &cfg()).unwrap();
     let (elem, list) = (&figs[0], &figs[1]);
     // One couple hits near-peak for >=1 KB elements.
     assert!(elem.value("2 SPEs", "1 KB").unwrap() > 30.0);
@@ -113,8 +114,9 @@ fn figure12_couples_and_lists() {
 fn figure15_cycle_saturates_the_bus() {
     let sys = CellSystem::blade();
     let c = cfg();
-    let cycle = figure15(&sys, &c).unwrap();
-    let couples = figure12(&sys, &c).unwrap();
+    let exec = SweepExecutor::default();
+    let cycle = figure15_with(&exec, &sys, &c).unwrap();
+    let couples = figure12_with(&exec, &sys, &c).unwrap();
     // 2-SPE cycle reaches the pair peak.
     assert!(cycle[0].value("2 SPEs", "16 KB").unwrap() > 31.0);
     // 8-SPE cycle < 8-SPE couples: more active transfers, same demand.
@@ -127,17 +129,14 @@ fn figure15_cycle_saturates_the_bus() {
 fn figures13_and_16_show_placement_spread() {
     let sys = CellSystem::blade();
     let c = cfg();
-    for spread in figure13(&sys, &c)
-        .unwrap()
-        .iter()
-        .chain(figure16(&sys, &c).unwrap().iter())
-    {
+    let exec = SweepExecutor::default();
+    let f16 = figure16_with(&exec, &sys, &c).unwrap();
+    for spread in figure13_with(&exec, &sys, &c).unwrap().iter().chain(&f16) {
         for (x, s) in &spread.rows {
             assert!(s.min <= s.mean && s.mean <= s.max, "{} {x}", spread.id);
         }
     }
     // The 16 KB rows of the 8-SPE experiments vary by several GB/s.
-    let f16 = figure16(&sys, &c).unwrap();
     let last = &f16[0].rows.last().unwrap().1;
     assert!(last.spread() > 2.0, "spread={}", last.spread());
 }

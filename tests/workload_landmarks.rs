@@ -6,8 +6,7 @@
 
 use cellsim::exec::SweepExecutor;
 use cellsim::experiments::{
-    figure8, figure_gups, figure_gups_with, figure_pairlist, figure_pairlist_with, figure_stencil,
-    figure_stencil_with, ExperimentConfig,
+    figure8_with, figure_gups_with, figure_pairlist_with, figure_stencil_with, ExperimentConfig,
 };
 use cellsim::{CellSystem, FaultPlan};
 
@@ -17,7 +16,7 @@ fn cfg() -> ExperimentConfig {
 
 /// Best streaming GET bandwidth figure 8 reaches at 16 KB elements.
 fn streaming_peak(sys: &CellSystem, cfg: &ExperimentConfig) -> f64 {
-    let get = &figure8(sys, cfg).unwrap()[0];
+    let get = &figure8_with(&SweepExecutor::default(), sys, cfg).unwrap()[0];
     ["1 SPE", "2 SPEs", "4 SPEs", "8 SPEs"]
         .iter()
         .map(|s| get.value(s, "16 KB").unwrap())
@@ -28,8 +27,9 @@ fn streaming_peak(sys: &CellSystem, cfg: &ExperimentConfig) -> f64 {
 fn gups_small_updates_pay_the_random_access_penalty() {
     let sys = CellSystem::blade();
     let c = cfg();
-    let fig = figure_gups(&sys, &c).unwrap();
-    let streaming = figure8(&sys, &c).unwrap()[0]
+    let exec = SweepExecutor::default();
+    let fig = figure_gups_with(&exec, &sys, &c).unwrap();
+    let streaming = figure8_with(&exec, &sys, &c).unwrap()[0]
         .value("1 SPE", "16 KB")
         .unwrap();
     // An 8 B random update cycle is an order of magnitude below a
@@ -58,7 +58,7 @@ fn gups_small_updates_pay_the_random_access_penalty() {
 fn stencil_approaches_streaming_as_halo_grows() {
     let sys = CellSystem::blade();
     let c = cfg();
-    let fig = figure_stencil(&sys, &c).unwrap();
+    let fig = figure_stencil_with(&SweepExecutor::default(), &sys, &c).unwrap();
     for series in &fig.series {
         let thin = fig.value(&series.label, "1").unwrap();
         let wide = fig.value(&series.label, "8").unwrap();
@@ -88,8 +88,9 @@ fn stencil_approaches_streaming_as_halo_grows() {
 fn pairlist_lands_between_gups_and_streaming() {
     let sys = CellSystem::blade();
     let c = cfg();
-    let pair = figure_pairlist(&sys, &c).unwrap();
-    let gups = figure_gups(&sys, &c).unwrap();
+    let exec = SweepExecutor::default();
+    let pair = figure_pairlist_with(&exec, &sys, &c).unwrap();
+    let gups = figure_gups_with(&exec, &sys, &c).unwrap();
     let peak = streaming_peak(&sys, &c);
     for spes in ["1 SPE", "2 SPEs", "4 SPEs", "8 SPEs"] {
         // Gathering 16 B records through DMA lists beats issuing 8 B
@@ -167,7 +168,7 @@ fn workload_figures_compose_with_fault_plans() {
     // ...and bank NACKs cost bandwidth overall. Retry-shifted packet
     // timing can nudge an individual point a hair either way, so each
     // point gets a small tolerance while the aggregate must drop.
-    let h = figure_gups(&healthy, &c).unwrap();
+    let h = figure_gups_with(&SweepExecutor::default(), &healthy, &c).unwrap();
     let f = figure_gups_with(&SweepExecutor::new(4), &faulty, &c).unwrap();
     let (mut healthy_sum, mut faulty_sum, mut slowed) = (0.0, 0.0, 0);
     for (hs, fs) in h.series.iter().zip(&f.series) {
