@@ -51,6 +51,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use cellsim_core::json::Writer;
+use cellsim_core::report::csv_field;
 use cellsim_core::tracestore::{
     parse_path, Manifest, TraceFilter, TraceKind, TraceStore, TraceStoreError, MANIFEST_FILE,
 };
@@ -302,6 +304,71 @@ fn discover(dir: &Path) -> Result<Vec<Run>, CliError> {
         .collect()
 }
 
+/// Column names of the csv and json listings (the csv header lines).
+const SUMMARY_COLUMNS: &str = "run,pattern,spes,volume,elem,cycles,total_bytes,gbps,events,\
+                               packets,abandoned,stall_cycles,dominant_stall,trace_events,trace_bytes";
+const EVENT_COLUMNS: &str = "run,cycle,phase,spe,path,aux,hops,bytes";
+const STALL_COLUMNS: &str = "run,pattern,spes,elem,stall_cycles,dominant_stall,gbps";
+
+/// One value of a csv or json row: strings are quoted, numbers are
+/// written as `Display` prints them.
+enum Cell<'a> {
+    Str(&'a str),
+    Num(String),
+}
+
+fn num(v: impl std::fmt::Display) -> Cell<'static> {
+    Cell::Num(v.to_string())
+}
+
+/// Opens a csv table (its header line) or a json array.
+fn header(format: Format, columns: &str) {
+    match format {
+        Format::Csv => outln!("{columns}"),
+        _ => outln!("["),
+    }
+}
+
+/// Prints a whole csv table, or a json array of one object per line.
+fn table<'a>(format: Format, columns: &str, rows: impl Iterator<Item = Vec<Cell<'a>>>) {
+    header(format, columns);
+    let mut rows = rows.peekable();
+    while let Some(cells) = rows.next() {
+        let tail = if rows.peek().is_some() { "," } else { "" };
+        row(format, columns, &cells, tail);
+    }
+    if format == Format::Json {
+        outln!("]");
+    }
+}
+
+/// Prints one csv row, or one json object keyed by `columns` and
+/// followed by `tail` (its array separator).
+fn row(format: Format, columns: &str, cells: &[Cell], tail: &str) {
+    if format == Format::Csv {
+        let fields: Vec<String> = cells
+            .iter()
+            .map(|c| match c {
+                Cell::Str(s) => csv_field(s),
+                Cell::Num(n) => n.clone(),
+            })
+            .collect();
+        outln!("{}", fields.join(","));
+        return;
+    }
+    let mut w = Writer::with_capacity(256);
+    w.begin_object();
+    for (key, cell) in columns.split(',').zip(cells) {
+        w.key(key);
+        match cell {
+            Cell::Str(s) => w.str(s),
+            Cell::Num(n) => w.raw(n),
+        };
+    }
+    w.end_object();
+    outln!("{}{tail}", w.finish());
+}
+
 fn summary(runs: &[Run], format: Format) {
     match format {
         Format::Text => {
@@ -339,62 +406,30 @@ fn summary(runs: &[Run], format: Format) {
                 );
             }
         }
-        Format::Csv => {
-            outln!(
-                "run,pattern,spes,volume,elem,cycles,total_bytes,gbps,events,packets,\
-                 abandoned,stall_cycles,dominant_stall,trace_events,trace_bytes"
-            );
-            for r in runs {
+        _ => table(
+            format,
+            SUMMARY_COLUMNS,
+            runs.iter().map(|r| {
                 let m = &r.manifest;
-                outln!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    r.name,
-                    m.pattern,
-                    m.spes,
-                    m.volume,
-                    m.elem,
-                    m.cycles,
-                    m.total_bytes,
-                    m.aggregate_gbps,
-                    m.events,
-                    m.packets,
-                    m.abandoned,
-                    m.stall_cycles,
-                    m.dominant_stall,
-                    m.trace_events,
-                    m.trace_bytes
-                );
-            }
-        }
-        Format::Json => {
-            outln!("[");
-            for (i, r) in runs.iter().enumerate() {
-                let m = &r.manifest;
-                outln!(
-                    "{{\"run\":\"{}\",\"pattern\":\"{}\",\"spes\":{},\"volume\":{},\
-                     \"elem\":{},\"cycles\":{},\"total_bytes\":{},\"gbps\":{},\
-                     \"events\":{},\"packets\":{},\"abandoned\":{},\"stall_cycles\":{},\
-                     \"dominant_stall\":\"{}\",\"trace_events\":{},\"trace_bytes\":{}}}{}",
-                    r.name,
-                    m.pattern,
-                    m.spes,
-                    m.volume,
-                    m.elem,
-                    m.cycles,
-                    m.total_bytes,
-                    m.aggregate_gbps,
-                    m.events,
-                    m.packets,
-                    m.abandoned,
-                    m.stall_cycles,
-                    m.dominant_stall,
-                    m.trace_events,
-                    m.trace_bytes,
-                    if i + 1 < runs.len() { "," } else { "" }
-                );
-            }
-            outln!("]");
-        }
+                vec![
+                    Cell::Str(&r.name),
+                    Cell::Str(&m.pattern),
+                    num(m.spes),
+                    num(m.volume),
+                    num(m.elem),
+                    num(m.cycles),
+                    num(m.total_bytes),
+                    num(m.aggregate_gbps),
+                    num(m.events),
+                    num(m.packets),
+                    num(m.abandoned),
+                    num(m.stall_cycles),
+                    Cell::Str(&m.dominant_stall),
+                    num(m.trace_events),
+                    num(m.trace_bytes),
+                ]
+            }),
+        ),
     }
 }
 
@@ -411,8 +446,7 @@ fn events(runs: &[Run], args: &Args) -> Result<(), CliError> {
             "hops",
             "bytes"
         ),
-        Format::Csv => outln!("run,cycle,phase,spe,path,aux,hops,bytes"),
-        Format::Json => outln!("["),
+        _ => header(args.format, EVENT_COLUMNS),
     }
     let mut listed = 0u64;
     let mut total = 0u64;
@@ -437,28 +471,20 @@ fn events(runs: &[Run], args: &Args) -> Result<(), CliError> {
                         e.hops,
                         e.bytes
                     ),
-                    Format::Csv => outln!(
-                        "{},{},{},{},{},{},{},{}",
-                        r.name,
-                        e.at,
-                        e.kind.name(),
-                        e.spe,
-                        e.path.name(),
-                        e.aux,
-                        e.hops,
-                        e.bytes
-                    ),
-                    Format::Json => outln!(
-                        "{{\"run\":\"{}\",\"cycle\":{},\"phase\":\"{}\",\"spe\":{},\
-                         \"path\":\"{}\",\"aux\":{},\"hops\":{},\"bytes\":{}}},",
-                        r.name,
-                        e.at,
-                        e.kind.name(),
-                        e.spe,
-                        e.path.name(),
-                        e.aux,
-                        e.hops,
-                        e.bytes
+                    _ => row(
+                        args.format,
+                        EVENT_COLUMNS,
+                        &[
+                            Cell::Str(&r.name),
+                            num(e.at),
+                            Cell::Str(e.kind.name()),
+                            num(e.spe),
+                            Cell::Str(e.path.name()),
+                            num(e.aux),
+                            num(e.hops),
+                            num(e.bytes),
+                        ],
+                        ",",
                     ),
                 }
                 Ok(())
@@ -466,9 +492,11 @@ fn events(runs: &[Run], args: &Args) -> Result<(), CliError> {
             .map_err(|e| CliError::Corrupt(format!("{}: {e}", r.name)))?;
     }
     match args.format {
-        Format::Json => outln!(
-            "{{\"listed\":{listed},\"matched\":{total},\"runs\":{}}}]",
-            runs.len()
+        Format::Json => row(
+            args.format,
+            "listed,matched,runs",
+            &[num(listed), num(total), num(runs.len())],
+            "]",
         ),
         _ => eprintln!(
             "events: listed {listed} of {total} matching, {} run(s)",
@@ -530,15 +558,13 @@ fn counts(runs: &[Run], args: &Args) -> Result<(), CliError> {
             outln!("total,{total}");
             outln!("delivered_bytes,{bytes}");
         }
-        Format::Json => outln!(
-            "{{\"issue\":{},\"mem\":{},\"grant\":{},\"deliver\":{},\
-             \"total\":{total},\"delivered_bytes\":{bytes},\"runs\":{}}}",
-            by_kind[0],
-            by_kind[1],
-            by_kind[2],
-            by_kind[3],
-            runs.len()
-        ),
+        Format::Json => {
+            let names: Vec<&str> = TraceKind::ALL.iter().map(|k| k.name()).collect();
+            let columns = format!("{},total,delivered_bytes,runs", names.join(","));
+            let counts = by_kind.iter().chain([&total, &bytes]).map(num);
+            let cells: Vec<Cell> = counts.chain([num(runs.len())]).collect();
+            row(args.format, &columns, &cells, "");
+        }
     }
     Ok(())
 }
@@ -659,42 +685,22 @@ fn top_stalls(runs: &[Run], n: usize, format: Format) {
                 );
             }
         }
-        Format::Csv => {
-            outln!("run,pattern,spes,elem,stall_cycles,dominant_stall,gbps");
-            for r in ranked {
+        _ => table(
+            format,
+            STALL_COLUMNS,
+            ranked.iter().map(|r| {
                 let m = &r.manifest;
-                outln!(
-                    "{},{},{},{},{},{},{}",
-                    r.name,
-                    m.pattern,
-                    m.spes,
-                    m.elem,
-                    m.stall_cycles,
-                    m.dominant_stall,
-                    m.aggregate_gbps
-                );
-            }
-        }
-        Format::Json => {
-            outln!("[");
-            let last = ranked.len().saturating_sub(1);
-            for (i, r) in ranked.iter().enumerate() {
-                let m = &r.manifest;
-                outln!(
-                    "{{\"run\":\"{}\",\"pattern\":\"{}\",\"spes\":{},\"elem\":{},\
-                     \"stall_cycles\":{},\"dominant_stall\":\"{}\",\"gbps\":{}}}{}",
-                    r.name,
-                    m.pattern,
-                    m.spes,
-                    m.elem,
-                    m.stall_cycles,
-                    m.dominant_stall,
-                    m.aggregate_gbps,
-                    if i < last { "," } else { "" }
-                );
-            }
-            outln!("]");
-        }
+                vec![
+                    Cell::Str(&r.name),
+                    Cell::Str(&m.pattern),
+                    num(m.spes),
+                    num(m.elem),
+                    num(m.stall_cycles),
+                    Cell::Str(&m.dominant_stall),
+                    num(m.aggregate_gbps),
+                ]
+            }),
+        ),
     }
 }
 

@@ -21,7 +21,7 @@ use std::fmt;
 
 use crate::exec::{config_fingerprint, SweepExecutor};
 use crate::experiments::{self, ExperimentConfig, ExperimentError};
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, Writer};
 use crate::latency::DmaPathClass;
 use crate::metrics::MetricsSummary;
 use crate::report::{Figure, SpreadFigure};
@@ -29,6 +29,13 @@ use crate::CellSystem;
 
 /// Format version of the baseline file; bumped on schema changes.
 pub const BASELINE_VERSION: u64 = 1;
+
+/// A spread row's statistics, in `SpreadRow::stats` order.
+const SPREAD_STATS: [&str; 4] = ["min", "median", "mean", "max"];
+/// A latency path's percentiles, in `PathDigest::percentiles` order.
+const PERCENTILES: [&str; 4] = ["p50", "p95", "p99", "max"];
+/// The element-service digest, in `LatencyDigest::element_service` order.
+const ELEMENT_SERVICE: [&str; 5] = ["count", "p50", "p95", "p99", "max"];
 
 /// One recorded bandwidth point of a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -294,11 +301,12 @@ impl Baseline {
                 });
                 continue;
             };
-            const STATS: [&str; 4] = ["min", "median", "mean", "max"];
             for row in &sp.rows {
                 match cur.rows.iter().find(|c| c.x == row.x) {
                     Some(c) => {
-                        for (name, (b, v)) in STATS.iter().zip(row.stats.iter().zip(c.stats.iter()))
+                        for (name, (b, v)) in SPREAD_STATS
+                            .iter()
+                            .zip(row.stats.iter().zip(c.stats.iter()))
                         {
                             gate(
                                 &mut drifts,
@@ -320,7 +328,6 @@ impl Baseline {
                 }
             }
         }
-        const PCTS: [&str; 4] = ["p50", "p95", "p99", "max"];
         for lat in &self.latency {
             let Some(cur) = current.latency.iter().find(|c| c.figure == lat.figure) else {
                 drifts.push(Drift {
@@ -349,7 +356,7 @@ impl Baseline {
                     path.commands as f64,
                     c.commands as f64,
                 );
-                for (name, (b, v)) in PCTS
+                for (name, (b, v)) in PERCENTILES
                     .iter()
                     .zip(path.percentiles.iter().zip(c.percentiles.iter()))
                 {
@@ -377,7 +384,7 @@ impl Baseline {
                     );
                 }
             }
-            for (name, (b, v)) in ["count", "p50", "p95", "p99", "max"]
+            for (name, (b, v)) in ELEMENT_SERVICE
                 .iter()
                 .zip(lat.element_service.iter().zip(cur.element_service.iter()))
             {
@@ -396,106 +403,78 @@ impl Baseline {
     /// Serializes the baseline as deterministic JSON (keys in fixed
     /// order, floats at 6 decimals, one line).
     pub fn to_json(&self) -> String {
-        let figures: Vec<String> = self
-            .figures
-            .iter()
-            .map(|f| {
-                let points: Vec<String> = f
-                    .points
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{{\"series\":\"{}\",\"x\":\"{}\",\"gbps\":{:.6}}}",
-                            json::escape(&p.series),
-                            json::escape(&p.x),
-                            p.gbps
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"id\":\"{}\",\"points\":[{}]}}",
-                    json::escape(&f.id),
-                    points.join(",")
-                )
-            })
-            .collect();
-        let spreads: Vec<String> = self
-            .spreads
-            .iter()
-            .map(|s| {
-                let rows: Vec<String> = s
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"x\":\"{}\",\"min\":{:.6},\"median\":{:.6},\
-                             \"mean\":{:.6},\"max\":{:.6}}}",
-                            json::escape(&r.x),
-                            r.stats[0],
-                            r.stats[1],
-                            r.stats[2],
-                            r.stats[3]
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"id\":\"{}\",\"rows\":[{}]}}",
-                    json::escape(&s.id),
-                    rows.join(",")
-                )
-            })
-            .collect();
-        let latency: Vec<String> = self
-            .latency
-            .iter()
-            .map(|l| {
-                let paths: Vec<String> = l
-                    .paths
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{{\"path\":\"{}\",\"commands\":{},\
-                             \"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\
-                             \"phase_cycles\":[{},{},{},{}]}}",
-                            json::escape(&p.path),
-                            p.commands,
-                            p.percentiles[0],
-                            p.percentiles[1],
-                            p.percentiles[2],
-                            p.percentiles[3],
-                            p.phase_cycles[0],
-                            p.phase_cycles[1],
-                            p.phase_cycles[2],
-                            p.phase_cycles[3]
-                        )
-                    })
-                    .collect();
-                let es = l.element_service;
-                format!(
-                    "{{\"figure\":\"{}\",\"paths\":[{}],\
-                     \"element_service\":{{\"count\":{},\"p50\":{},\
-                     \"p95\":{},\"p99\":{},\"max\":{}}}}}",
-                    json::escape(&l.figure),
-                    paths.join(","),
-                    es[0],
-                    es[1],
-                    es[2],
-                    es[3],
-                    es[4]
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"config_fingerprint\":{},\"tolerance\":{:.6},{},\
-             \"figures\":[{}],\"spreads\":[{}],\"latency\":[{}]}}\n",
-            BASELINE_VERSION,
-            self.config_fingerprint,
-            self.tolerance,
-            experiment_json(&self.experiment),
-            figures.join(","),
-            spreads.join(","),
-            latency.join(",")
-        )
+        let mut w = Writer::with_capacity(64 << 10);
+        w.begin_object()
+            .key("version")
+            .u64(BASELINE_VERSION)
+            .key("config_fingerprint")
+            .u64(self.config_fingerprint)
+            .key("tolerance")
+            .raw(&format!("{:.6}", self.tolerance));
+        write_experiment(&mut w, &self.experiment);
+        w.key("figures").begin_array();
+        for f in &self.figures {
+            w.begin_object()
+                .key("id")
+                .str(&f.id)
+                .key("points")
+                .begin_array();
+            for p in &f.points {
+                w.begin_object()
+                    .key("series")
+                    .str(&p.series)
+                    .key("x")
+                    .str(&p.x)
+                    .key("gbps")
+                    .raw(&format!("{:.6}", p.gbps))
+                    .end_object();
+            }
+            w.end_array().end_object();
+        }
+        w.end_array().key("spreads").begin_array();
+        for s in &self.spreads {
+            w.begin_object()
+                .key("id")
+                .str(&s.id)
+                .key("rows")
+                .begin_array();
+            for r in &s.rows {
+                w.begin_object().key("x").str(&r.x);
+                for (name, v) in SPREAD_STATS.iter().zip(r.stats) {
+                    w.key(name).raw(&format!("{v:.6}"));
+                }
+                w.end_object();
+            }
+            w.end_array().end_object();
+        }
+        w.end_array().key("latency").begin_array();
+        for l in &self.latency {
+            w.begin_object()
+                .key("figure")
+                .str(&l.figure)
+                .key("paths")
+                .begin_array();
+            for p in &l.paths {
+                w.begin_object()
+                    .key("path")
+                    .str(&p.path)
+                    .key("commands")
+                    .u64(p.commands);
+                for (name, &v) in PERCENTILES.iter().zip(&p.percentiles) {
+                    w.key(name).u64(v);
+                }
+                w.key("phase_cycles").u64s(p.phase_cycles).end_object();
+            }
+            w.end_array().key("element_service").begin_object();
+            for (name, &v) in ELEMENT_SERVICE.iter().zip(&l.element_service) {
+                w.key(name).u64(v);
+            }
+            w.end_object().end_object();
+        }
+        w.end_array().end_object();
+        let mut text = w.finish();
+        text.push('\n');
+        text
     }
 
     /// Parses a baseline file.
@@ -512,107 +491,52 @@ impl Baseline {
             )));
         }
         let cfg = experiment_from_json(&doc)?;
-        let figures = doc
-            .get("figures")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'figures'"))?
-            .iter()
-            .map(|f| {
-                let id = field_str(f, "id")?;
-                let points = f
-                    .get("points")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| bad(format!("figure {id}: missing 'points'")))?
-                    .iter()
-                    .map(|p| {
-                        Ok(BandwidthPoint {
-                            series: field_str(p, "series")?,
-                            x: field_str(p, "x")?,
-                            gbps: field_f64(p, "gbps")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, BaselineError>>()?;
-                Ok(FigureDigest { id, points })
-            })
-            .collect::<Result<Vec<_>, BaselineError>>()?;
-        let spreads = doc
-            .get("spreads")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'spreads'"))?
-            .iter()
-            .map(|s| {
-                let id = field_str(s, "id")?;
-                let rows = s
-                    .get("rows")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| bad(format!("spread {id}: missing 'rows'")))?
-                    .iter()
-                    .map(|r| {
-                        Ok(SpreadRow {
-                            x: field_str(r, "x")?,
-                            stats: [
-                                field_f64(r, "min")?,
-                                field_f64(r, "median")?,
-                                field_f64(r, "mean")?,
-                                field_f64(r, "max")?,
-                            ],
-                        })
-                    })
-                    .collect::<Result<Vec<_>, BaselineError>>()?;
-                Ok(SpreadDigest { id, rows })
-            })
-            .collect::<Result<Vec<_>, BaselineError>>()?;
-        let latency = doc
-            .get("latency")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'latency'"))?
-            .iter()
-            .map(|l| {
-                let figure = field_str(l, "figure")?;
-                let paths = l
-                    .get("paths")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| bad(format!("latency {figure}: missing 'paths'")))?
-                    .iter()
-                    .map(|p| {
-                        let phases = p
-                            .get("phase_cycles")
-                            .and_then(JsonValue::as_array)
-                            .filter(|a| a.len() == 4)
-                            .ok_or_else(|| bad("bad 'phase_cycles'"))?;
-                        let mut phase_cycles = [0u64; 4];
-                        for (slot, v) in phase_cycles.iter_mut().zip(phases) {
-                            *slot = v.as_u64().ok_or_else(|| bad("bad phase cycle"))?;
-                        }
-                        Ok(PathDigest {
-                            path: field_str(p, "path")?,
-                            commands: field_u64(p, "commands")?,
-                            percentiles: [
-                                field_u64(p, "p50")?,
-                                field_u64(p, "p95")?,
-                                field_u64(p, "p99")?,
-                                field_u64(p, "max")?,
-                            ],
-                            phase_cycles,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, BaselineError>>()?;
-                let es = l
-                    .get("element_service")
-                    .ok_or_else(|| bad(format!("latency {figure}: missing 'element_service'")))?;
-                Ok(LatencyDigest {
-                    figure,
-                    paths,
-                    element_service: [
-                        field_u64(es, "count")?,
-                        field_u64(es, "p50")?,
-                        field_u64(es, "p95")?,
-                        field_u64(es, "p99")?,
-                        field_u64(es, "max")?,
-                    ],
+        let figures = field_items(&doc, "figures", |f| {
+            let id = field_str(f, "id")?;
+            let points = field_items(f, "points", |p| {
+                Ok(BandwidthPoint {
+                    series: field_str(p, "series")?,
+                    x: field_str(p, "x")?,
+                    gbps: field_f64(p, "gbps")?,
                 })
+            });
+            let points = points.map_err(|e| format!("figure {id}: {e}"))?;
+            Ok(FigureDigest { id, points })
+        })?;
+        let spreads = field_items(&doc, "spreads", |s| {
+            let id = field_str(s, "id")?;
+            let rows = field_items(s, "rows", |r| {
+                Ok(SpreadRow {
+                    x: field_str(r, "x")?,
+                    stats: fields(r, SPREAD_STATS, field_f64)?,
+                })
+            });
+            let rows = rows.map_err(|e| format!("spread {id}: {e}"))?;
+            Ok(SpreadDigest { id, rows })
+        })?;
+        let latency = field_items(&doc, "latency", |l| {
+            let figure = field_str(l, "figure")?;
+            let paths = field_items(l, "paths", |p| {
+                let phases = field_items(p, "phase_cycles", |v| {
+                    v.as_u64().ok_or_else(|| "bad phase cycle".to_string())
+                })?;
+                Ok(PathDigest {
+                    path: field_str(p, "path")?,
+                    commands: field_u64(p, "commands")?,
+                    percentiles: fields(p, PERCENTILES, field_u64)?,
+                    phase_cycles: phases.try_into().map_err(|_| "bad 'phase_cycles'")?,
+                })
+            });
+            let paths = paths.map_err(|e| format!("latency {figure}: {e}"))?;
+            let es = l
+                .get("element_service")
+                .ok_or_else(|| format!("latency {figure}: missing 'element_service'"))?;
+            Ok(LatencyDigest {
+                figure,
+                paths,
+                element_service: fields(es, ELEMENT_SERVICE, field_u64)?,
             })
-            .collect::<Result<Vec<_>, BaselineError>>()?;
+        })?;
         Ok(Baseline {
             config_fingerprint: field_u64(&doc, "config_fingerprint")?,
             tolerance: field_f64(&doc, "tolerance")?,
@@ -626,32 +550,29 @@ impl Baseline {
 
 /// The `"experiment"` member every snapshot file embeds (this file and
 /// [`crate::perf`]'s): the protocol a check re-runs.
-pub(crate) fn experiment_json(cfg: &ExperimentConfig) -> String {
-    let sizes: Vec<String> = cfg.dma_elem_sizes.iter().map(u32::to_string).collect();
-    format!(
-        "\"experiment\":{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\
-         \"placements\":{},\"seed\":{}}}",
-        cfg.volume_per_spe,
-        sizes.join(","),
-        cfg.placements,
-        cfg.seed
-    )
+pub(crate) fn write_experiment(w: &mut Writer, cfg: &ExperimentConfig) {
+    w.key("experiment")
+        .begin_object()
+        .key("volume_per_spe")
+        .u64(cfg.volume_per_spe)
+        .key("dma_elem_sizes")
+        .u64s(cfg.dma_elem_sizes.iter().map(|&n| u64::from(n)))
+        .key("placements")
+        .u64(cfg.placements as u64)
+        .key("seed")
+        .u64(cfg.seed)
+        .end_object();
 }
 
 /// Reads the `"experiment"` member of a snapshot file's document.
 pub(crate) fn experiment_from_json(doc: &JsonValue) -> Result<ExperimentConfig, String> {
     let experiment = doc.get("experiment").ok_or("missing 'experiment'")?;
-    let sizes = experiment
-        .get("dma_elem_sizes")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing 'experiment.dma_elem_sizes'")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("bad element size")
-        })
-        .collect::<Result<Vec<u32>, _>>()?;
+    let sizes = field_items(experiment, "dma_elem_sizes", |v| {
+        v.as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| "bad element size".to_string())
+    })
+    .map_err(|e| format!("experiment: {e}"))?;
     Ok(ExperimentConfig {
         volume_per_spe: field_u64(experiment, "volume_per_spe")?,
         dma_elem_sizes: sizes,
@@ -659,6 +580,33 @@ pub(crate) fn experiment_from_json(doc: &JsonValue) -> Result<ExperimentConfig, 
             .map_err(|_| "placements out of range")?,
         seed: field_u64(experiment, "seed")?,
     })
+}
+
+/// Reads array member `key` of `v`, each item through `item`.
+pub(crate) fn field_items<T>(
+    v: &JsonValue,
+    key: &str,
+    item: impl FnMut(&JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    v.get(key)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("missing '{key}'"))?
+        .iter()
+        .map(item)
+        .collect()
+}
+
+/// Reads members `names` of `v`, in order.
+fn fields<T: Copy + Default, const N: usize>(
+    v: &JsonValue,
+    names: [&str; N],
+    read: fn(&JsonValue, &str) -> Result<T, String>,
+) -> Result<[T; N], String> {
+    let mut out = [T::default(); N];
+    for (slot, name) in out.iter_mut().zip(names) {
+        *slot = read(v, name)?;
+    }
+    Ok(out)
 }
 
 pub(crate) fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {

@@ -23,15 +23,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cellsim_eib::{EibStats, RingStats};
+use cellsim_eib::RingStats;
 use cellsim_kernel::fnv::fnv1a;
-use cellsim_mem::{BankId, BankStats};
+use cellsim_mem::BankId;
 
 use crate::exec::RunKey;
 use crate::fabric::FabricReport;
 use crate::json::{self, JsonValue, Writer};
-use crate::latency::{LatencyHistogram, LatencyMetrics, PathLatency};
-use crate::metrics::{BankMetrics, FabricMetrics, FaultStats, SpeMetrics};
+use crate::latency::{LatencyHistogram, PathLatency};
+use crate::metrics::{FabricMetrics, FaultStats, SpeMetrics};
 
 /// Entry format version; bumped whenever [`FabricReport`]'s persisted
 /// shape changes, so stale-schema entries self-heal by recomputation.
@@ -203,7 +203,7 @@ pub(crate) fn write_key(w: &mut Writer, key: &RunKey) {
 }
 
 fn entry_json(key: &RunKey, report: &FabricReport) -> String {
-    let body = report_json(report);
+    let body = report_to_json(report);
     let mut w = Writer::with_capacity(body.len() + 512);
     w.begin_object()
         .key("schema")
@@ -230,8 +230,8 @@ fn validate(key: &RunKey, text: &str) -> Option<FabricReport> {
     if v.get("key")? != &expected {
         return None;
     }
-    let report = parse_report(v.get("report")?)?;
-    let canonical = report_json(&report);
+    let mut report = report_from_json(v.get("report")?)?;
+    let canonical = report_json(&mut report);
     if v.get("checksum")?.as_str()? != format!("{:016x}", fnv1a(canonical.as_bytes())) {
         return None;
     }
@@ -253,352 +253,330 @@ pub fn key_fingerprint(key: &RunKey) -> u64 {
 /// protocol rely on for exact replay.
 #[must_use]
 pub fn report_to_json(report: &FabricReport) -> String {
-    report_json(report)
+    report_json(&mut report.clone())
 }
 
 /// Parses a report serialized by [`report_to_json`]. Returns `None` on
 /// any structural mismatch (wrong shape, missing field, stale schema).
 #[must_use]
 pub fn report_from_json(v: &JsonValue) -> Option<FabricReport> {
-    parse_report(v)
-}
-
-// ---- canonical emission -------------------------------------------------
-//
-// `f64`s persist as IEEE-754 bit patterns so replays are bit-identical
-// (decimal round-trips are not, and NaN payloads would not survive).
-
-fn write_hist(w: &mut Writer, h: &LatencyHistogram) {
-    w.begin_object()
-        .key("count")
-        .u64(h.count)
-        .key("total")
-        .u64(h.total)
-        .key("max")
-        .u64(h.max)
-        .key("buckets")
-        .u64s(h.buckets)
-        .end_object();
-}
-
-fn write_path(w: &mut Writer, p: &PathLatency) {
-    w.begin_object()
-        .key("commands")
-        .u64(p.commands)
-        .key("end_to_end");
-    write_hist(w, &p.end_to_end);
-    w.key("phase_cycles")
-        .u64s(p.phase_cycles)
-        .key("dominant_counts")
-        .u64s(p.dominant_counts)
-        .key("nacks")
-        .u64(p.nacks)
-        .key("retries")
-        .u64(p.retries)
-        .key("retry_backoff_cycles")
-        .u64(p.retry_backoff_cycles)
-        .key("exhausted_commands")
-        .u64(p.exhausted_commands)
-        .end_object();
-}
-
-fn write_spe(w: &mut Writer, m: &SpeMetrics) {
-    w.begin_object()
-        .key("busy_cycles")
-        .u64(m.busy_cycles)
-        .key("idle_cycles")
-        .u64(m.idle_cycles)
-        .key("stall_mfc_full_cycles")
-        .u64(m.stall_mfc_full_cycles)
-        .key("stall_sync_cycles")
-        .u64(m.stall_sync_cycles)
-        .key("stall_eib_cycles")
-        .u64(m.stall_eib_cycles)
-        .key("stall_mem_cycles")
-        .u64(m.stall_mem_cycles)
-        .key("occupancy_cycles")
-        .u64s(m.occupancy_cycles.iter().copied())
-        .end_object();
-}
-
-fn bank_name(bank: BankId) -> &'static str {
-    match bank {
-        BankId::Local => "local",
-        BankId::Remote => "remote",
-    }
-}
-
-fn write_bank(w: &mut Writer, b: &BankMetrics) {
-    let s = &b.stats;
-    w.begin_object()
-        .key("bank")
-        .str(bank_name(b.bank))
-        .key("accesses")
-        .u64(s.accesses)
-        .key("bytes")
-        .u64(s.bytes)
-        .key("turnaround_cycles")
-        .u64(s.turnaround_cycles)
-        .key("refresh_cycles")
-        .u64(s.refresh_cycles)
-        .key("busy_cycles")
-        .u64(s.busy_cycles)
-        .key("conflicts")
-        .u64(s.conflicts)
-        .end_object();
-}
-
-fn write_metrics(w: &mut Writer, m: &FabricMetrics) {
-    w.begin_object()
-        .key("run_cycles")
-        .u64(m.run_cycles)
-        .key("per_spe")
-        .begin_array();
-    for spe in &m.per_spe {
-        write_spe(w, spe);
-    }
-    w.end_array().key("rings").begin_array();
-    for r in &m.rings {
-        w.begin_object()
-            .key("grants")
-            .u64(r.grants)
-            .key("bytes")
-            .u64(r.bytes)
-            .key("busy_cycles")
-            .u64(r.busy_cycles)
-            .end_object();
-    }
-    w.end_array().key("banks").begin_array();
-    for bank in &m.banks {
-        write_bank(w, bank);
-    }
-    let f = &m.faults;
-    w.end_array()
-        .key("faults")
-        .begin_object()
-        .key("nacks")
-        .u64(f.nacks)
-        .key("retries")
-        .u64(f.retries)
-        .key("retries_exhausted")
-        .u64(f.retries_exhausted)
-        .key("abandoned_packets")
-        .u64(f.abandoned_packets)
-        .key("degraded_cycles")
-        .u64(f.degraded_cycles)
-        .end_object()
-        .key("events")
-        .u64(m.events)
-        .key("suppressed_pumps")
-        .u64(m.suppressed_pumps)
-        .key("peak_live_packets")
-        .u64(m.peak_live_packets)
-        .end_object();
+    let mut report = FabricReport::default();
+    let mut d = Decoder { at: v, ok: true };
+    report_fields(&mut d, &mut report);
+    d.ok.then_some(report)
 }
 
 /// Writes [`report_to_json`]'s object into `w`, for documents that embed
 /// a report (the serve protocol's `result` lines).
 pub fn write_report(w: &mut Writer, r: &FabricReport) {
-    w.begin_object()
-        .key("cycles")
-        .u64(r.cycles)
-        .key("total_bytes")
-        .u64(r.total_bytes)
-        .key("aggregate_gbps_bits")
-        .u64(r.aggregate_gbps.to_bits())
-        .key("sum_gbps_bits")
-        .u64(r.sum_gbps.to_bits())
-        .key("per_spe_bytes")
-        .u64s(r.per_spe_bytes.iter().copied())
-        .key("per_spe_cycles")
-        .u64s(r.per_spe_cycles.iter().copied())
-        .key("per_spe_gbps_bits")
-        .u64s(r.per_spe_gbps.iter().map(|v| v.to_bits()))
-        .key("eib")
-        .begin_object()
-        .key("grants")
-        .u64(r.eib.grants)
-        .key("bytes")
-        .u64(r.eib.bytes)
-        .key("wait_cycles")
-        .u64(r.eib.wait_cycles)
-        .key("segment_cycles")
-        .u64(r.eib.segment_cycles)
-        .end_object()
-        .key("packets")
-        .u64(r.packets)
-        .key("metrics");
-    write_metrics(w, &r.metrics);
-    w.key("latency").begin_object().key("paths").begin_array();
-    for p in &r.latency.paths {
-        write_path(w, p);
-    }
-    w.end_array().key("element_service");
-    write_hist(w, &r.latency.element_service);
-    w.end_object().end_object();
+    encode(w, &mut r.clone(), report_fields);
 }
 
 /// Room for a report's canonical JSON (about 4 KiB with 8 SPEs), so
 /// writing one never reallocates.
 pub const REPORT_JSON_CAPACITY: usize = 8 << 10;
 
-fn report_json(r: &FabricReport) -> String {
+/// Writes one per-SPE, ring or fault-counter object as the report
+/// persists it; the metrics digest shares these shapes.
+pub(crate) fn write_spe(w: &mut Writer, m: &SpeMetrics) {
+    encode(w, &mut m.clone(), spe_fields);
+}
+
+pub(crate) fn write_ring(w: &mut Writer, r: &RingStats) {
+    encode(w, &mut r.clone(), ring_fields);
+}
+
+pub(crate) fn write_faults(w: &mut Writer, f: &FaultStats) {
+    encode(w, &mut f.clone(), fault_fields);
+}
+
+fn report_json(r: &mut FabricReport) -> String {
     let mut w = Writer::with_capacity(REPORT_JSON_CAPACITY);
-    write_report(&mut w, r);
+    encode(&mut w, r, report_fields);
     w.finish()
 }
 
-// ---- verified parsing ---------------------------------------------------
-
-fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
+/// Writes `v` as one object. The walks take `&mut` so one field table
+/// serves both directions; the encoder only reads through it.
+fn encode<'w, T>(w: &'w mut Writer, v: &mut T, walk: impl FnOnce(&mut Encoder<'w>, &mut T)) {
+    w.begin_object();
+    let mut e = Encoder(w);
+    walk(&mut e, v);
+    e.0.end_object();
 }
 
-fn get_u64_vec(v: &JsonValue, key: &str) -> Option<Vec<u64>> {
-    v.get(key)?
-        .as_array()?
-        .iter()
-        .map(JsonValue::as_u64)
-        .collect()
+// ---- the persisted shape --------------------------------------------------
+//
+// One walk per struct names every persisted field once, in canonical
+// order; [`Encoder`] writes the fields and [`Decoder`] reads them back.
+// `f64`s persist as IEEE-754 bit patterns so replays are bit-identical
+// (decimal round-trips are not, and NaN payloads would not survive).
+
+fn report_fields<C: Codec>(c: &mut C, r: &mut FabricReport) {
+    c.num("cycles", &mut r.cycles);
+    c.num("total_bytes", &mut r.total_bytes);
+    c.num("aggregate_gbps_bits", &mut r.aggregate_gbps);
+    c.num("sum_gbps_bits", &mut r.sum_gbps);
+    c.nums("per_spe_bytes", &mut r.per_spe_bytes);
+    c.nums("per_spe_cycles", &mut r.per_spe_cycles);
+    c.nums("per_spe_gbps_bits", &mut r.per_spe_gbps);
+    c.object("eib", &mut r.eib, |c, e| {
+        c.num("grants", &mut e.grants);
+        c.num("bytes", &mut e.bytes);
+        c.num("wait_cycles", &mut e.wait_cycles);
+        c.num("segment_cycles", &mut e.segment_cycles);
+    });
+    c.num("packets", &mut r.packets);
+    c.object("metrics", &mut r.metrics, metrics_fields);
+    c.object("latency", &mut r.latency, |c, l| {
+        c.objects("paths", &mut l.paths, path_fields);
+        c.object("element_service", &mut l.element_service, hist_fields);
+    });
 }
 
-fn get_f64_bits(v: &JsonValue, key: &str) -> Option<f64> {
-    Some(f64::from_bits(get_u64(v, key)?))
+fn metrics_fields<C: Codec>(c: &mut C, m: &mut FabricMetrics) {
+    c.num("run_cycles", &mut m.run_cycles);
+    c.objects("per_spe", &mut m.per_spe, spe_fields);
+    c.objects("rings", &mut m.rings, ring_fields);
+    c.objects("banks", &mut m.banks, |c, b| {
+        c.bank("bank", &mut b.bank);
+        let s = &mut b.stats;
+        c.num("accesses", &mut s.accesses);
+        c.num("bytes", &mut s.bytes);
+        c.num("turnaround_cycles", &mut s.turnaround_cycles);
+        c.num("refresh_cycles", &mut s.refresh_cycles);
+        c.num("busy_cycles", &mut s.busy_cycles);
+        c.num("conflicts", &mut s.conflicts);
+    });
+    c.object("faults", &mut m.faults, fault_fields);
+    c.num("events", &mut m.events);
+    c.num("suppressed_pumps", &mut m.suppressed_pumps);
+    c.num("peak_live_packets", &mut m.peak_live_packets);
 }
 
-fn parse_hist(v: &JsonValue) -> Option<LatencyHistogram> {
-    Some(LatencyHistogram {
-        count: get_u64(v, "count")?,
-        total: get_u64(v, "total")?,
-        max: get_u64(v, "max")?,
-        buckets: get_u64_vec(v, "buckets")?.try_into().ok()?,
-    })
+fn spe_fields<C: Codec>(c: &mut C, s: &mut SpeMetrics) {
+    c.num("busy_cycles", &mut s.busy_cycles);
+    c.num("idle_cycles", &mut s.idle_cycles);
+    c.num("stall_mfc_full_cycles", &mut s.stall_mfc_full_cycles);
+    c.num("stall_sync_cycles", &mut s.stall_sync_cycles);
+    c.num("stall_eib_cycles", &mut s.stall_eib_cycles);
+    c.num("stall_mem_cycles", &mut s.stall_mem_cycles);
+    c.nums("occupancy_cycles", &mut s.occupancy_cycles);
 }
 
-fn parse_path(v: &JsonValue) -> Option<PathLatency> {
-    Some(PathLatency {
-        commands: get_u64(v, "commands")?,
-        end_to_end: parse_hist(v.get("end_to_end")?)?,
-        phase_cycles: get_u64_vec(v, "phase_cycles")?.try_into().ok()?,
-        dominant_counts: get_u64_vec(v, "dominant_counts")?.try_into().ok()?,
-        nacks: get_u64(v, "nacks")?,
-        retries: get_u64(v, "retries")?,
-        retry_backoff_cycles: get_u64(v, "retry_backoff_cycles")?,
-        exhausted_commands: get_u64(v, "exhausted_commands")?,
-    })
+fn ring_fields<C: Codec>(c: &mut C, r: &mut RingStats) {
+    c.num("grants", &mut r.grants);
+    c.num("bytes", &mut r.bytes);
+    c.num("busy_cycles", &mut r.busy_cycles);
 }
 
-fn parse_spe(v: &JsonValue) -> Option<SpeMetrics> {
-    Some(SpeMetrics {
-        busy_cycles: get_u64(v, "busy_cycles")?,
-        idle_cycles: get_u64(v, "idle_cycles")?,
-        stall_mfc_full_cycles: get_u64(v, "stall_mfc_full_cycles")?,
-        stall_sync_cycles: get_u64(v, "stall_sync_cycles")?,
-        stall_eib_cycles: get_u64(v, "stall_eib_cycles")?,
-        stall_mem_cycles: get_u64(v, "stall_mem_cycles")?,
-        occupancy_cycles: get_u64_vec(v, "occupancy_cycles")?,
-    })
+fn fault_fields<C: Codec>(c: &mut C, f: &mut FaultStats) {
+    c.num("nacks", &mut f.nacks);
+    c.num("retries", &mut f.retries);
+    c.num("retries_exhausted", &mut f.retries_exhausted);
+    c.num("abandoned_packets", &mut f.abandoned_packets);
+    c.num("degraded_cycles", &mut f.degraded_cycles);
 }
 
-fn parse_bank(v: &JsonValue) -> Option<BankMetrics> {
-    let bank = match v.get("bank")?.as_str()? {
-        "local" => BankId::Local,
-        "remote" => BankId::Remote,
-        _ => return None,
-    };
-    Some(BankMetrics {
-        bank,
-        stats: BankStats {
-            accesses: get_u64(v, "accesses")?,
-            bytes: get_u64(v, "bytes")?,
-            turnaround_cycles: get_u64(v, "turnaround_cycles")?,
-            refresh_cycles: get_u64(v, "refresh_cycles")?,
-            busy_cycles: get_u64(v, "busy_cycles")?,
-            conflicts: get_u64(v, "conflicts")?,
-        },
-    })
+fn path_fields<C: Codec>(c: &mut C, p: &mut PathLatency) {
+    c.num("commands", &mut p.commands);
+    c.object("end_to_end", &mut p.end_to_end, hist_fields);
+    c.nums("phase_cycles", &mut p.phase_cycles);
+    c.nums("dominant_counts", &mut p.dominant_counts);
+    c.num("nacks", &mut p.nacks);
+    c.num("retries", &mut p.retries);
+    c.num("retry_backoff_cycles", &mut p.retry_backoff_cycles);
+    c.num("exhausted_commands", &mut p.exhausted_commands);
 }
 
-fn parse_metrics(v: &JsonValue) -> Option<FabricMetrics> {
-    let per_spe = v
-        .get("per_spe")?
-        .as_array()?
-        .iter()
-        .map(parse_spe)
-        .collect::<Option<Vec<_>>>()?;
-    let rings = v
-        .get("rings")?
-        .as_array()?
-        .iter()
-        .map(|r| {
-            Some(RingStats {
-                grants: get_u64(r, "grants")?,
-                bytes: get_u64(r, "bytes")?,
-                busy_cycles: get_u64(r, "busy_cycles")?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let banks = v
-        .get("banks")?
-        .as_array()?
-        .iter()
-        .map(parse_bank)
-        .collect::<Option<Vec<_>>>()?;
-    let f = v.get("faults")?;
-    Some(FabricMetrics {
-        run_cycles: get_u64(v, "run_cycles")?,
-        per_spe,
-        rings,
-        banks,
-        faults: FaultStats {
-            nacks: get_u64(f, "nacks")?,
-            retries: get_u64(f, "retries")?,
-            retries_exhausted: get_u64(f, "retries_exhausted")?,
-            abandoned_packets: get_u64(f, "abandoned_packets")?,
-            degraded_cycles: get_u64(f, "degraded_cycles")?,
-        },
-        events: get_u64(v, "events")?,
-        suppressed_pumps: get_u64(v, "suppressed_pumps")?,
-        peak_live_packets: get_u64(v, "peak_live_packets")?,
-    })
+fn hist_fields<C: Codec>(c: &mut C, h: &mut LatencyHistogram) {
+    c.num("count", &mut h.count);
+    c.num("total", &mut h.total);
+    c.num("max", &mut h.max);
+    c.nums("buckets", &mut h.buckets);
 }
 
-fn parse_report(v: &JsonValue) -> Option<FabricReport> {
-    let eib = v.get("eib")?;
-    let lat = v.get("latency")?;
-    let paths: [PathLatency; 4] = lat
-        .get("paths")?
-        .as_array()?
-        .iter()
-        .map(parse_path)
-        .collect::<Option<Vec<_>>>()?
-        .try_into()
-        .ok()?;
-    let per_spe_gbps: Vec<f64> = get_u64_vec(v, "per_spe_gbps_bits")?
-        .into_iter()
-        .map(f64::from_bits)
-        .collect();
-    Some(FabricReport {
-        cycles: get_u64(v, "cycles")?,
-        total_bytes: get_u64(v, "total_bytes")?,
-        aggregate_gbps: get_f64_bits(v, "aggregate_gbps_bits")?,
-        sum_gbps: get_f64_bits(v, "sum_gbps_bits")?,
-        per_spe_bytes: get_u64_vec(v, "per_spe_bytes")?,
-        per_spe_cycles: get_u64_vec(v, "per_spe_cycles")?,
-        per_spe_gbps,
-        eib: EibStats {
-            grants: get_u64(eib, "grants")?,
-            bytes: get_u64(eib, "bytes")?,
-            wait_cycles: get_u64(eib, "wait_cycles")?,
-            segment_cycles: get_u64(eib, "segment_cycles")?,
-        },
-        packets: get_u64(v, "packets")?,
-        metrics: parse_metrics(v.get("metrics")?)?,
-        latency: LatencyMetrics {
-            paths,
-            element_service: parse_hist(lat.get("element_service")?)?,
-        },
-    })
+/// Bank names as persisted.
+const BANK_NAMES: [(BankId, &str); 2] = [(BankId::Local, "local"), (BankId::Remote, "remote")];
+
+/// One direction of the codec, driven by the field walks above.
+trait Codec {
+    /// A number member.
+    fn num<N: Num>(&mut self, key: &str, v: &mut N);
+    /// An array-of-numbers member.
+    fn nums<S: Seq>(&mut self, key: &str, v: &mut S)
+    where
+        S::Item: Num;
+    /// An object member whose fields `walk` names.
+    fn object<T>(&mut self, key: &str, v: &mut T, walk: impl Fn(&mut Self, &mut T));
+    /// An array-of-objects member, each item's fields named by `walk`.
+    fn objects<S: Seq>(&mut self, key: &str, v: &mut S, walk: impl Fn(&mut Self, &mut S::Item));
+    /// A bank member, by name.
+    fn bank(&mut self, key: &str, v: &mut BankId);
+}
+
+/// A persisted number: a `u64` as itself, an `f64` as its bit pattern.
+trait Num: Copy {
+    fn to_u64(self) -> u64;
+    fn from_u64(v: u64) -> Self;
+}
+
+impl Num for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(v: u64) -> u64 {
+        v
+    }
+}
+
+impl Num for f64 {
+    fn to_u64(self) -> u64 {
+        self.to_bits()
+    }
+    fn from_u64(v: u64) -> f64 {
+        f64::from_bits(v)
+    }
+}
+
+/// A persisted array: a `Vec` takes any decoded length, a fixed-size
+/// array only its own.
+trait Seq: AsMut<[Self::Item]> {
+    type Item;
+    /// Sizes the sequence for `len` decoded items; `false` if it cannot.
+    fn fit(&mut self, len: usize) -> bool;
+}
+
+impl<T: Default> Seq for Vec<T> {
+    type Item = T;
+    fn fit(&mut self, len: usize) -> bool {
+        self.resize_with(len, T::default);
+        true
+    }
+}
+
+impl<T, const N: usize> Seq for [T; N] {
+    type Item = T;
+    fn fit(&mut self, len: usize) -> bool {
+        len == N
+    }
+}
+
+/// Writes each field into the current object of a [`Writer`].
+struct Encoder<'w>(&'w mut Writer);
+
+impl Codec for Encoder<'_> {
+    fn num<N: Num>(&mut self, key: &str, v: &mut N) {
+        self.0.key(key).u64(v.to_u64());
+    }
+
+    fn nums<S: Seq>(&mut self, key: &str, v: &mut S)
+    where
+        S::Item: Num,
+    {
+        self.0.key(key).u64s(v.as_mut().iter().map(|n| n.to_u64()));
+    }
+
+    fn object<T>(&mut self, key: &str, v: &mut T, walk: impl Fn(&mut Self, &mut T)) {
+        self.0.key(key).begin_object();
+        walk(self, v);
+        self.0.end_object();
+    }
+
+    fn objects<S: Seq>(&mut self, key: &str, v: &mut S, walk: impl Fn(&mut Self, &mut S::Item)) {
+        self.0.key(key).begin_array();
+        for item in v.as_mut() {
+            self.0.begin_object();
+            walk(self, item);
+            self.0.end_object();
+        }
+        self.0.end_array();
+    }
+
+    fn bank(&mut self, key: &str, v: &mut BankId) {
+        let (_, name) = BANK_NAMES
+            .iter()
+            .find(|(bank, _)| bank == v)
+            .expect("every bank is named");
+        self.0.key(key).str(name);
+    }
+}
+
+/// Reads each field from the current object of a parsed document; any
+/// missing or mistyped field, or wrong-length fixed array, clears `ok`.
+struct Decoder<'a> {
+    at: &'a JsonValue,
+    ok: bool,
+}
+
+impl<'a> Decoder<'a> {
+    fn field(&mut self, key: &str) -> Option<&'a JsonValue> {
+        let v = self.at.get(key);
+        self.ok &= v.is_some();
+        v
+    }
+
+    /// `v` as an integer; anything else fails the decode (and reads 0).
+    fn number(&mut self, v: Option<&JsonValue>) -> u64 {
+        let n = v.and_then(JsonValue::as_u64);
+        self.ok &= n.is_some();
+        n.unwrap_or(0)
+    }
+
+    /// The items of array member `key`, once `v` is sized for them.
+    fn array<S: Seq>(&mut self, key: &str, v: &mut S) -> &'a [JsonValue] {
+        match self.field(key).and_then(JsonValue::as_array) {
+            Some(items) if v.fit(items.len()) => items,
+            _ => {
+                self.ok = false;
+                &[]
+            }
+        }
+    }
+
+    fn enter<T>(&mut self, at: &'a JsonValue, v: &mut T, walk: impl Fn(&mut Self, &mut T)) {
+        let outer = std::mem::replace(&mut self.at, at);
+        walk(self, v);
+        self.at = outer;
+    }
+}
+
+impl Codec for Decoder<'_> {
+    fn num<N: Num>(&mut self, key: &str, v: &mut N) {
+        let value = self.field(key);
+        *v = N::from_u64(self.number(value));
+    }
+
+    fn nums<S: Seq>(&mut self, key: &str, v: &mut S)
+    where
+        S::Item: Num,
+    {
+        let items = self.array(key, v);
+        for (slot, item) in v.as_mut().iter_mut().zip(items) {
+            *slot = S::Item::from_u64(self.number(Some(item)));
+        }
+    }
+
+    fn object<T>(&mut self, key: &str, v: &mut T, walk: impl Fn(&mut Self, &mut T)) {
+        if let Some(at) = self.field(key) {
+            self.enter(at, v, walk);
+        }
+    }
+
+    fn objects<S: Seq>(&mut self, key: &str, v: &mut S, walk: impl Fn(&mut Self, &mut S::Item)) {
+        let items = self.array(key, v);
+        for (slot, at) in v.as_mut().iter_mut().zip(items) {
+            self.enter(at, slot, &walk);
+        }
+    }
+
+    fn bank(&mut self, key: &str, v: &mut BankId) {
+        let name = self.field(key).and_then(JsonValue::as_str);
+        match BANK_NAMES.iter().find(|(_, n)| Some(*n) == name) {
+            Some((bank, _)) => *v = *bank,
+            None => self.ok = false,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -729,7 +729,7 @@ impl SweepExecutor {
     }
 
     /// Panicking form of [`SweepExecutor::try_run`] for sweeps that are
-    /// known healthy (unit tests, benches): unwraps every result.
+    /// known healthy (tests, examples): unwraps every result.
     ///
     /// # Panics
     ///

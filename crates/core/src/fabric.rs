@@ -44,7 +44,7 @@ const MAX_CYCLES: u64 = 50_000_000_000;
 const MAX_STAGNANT_EVENTS: u64 = 10_000_000;
 
 /// Measured outcome of one transfer plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FabricReport {
     /// Bus cycles until the last payload byte was delivered.
     pub cycles: u64,

@@ -130,7 +130,7 @@ impl FaultStats {
 }
 
 /// One bank's occupancy counters, tagged with which bank it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankMetrics {
     /// Which bank.
     pub bank: BankId,

@@ -28,11 +28,11 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::baseline::{
-    experiment_from_json, experiment_json, field_f64, field_str, field_u64, Drift,
+    experiment_from_json, field_f64, field_items, field_str, field_u64, write_experiment, Drift,
 };
 use crate::exec::SweepExecutor;
 use crate::experiments::{self, ExperimentConfig, ExperimentError};
-use crate::json::{self, JsonValue};
+use crate::json::{self, Writer};
 use crate::CellSystem;
 
 /// Format version of the perf file; bumped on schema changes.
@@ -261,31 +261,36 @@ impl PerfBaseline {
     /// order, floats at 6 decimals, one line). The derived
     /// `events_per_sec` field is informational and ignored on parse.
     pub fn to_json(&self) -> String {
-        let figures: Vec<String> = self
-            .figures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"id\":\"{}\",\"events\":{},\"packets\":{},\
-                     \"sim_cycles\":{},\"wall_seconds\":{:.6},\
-                     \"events_per_sec\":{:.6}}}",
-                    json::escape(&f.id),
-                    f.events,
-                    f.packets,
-                    f.sim_cycles,
-                    f.wall_seconds,
-                    f.events_per_sec()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"band\":{:.6},\"jobs\":{},{},\"figures\":[{}]}}\n",
-            PERF_VERSION,
-            self.band,
-            self.jobs,
-            experiment_json(&self.experiment),
-            figures.join(",")
-        )
+        let mut w = Writer::with_capacity(4 << 10);
+        w.begin_object()
+            .key("version")
+            .u64(PERF_VERSION)
+            .key("band")
+            .raw(&format!("{:.6}", self.band))
+            .key("jobs")
+            .u64(self.jobs as u64);
+        write_experiment(&mut w, &self.experiment);
+        w.key("figures").begin_array();
+        for f in &self.figures {
+            w.begin_object()
+                .key("id")
+                .str(&f.id)
+                .key("events")
+                .u64(f.events)
+                .key("packets")
+                .u64(f.packets)
+                .key("sim_cycles")
+                .u64(f.sim_cycles)
+                .key("wall_seconds")
+                .raw(&format!("{:.6}", f.wall_seconds))
+                .key("events_per_sec")
+                .raw(&format!("{:.6}", f.events_per_sec()))
+                .end_object();
+        }
+        w.end_array().end_object();
+        let mut text = w.finish();
+        text.push('\n');
+        text
     }
 
     /// Parses a perf file.
@@ -302,21 +307,15 @@ impl PerfBaseline {
             )));
         }
         let cfg = experiment_from_json(&doc)?;
-        let figures = doc
-            .get("figures")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'figures'"))?
-            .iter()
-            .map(|f| {
-                Ok(PerfFigure {
-                    id: field_str(f, "id")?,
-                    events: field_u64(f, "events")?,
-                    packets: field_u64(f, "packets")?,
-                    sim_cycles: field_u64(f, "sim_cycles")?,
-                    wall_seconds: field_f64(f, "wall_seconds")?,
-                })
+        let figures = field_items(&doc, "figures", |f| {
+            Ok(PerfFigure {
+                id: field_str(f, "id")?,
+                events: field_u64(f, "events")?,
+                packets: field_u64(f, "packets")?,
+                sim_cycles: field_u64(f, "sim_cycles")?,
+                wall_seconds: field_f64(f, "wall_seconds")?,
             })
-            .collect::<Result<Vec<_>, PerfError>>()?;
+        })?;
         Ok(PerfBaseline {
             band: field_f64(&doc, "band")?,
             jobs: usize::try_from(field_u64(&doc, "jobs")?)

@@ -13,6 +13,7 @@ use std::fmt;
 use cellsim_kernel::stats::Summary;
 use cellsim_mfc::DmaPhase;
 
+use crate::diskcache;
 use crate::json::Writer;
 use crate::latency::{DmaPathClass, LatencyHistogram};
 use crate::metrics::MetricsSummary;
@@ -154,7 +155,7 @@ impl fmt::Display for SpreadFigure {
 
 /// RFC-4180 minimal quoting: fields with a comma, quote or newline are
 /// wrapped in double quotes, with inner quotes doubled.
-fn csv_field(s: &str) -> String {
+pub fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
@@ -392,7 +393,6 @@ impl MetricsTable {
     /// byte-deterministic.
     pub fn to_json(&self) -> String {
         let s = &self.summary;
-        let m = &s.spe;
         let mut w = Writer::with_capacity(8 << 10);
         w.begin_object()
             .key("figure")
@@ -409,24 +409,9 @@ impl MetricsTable {
             .u64(s.suppressed_pumps)
             .key("peak_live_packets")
             .u64(s.peak_live_packets)
-            .key("spe")
-            .begin_object()
-            .key("busy_cycles")
-            .u64(m.busy_cycles)
-            .key("idle_cycles")
-            .u64(m.idle_cycles)
-            .key("stall_mfc_full_cycles")
-            .u64(m.stall_mfc_full_cycles)
-            .key("stall_sync_cycles")
-            .u64(m.stall_sync_cycles)
-            .key("stall_eib_cycles")
-            .u64(m.stall_eib_cycles)
-            .key("stall_mem_cycles")
-            .u64(m.stall_mem_cycles)
-            .key("occupancy_cycles")
-            .u64s(m.occupancy_cycles.iter().copied())
-            .end_object()
-            .key("occupancy_mean_inflight")
+            .key("spe");
+        diskcache::write_spe(&mut w, &s.spe);
+        w.key("occupancy_mean_inflight")
             .raw(&format!("{:.4}", s.occupancy_mean_inflight()))
             .key("occupancy_saturated_share")
             .raw(&format!("{:.4}", s.occupancy_saturated_share()))
@@ -443,14 +428,7 @@ impl MetricsTable {
             .key("rings")
             .begin_array();
         for r in &s.rings {
-            w.begin_object()
-                .key("grants")
-                .u64(r.grants)
-                .key("bytes")
-                .u64(r.bytes)
-                .key("busy_cycles")
-                .u64(r.busy_cycles)
-                .end_object();
+            diskcache::write_ring(&mut w, r);
         }
         w.end_array().key("banks").begin_array();
         for b in &s.banks {
@@ -471,24 +449,9 @@ impl MetricsTable {
                 .u64(b.stats.refresh_cycles)
                 .end_object();
         }
-        w.end_array()
-            .key("faults")
-            .begin_object()
-            .key("nacks")
-            .u64(s.faults.nacks)
-            .key("retries")
-            .u64(s.faults.retries)
-            .key("retries_exhausted")
-            .u64(s.faults.retries_exhausted)
-            .key("abandoned_packets")
-            .u64(s.faults.abandoned_packets)
-            .key("degraded_cycles")
-            .u64(s.faults.degraded_cycles)
-            .end_object()
-            .key("latency")
-            .begin_object()
-            .key("paths")
-            .begin_array();
+        w.end_array().key("faults");
+        diskcache::write_faults(&mut w, &s.faults);
+        w.key("latency").begin_object().key("paths").begin_array();
         for (p, path) in s.latency.paths.iter().zip(DmaPathClass::ALL) {
             w.begin_object()
                 .key("path")

@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cellsim_kernel::json::{self, JsonValue};
+use cellsim_kernel::json::{self, JsonValue, Writer};
 use cellsim_kernel::rng::derive_seed;
 
 /// Version tag accepted in plan files (the `"version"` member).
@@ -554,66 +554,51 @@ impl FaultPlan {
     /// and the output is the byte string [`FaultPlan::fingerprint`]
     /// hashes.
     pub fn to_json(&self) -> String {
-        let windows = |ws: &[Window]| {
-            let items: Vec<String> = ws
-                .iter()
-                .map(|w| format!("{{\"start\":{},\"cycles\":{}}}", w.start, w.cycles))
-                .collect();
-            format!("[{}]", items.join(","))
+        let mut w = Writer::with_capacity(512);
+        w.begin_object()
+            .key("version")
+            .u64(FAULT_PLAN_VERSION)
+            .key("seed")
+            .u64(self.seed)
+            .key("fused_spes")
+            .u64s(self.fused_spes.iter().map(|&s| u64::from(s)))
+            .key("eib")
+            .begin_object()
+            .key("ring_outages")
+            .begin_array();
+        for o in &self.eib.ring_outages {
+            window_fields(w.begin_object().key("ring").u64(o.ring as u64), &o.window).end_object();
+        }
+        w.end_array().key("derate");
+        write_derates(&mut w, &self.eib.derate);
+        w.end_object().key("banks").begin_object();
+        for (name, bank) in [("local", &self.local_bank), ("remote", &self.remote_bank)] {
+            w.key(name).begin_object().key("throttle");
+            write_derates(&mut w, &bank.throttle);
+            w.key("nack_ppm").u64(u64::from(bank.nack_ppm)).end_object();
+        }
+        w.end_object().key("mfc").begin_object().key("slot_limit");
+        match self.mfc.slot_limit {
+            Some(n) => w.u64(u64::from(n)),
+            None => w.raw("null"),
         };
-        let derates = |ds: &[DerateWindow]| {
-            let items: Vec<String> = ds
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"start\":{},\"cycles\":{},\"capacity_percent\":{}}}",
-                        d.window.start, d.window.cycles, d.capacity_percent
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
-        let bank = |b: &BankFaults| {
-            format!(
-                "{{\"throttle\":{},\"nack_ppm\":{}}}",
-                derates(&b.throttle),
-                b.nack_ppm
-            )
-        };
-        let outages: Vec<String> = self
-            .eib
-            .ring_outages
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"ring\":{},\"start\":{},\"cycles\":{}}}",
-                    o.ring, o.window.start, o.window.cycles
-                )
-            })
-            .collect();
-        let fused: Vec<String> = self.fused_spes.iter().map(u8::to_string).collect();
-        format!(
-            "{{\"version\":{},\"seed\":{},\"fused_spes\":[{}],\
-             \"eib\":{{\"ring_outages\":[{}],\"derate\":{}}},\
-             \"banks\":{{\"local\":{},\"remote\":{}}},\
-             \"mfc\":{{\"slot_limit\":{},\"queue_stalls\":{}}},\
-             \"retry\":{{\"max_retries\":{},\"backoff_base\":{},\"backoff_cap\":{}}}}}",
-            FAULT_PLAN_VERSION,
-            self.seed,
-            fused.join(","),
-            outages.join(","),
-            derates(&self.eib.derate),
-            bank(&self.local_bank),
-            bank(&self.remote_bank),
-            match self.mfc.slot_limit {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            },
-            windows(&self.mfc.queue_stalls),
-            self.retry.max_retries,
-            self.retry.backoff_base,
-            self.retry.backoff_cap,
-        )
+        w.key("queue_stalls").begin_array();
+        for q in &self.mfc.queue_stalls {
+            window_fields(w.begin_object(), q).end_object();
+        }
+        w.end_array()
+            .end_object()
+            .key("retry")
+            .begin_object()
+            .key("max_retries")
+            .u64(u64::from(self.retry.max_retries))
+            .key("backoff_base")
+            .u64(self.retry.backoff_base)
+            .key("backoff_cap")
+            .u64(self.retry.backoff_cap)
+            .end_object()
+            .end_object();
+        w.finish()
     }
 
     /// Cycles in `[0, run_cycles)` covered by *any* fault window (the
@@ -654,6 +639,25 @@ impl FaultPlan {
         }
         covered
     }
+}
+
+/// Writes a window's members into the current object.
+fn window_fields<'w>(w: &'w mut Writer, window: &Window) -> &'w mut Writer {
+    w.key("start")
+        .u64(window.start)
+        .key("cycles")
+        .u64(window.cycles)
+}
+
+fn write_derates(w: &mut Writer, derates: &[DerateWindow]) {
+    w.begin_array();
+    for d in derates {
+        window_fields(w.begin_object(), &d.window)
+            .key("capacity_percent")
+            .u64(u64::from(d.capacity_percent))
+            .end_object();
+    }
+    w.end_array();
 }
 
 fn invalid(msg: String) -> FaultPlanError {

@@ -6,9 +6,10 @@ use crate::bank::{Access, BankConfig, Op, XdrBank};
 use crate::numa::{NumaPolicy, RegionId};
 
 /// Which physical bank an access targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BankId {
     /// The bank behind the first chip's MIC.
+    #[default]
     Local,
     /// The second chip's bank, reached over IOIF0/BIF.
     Remote,

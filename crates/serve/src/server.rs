@@ -39,6 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cellsim_core::exec::{SweepExecutor, DEFAULT_CACHE_CAPACITY};
+use cellsim_core::json::Writer;
 
 use crate::framing::{LineRead, LineReader};
 use crate::protocol::{self, Request, MAX_LINE_BYTES};
@@ -624,63 +625,74 @@ fn submit_batch(
 fn stats_line(scheduler: &Scheduler, connections: &AtomicUsize, started: Instant) -> String {
     let sched = scheduler.stats();
     let exec = scheduler.executor();
+    let mut w = Writer::with_capacity(512 + 64 * sched.per_connection.len());
+    let top = [
+        ("connections", connections.load(Ordering::Relaxed) as u64),
+        ("queue_depth", sched.queue_depth as u64),
+        ("high_water", sched.high_water as u64),
+        ("queue_peak", sched.queue_peak as u64),
+        ("inflight", sched.inflight as u64),
+        ("deduped", sched.deduped),
+        ("accepted", sched.accepted),
+        ("completed", sched.completed),
+        ("rejected", sched.rejected),
+        ("timeouts", sched.timeouts),
+    ];
+    counters(w.begin_object().key("op").str("stats"), &top)
+        .key("draining")
+        .bool(sched.draining);
+    let uptime_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+    let uptime = [
+        ("uptime_ms", uptime_ms),
+        ("uptime_cycles", sched.uptime_cycles),
+    ];
     let cache = exec.stats();
-    let disk = match (exec.disk_stats(), exec.disk_dir_stats()) {
-        (Some(activity), Some(dir)) => format!(
-            "{{\"loaded\":{},\"stored\":{},\"discarded\":{},\
-             \"entries\":{},\"bytes\":{},\"temp_files\":{}}}",
-            activity.loaded,
-            activity.stored,
-            activity.discarded,
-            dir.entries,
-            dir.bytes,
-            dir.temp_files
-        ),
-        _ => "null".to_string(),
-    };
-    let run_dir = match exec.run_dir() {
-        Some(rd) => {
-            let stats = rd.stats();
-            format!(
-                "{{\"written\":{},\"reused\":{},\"errors\":{}}}",
-                stats.written, stats.reused, stats.errors
-            )
+    let hits = [("hits", cache.hits), ("misses", cache.misses)];
+    counters(&mut w, &uptime).key("cache");
+    counters(w.begin_object(), &hits).end_object().key("disk");
+    match (exec.disk_stats(), exec.disk_dir_stats()) {
+        (Some(a), Some(d)) => {
+            let disk = [
+                ("loaded", a.loaded),
+                ("stored", a.stored),
+                ("discarded", a.discarded),
+                ("entries", d.entries),
+                ("bytes", d.bytes),
+                ("temp_files", d.temp_files),
+            ];
+            counters(w.begin_object(), &disk).end_object()
         }
-        None => "null".to_string(),
+        _ => w.raw("null"),
     };
-    let per_connection: Vec<String> = sched
-        .per_connection
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"conn\":{},\"accepted\":{},\"completed\":{}}}",
-                t.conn, t.accepted, t.completed
-            )
-        })
-        .collect();
-    format!(
-        "{{\"op\":\"stats\",\"connections\":{},\"queue_depth\":{},\
-         \"high_water\":{},\"queue_peak\":{},\"inflight\":{},\"deduped\":{},\
-         \"accepted\":{},\"completed\":{},\"rejected\":{},\
-         \"timeouts\":{},\"draining\":{},\
-         \"uptime_ms\":{},\"uptime_cycles\":{},\
-         \"cache\":{{\"hits\":{},\"misses\":{}}},\"disk\":{disk},\
-         \"run_dir\":{run_dir},\"per_connection\":[{}]}}",
-        connections.load(Ordering::Relaxed),
-        sched.queue_depth,
-        sched.high_water,
-        sched.queue_peak,
-        sched.inflight,
-        sched.deduped,
-        sched.accepted,
-        sched.completed,
-        sched.rejected,
-        sched.timeouts,
-        sched.draining,
-        u128::min(started.elapsed().as_millis(), u128::from(u64::MAX)),
-        sched.uptime_cycles,
-        cache.hits,
-        cache.misses,
-        per_connection.join(",")
-    )
+    w.key("run_dir");
+    match exec.run_dir().map(|rd| rd.stats()) {
+        Some(s) => {
+            let run_dir = [
+                ("written", s.written),
+                ("reused", s.reused),
+                ("errors", s.errors),
+            ];
+            counters(w.begin_object(), &run_dir).end_object()
+        }
+        None => w.raw("null"),
+    };
+    w.key("per_connection").begin_array();
+    for t in &sched.per_connection {
+        let tally = [
+            ("conn", t.conn),
+            ("accepted", t.accepted),
+            ("completed", t.completed),
+        ];
+        counters(w.begin_object(), &tally).end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
+}
+
+/// Writes integer members into the current object, in order.
+fn counters<'w>(w: &'w mut Writer, members: &[(&str, u64)]) -> &'w mut Writer {
+    for &(key, v) in members {
+        w.key(key).u64(v);
+    }
+    w
 }
