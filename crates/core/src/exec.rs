@@ -165,25 +165,13 @@ pub enum RunError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The run outlived a wall-clock budget imposed by the caller (the
-    /// serve daemon's per-run watchdog). The simulation itself may
-    /// still be running on its thread; its eventual result was
-    /// abandoned by whoever was waiting on it.
-    Timeout {
-        /// Which point timed out.
-        key: RunKey,
-        /// The budget it exceeded, in milliseconds.
-        limit_ms: u64,
-    },
 }
 
 impl RunError {
     /// The [`RunKey`] of the failed point.
     pub fn key(&self) -> &RunKey {
         match self {
-            RunError::Stall { key, .. }
-            | RunError::Panicked { key, .. }
-            | RunError::Timeout { key, .. } => key,
+            RunError::Stall { key, .. } | RunError::Panicked { key, .. } => key,
         }
     }
 }
@@ -196,12 +184,6 @@ impl fmt::Display for RunError {
             }
             RunError::Panicked { key, message } => {
                 write!(f, "run panicked [{key}]: {message}")
-            }
-            RunError::Timeout { key, limit_ms } => {
-                write!(
-                    f,
-                    "run timed out [{key}]: exceeded {limit_ms} ms wall clock"
-                )
             }
         }
     }

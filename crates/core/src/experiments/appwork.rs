@@ -301,15 +301,16 @@ pub(crate) fn stencil_plan(w: &Workload) -> Result<TransferPlan, WorkloadError> 
     let mut b = TransferPlan::builder();
     for spe in 0..STENCIL_SPES {
         let (west, east, vertical) = stencil_neighbors(spe);
-        for _ in 0..steps {
-            b = b
-                .get_from_memory(spe, interior, interior_elem, SyncPolicy::AfterAll)
-                // The west neighbor's east boundary, and vice versa.
-                .get_list_at(spe, TransferPlan::get_region(west), &east_face)
-                .get_list_at(spe, TransferPlan::get_region(east), &west_face)
-                .get_list_at(spe, TransferPlan::get_region(vertical), &south_face)
-                .get_list_at(spe, TransferPlan::get_region(vertical), &north_face);
-        }
+        // One timestep, repeated: the plan's size does not grow with
+        // `steps`.
+        b = b
+            .get_from_memory(spe, interior, interior_elem, SyncPolicy::AfterAll)
+            // The west neighbor's east boundary, and vice versa.
+            .get_list_at(spe, TransferPlan::get_region(west), &east_face)
+            .get_list_at(spe, TransferPlan::get_region(east), &west_face)
+            .get_list_at(spe, TransferPlan::get_region(vertical), &south_face)
+            .get_list_at(spe, TransferPlan::get_region(vertical), &north_face)
+            .repeat(spe, steps);
     }
     b.build().map_err(WorkloadError::Plan)
 }

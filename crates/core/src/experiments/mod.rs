@@ -193,6 +193,11 @@ pub fn figure_row(id: &str) -> Option<&'static FigureRow> {
     FIGURES.iter().find(|row| row.id == id)
 }
 
+/// The paper's payload per SPE (32 MiB): [`ExperimentConfig::full`]
+/// streams exactly this much, and [`workload_plan`] refuses more, so a
+/// workload received over a wire is never larger than the paper's own.
+pub const MAX_VOLUME_PER_SPE: u64 = 32 << 20;
+
 /// Shared knobs of the DMA experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentConfig {
@@ -234,7 +239,7 @@ impl ExperimentConfig {
     /// Slow: minutes of host time serially; use `--jobs`.
     pub fn full() -> ExperimentConfig {
         ExperimentConfig {
-            volume_per_spe: 32 << 20,
+            volume_per_spe: MAX_VOLUME_PER_SPE,
             ..ExperimentConfig::default()
         }
     }
@@ -502,7 +507,8 @@ pub enum WorkloadError {
         /// What was asked for that the pattern does not express.
         what: &'static str,
     },
-    /// `volume` is zero or not a multiple of `elem`.
+    /// `volume` is zero, not a multiple of `elem`, or above
+    /// [`MAX_VOLUME_PER_SPE`].
     BadVolume {
         /// Requested payload bytes per SPE.
         volume: u64,
@@ -533,6 +539,12 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::Unsupported { pattern, what } => {
                 write!(f, "pattern '{pattern}' does not support {what}")
+            }
+            WorkloadError::BadVolume { volume, .. } if *volume > MAX_VOLUME_PER_SPE => {
+                write!(
+                    f,
+                    "volume {volume} exceeds the {MAX_VOLUME_PER_SPE}-byte (32 MiB) per-SPE limit"
+                )
             }
             WorkloadError::BadVolume { volume, elem } => {
                 write!(
@@ -571,7 +583,9 @@ pub fn canonical_pattern(name: &str) -> Option<&'static str> {
 /// of the experiment point builders, for callers (the serve daemon)
 /// that receive workloads rather than construct them. The returned plan
 /// simulates identically to the one the local experiment would build
-/// for the same workload, so run keys and cached reports coincide.
+/// for the same workload, so run keys and cached reports coincide. A
+/// `volume` above [`MAX_VOLUME_PER_SPE`] is refused before anything is
+/// built.
 ///
 /// # Errors
 ///
@@ -579,7 +593,11 @@ pub fn canonical_pattern(name: &str) -> Option<&'static str> {
 pub fn workload_plan(w: &Workload) -> Result<Arc<TransferPlan>, WorkloadError> {
     let pattern = canonical_pattern(w.pattern)
         .ok_or_else(|| WorkloadError::UnknownPattern(w.pattern.to_string()))?;
-    if w.volume == 0 || w.elem == 0 || !w.volume.is_multiple_of(u64::from(w.elem)) {
+    if w.volume == 0
+        || w.volume > MAX_VOLUME_PER_SPE
+        || w.elem == 0
+        || !w.volume.is_multiple_of(u64::from(w.elem))
+    {
         return Err(WorkloadError::BadVolume {
             volume: w.volume,
             elem: w.elem,

@@ -342,13 +342,15 @@ impl Scatter {
     }
 }
 
-/// One step of a script: an explicit command, or a run or scattered
-/// stream expanded on demand. Every step holds at least one command.
+/// One step of a script: an explicit command, a run or scattered
+/// stream expanded on demand, or a body of steps issued `times` over.
+/// Every step holds at least one command.
 #[derive(Debug, Clone)]
 enum Step {
     Cmd(Planned),
     Run(Run),
     Scatter(Scatter),
+    Repeat { body: Box<[Step]>, times: u64 },
 }
 
 impl Step {
@@ -357,6 +359,7 @@ impl Step {
             Step::Cmd(_) => 1,
             Step::Run(run) => run.len(),
             Step::Scatter(scatter) => scatter.len(),
+            Step::Repeat { body, times } => times * body.iter().map(Step::len).sum::<u64>(),
         }
     }
 
@@ -369,6 +372,16 @@ impl Step {
             Step::Scatter(scatter) => scatter
                 .command(i)
                 .expect("a stream is validated before it is queued"),
+            Step::Repeat { body, .. } => {
+                let mut i = i % body.iter().map(Step::len).sum::<u64>();
+                for step in body {
+                    if i < step.len() {
+                        return step.command(i);
+                    }
+                    i -= step.len();
+                }
+                unreachable!("the index falls inside the body")
+            }
         }
     }
 
@@ -377,17 +390,29 @@ impl Step {
             Step::Cmd(cmd) => cmd.bytes(),
             Step::Run(run) => run.bytes(),
             Step::Scatter(scatter) => scatter.bytes(),
+            Step::Repeat { body, times } => times * body.iter().map(Step::bytes).sum::<u64>(),
         }
     }
 
     /// Commands plus the bus packets they unroll into.
     fn cost(&self, packet_bytes: u32) -> u64 {
-        self.len()
-            + match self {
-                Step::Cmd(cmd) => cmd.packets(packet_bytes),
-                Step::Run(run) => run.packets(packet_bytes),
-                Step::Scatter(scatter) => scatter.packets(packet_bytes),
+        let packets = match self {
+            Step::Cmd(cmd) => cmd.packets(packet_bytes),
+            Step::Run(run) => run.packets(packet_bytes),
+            Step::Scatter(scatter) => scatter.packets(packet_bytes),
+            Step::Repeat { body, times } => {
+                return times * body.iter().map(|s| s.cost(packet_bytes)).sum::<u64>()
             }
+        };
+        self.len() + packets
+    }
+
+    /// Steps stored: this one plus a repeated body's.
+    fn stored(&self) -> usize {
+        match self {
+            Step::Repeat { body, .. } => 1 + body.iter().map(Step::stored).sum::<usize>(),
+            _ => 1,
+        }
     }
 }
 
@@ -426,10 +451,10 @@ impl SpeScript {
     }
 
     /// Steps the script stores: one per explicit command, one per
-    /// closed-form run or stream. A script's memory is proportional to
-    /// this, not to its command count.
+    /// closed-form run or stream, one per repeat plus its body. A
+    /// script's memory is proportional to this, not to its command count.
     pub fn step_count(&self) -> usize {
-        self.steps.len()
+        self.steps.iter().map(Step::stored).sum()
     }
 
     /// Commands plus the bus packets they unroll into.
@@ -849,6 +874,23 @@ impl TransferPlanBuilder {
             self.scripts[spe].steps.push(Step::Run(run));
         }
         self.scripts[spe].sync.get_or_insert(sync);
+        self
+    }
+
+    /// Issues everything queued on `spe` so far `times` times in all,
+    /// in order, as one closed-form loop: the plan's size does not grow
+    /// with `times`, only its commands do.
+    pub fn repeat(mut self, spe: usize, times: u64) -> Self {
+        if self.err.is_none() && spe >= SPE_COUNT {
+            self.err = Some(PlanError::BadSpe(spe));
+        }
+        if self.err.is_none() && times != 1 {
+            let body = std::mem::take(&mut self.scripts[spe].steps);
+            if times > 0 && !body.is_empty() {
+                let body = body.into_boxed_slice();
+                self.scripts[spe].steps = vec![Step::Repeat { body, times }];
+            }
+        }
         self
     }
 

@@ -5,7 +5,7 @@
 //!               [--cache-dir <dir>] [--cache-capacity N] [--high-water N]
 //!               [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N]
 //!               [--read-timeout-ms N] [--write-timeout-ms N]
-//!               [--run-timeout-ms N] [--drain-grace-ms N] [--writer-queue N]
+//!               [--drain-grace-ms N] [--writer-queue N]
 //!
 //!   --addr HOST:PORT    listen address (default 127.0.0.1:7117;
 //!                       use :0 for an ephemeral port)
@@ -30,9 +30,6 @@
 //!   --write-timeout-ms N   socket write deadline; one write blocked this
 //!                          long marks the peer a slow consumer
 //!                          (0 = never, the default)
-//!   --run-timeout-ms N     per-run wall-clock watchdog; a run outliving
-//!                          it is answered as a typed "timeout" failure
-//!                          (0 = unbounded, the default)
 //!   --drain-grace-ms N     how long a draining daemon waits for in-flight
 //!                          work before exiting anyway (default 30000)
 //!   --writer-queue N       response lines buffered per connection before
@@ -45,6 +42,9 @@
 //! Prints exactly one line to stdout once the socket is listening —
 //! `cellsim-serve listening on <addr>` — so scripts can scrape the
 //! bound (possibly ephemeral) port. Everything else goes to stderr.
+//!
+//! A run above 32 MiB per SPE or above a plan cost of 2²⁴ is refused as
+//! `bad-request` when its request is decoded; there is no run timeout.
 //!
 //! **SIGTERM drains.** On Unix, SIGTERM is the out-of-band twin of the
 //! wire's `{"op":"drain"}`: new batches are refused with reason
@@ -139,11 +139,6 @@ fn parse_args() -> Result<Args, String> {
                 let ms: u64 = n.parse().map_err(|_| format!("bad timeout: {n}"))?;
                 opts.write_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
             }
-            "--run-timeout-ms" => {
-                let n = value("a count")?;
-                let ms: u64 = n.parse().map_err(|_| format!("bad timeout: {n}"))?;
-                opts.run_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-            }
             "--drain-grace-ms" => {
                 let n = value("a count")?;
                 let ms: u64 = n.parse().map_err(|_| format!("bad grace: {n}"))?;
@@ -162,11 +157,12 @@ fn parse_args() -> Result<Args, String> {
                     "cellsim-serve [--addr HOST:PORT] [--jobs N] [--workers N] \
                      [--cache-dir <dir>] [--cache-capacity N] [--high-water N] \
                      [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N] \
-                     [--read-timeout-ms N] [--write-timeout-ms N] [--run-timeout-ms N] \
+                     [--read-timeout-ms N] [--write-timeout-ms N] \
                      [--drain-grace-ms N] [--writer-queue N]\n\n\
                      Long-running sweep daemon; see README §cellsim-serve for the \
-                     line protocol. SIGTERM drains: reject new batches, finish \
-                     in-flight work, exit 0."
+                     line protocol. Runs above 32 MiB per SPE or above a plan cost of \
+                     2^24 are refused as bad-request. SIGTERM drains: reject new \
+                     batches, finish in-flight work, exit 0."
                 );
                 std::process::exit(0);
             }

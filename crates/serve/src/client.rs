@@ -128,8 +128,6 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Executor misses (actual simulations).
     pub cache_misses: u64,
-    /// Runs converted to typed `timeout` failures by the watchdog.
-    pub timeouts: u64,
     /// Whether the daemon is draining (reject-new, finish-in-flight).
     pub draining: bool,
     /// `(entries, bytes)` census of the shared cache dir, when attached.
@@ -367,8 +365,6 @@ impl Client {
             uptime_cycles: get_u64(&v, "uptime_cycles")?,
             cache_hits: get_u64(cache, "hits")?,
             cache_misses: get_u64(cache, "misses")?,
-            // Lenient: absent on daemons predating the hardening work.
-            timeouts: v.get("timeouts").and_then(JsonValue::as_u64).unwrap_or(0),
             draining: matches!(v.get("draining"), Some(JsonValue::Bool(true))),
             disk_entries,
         })
@@ -552,10 +548,6 @@ fn decode_outcome(v: &JsonValue) -> Result<Result<Arc<FabricReport>, WireFailure
                     .get("diagnosis")
                     .map(JsonValue::to_json_string)
                     .unwrap_or_default(),
-                "timeout" => format!(
-                    "exceeded {} ms wall clock",
-                    v.get("limit_ms").and_then(JsonValue::as_u64).unwrap_or(0)
-                ),
                 _ => v
                     .get("message")
                     .and_then(JsonValue::as_str)

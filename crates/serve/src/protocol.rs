@@ -34,6 +34,10 @@
 //! (the run keys pick up its fingerprint, so degraded and healthy runs
 //! never share a cache entry).
 //!
+//! A run above the paper's 32 MiB per SPE or [`MAX_RUN_COST`] is refused
+//! as `bad-request` before anything is enqueued. Neither limit depends
+//! on the host, so a request line gets the same answer on every machine.
+//!
 //! # Responses
 //!
 //! A `run` batch is answered by `accepted` (or `reject`), then one
@@ -56,13 +60,13 @@
 //! equal to a locally simulated one.
 //! `failed` reuses the typed [`RunError`] taxonomy: stalls carry the
 //! full [`StallDiagnosis`](cellsim_core::StallDiagnosis) JSON, panics a
-//! `message` string, watchdog timeouts a `limit_ms` budget. `error`
-//! lines never close the connection (the daemon keeps serving after a
-//! malformed line); an over-long line — which cannot be framed — does,
-//! as do a slow consumer overflowing its bounded writer queue (after a
-//! best-effort `{"op":"error","reason":"slow-consumer",...}` line) and
-//! daemon shutdown (after a `reason":"shutting-down"` error per batch
-//! still owed runs).
+//! `message` string. `error` lines never close the connection (the
+//! daemon keeps serving after a malformed line); an over-long line —
+//! which cannot be framed — does, as do a slow consumer overflowing its
+//! bounded writer queue (after a best-effort
+//! `{"op":"error","reason":"slow-consumer",...}` line) and daemon
+//! shutdown (after a `reason":"shutting-down"` error per batch still
+//! owed runs).
 
 use cellsim_core::diskcache::{key_fingerprint, write_report, REPORT_JSON_CAPACITY};
 use cellsim_core::exec::{config_fingerprint, RunError, RunKey, RunSpec, Workload};
@@ -80,6 +84,11 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// paper protocol in a single batch; small enough that admission
 /// control reasons about batches, not gigabytes.
 pub const MAX_BATCH_RUNS: usize = 4096;
+
+/// Largest [`TransferPlan::cost`](cellsim_core::TransferPlan::cost) (DMA
+/// commands plus bus packets) one run may have: that of the costliest
+/// `repro --full` point, 8-SPE `gups`. A unit test pins it to the table.
+pub const MAX_RUN_COST: u64 = 1 << 24;
 
 /// Longest accepted batch id, in bytes.
 pub const MAX_ID_BYTES: usize = 256;
@@ -238,9 +247,9 @@ fn field_u64(run: &JsonValue, name: &str) -> Result<u64, String> {
 
 /// Decodes and fully validates one run object into a [`RunSpec`] on
 /// `system`, whose config and fault-plan fingerprints are `machine`.
-/// Everything is checked here — pattern, parameter ranges, plan
-/// buildability, placement permutation, fused-SPE collisions — so a
-/// spec that decodes is a spec the executor can run.
+/// Everything is checked here — pattern, parameter ranges, volume and
+/// cost limits, plan buildability, placement permutation, fused-SPE
+/// collisions — so a spec that decodes is a spec the executor can run.
 fn decode_run(
     run: &JsonValue,
     system: &CellSystem,
@@ -292,6 +301,13 @@ fn decode_run(
         params,
     };
     let plan = workload_plan(&workload).map_err(|e| e.to_string())?;
+    let cost = plan.cost(system.config().mfc.packet_bytes);
+    if cost > MAX_RUN_COST {
+        return Err(format!(
+            "plan cost {cost} (DMA commands plus bus packets) exceeds the \
+             {MAX_RUN_COST} per-run limit"
+        ));
+    }
     let mapping = run
         .get("placement")
         .and_then(JsonValue::as_array)
@@ -456,9 +472,6 @@ pub fn failed_line(id: &str, index: usize, error: &RunError) -> String {
         RunError::Panicked { message, .. } => {
             w.key("kind").str("panic").key("message").str(message);
         }
-        RunError::Timeout { limit_ms, .. } => {
-            w.key("kind").str("timeout").key("limit_ms").u64(*limit_ms);
-        }
     }
     finish(w)
 }
@@ -539,7 +552,7 @@ pub fn encode_run_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim_core::experiments::{figure_points, figure_specs, ExperimentConfig};
+    use cellsim_core::experiments::{figure_points, figure_specs, ExperimentConfig, FIGURES};
 
     fn quick_specs() -> Vec<RunSpec> {
         let cfg = ExperimentConfig::quick();
@@ -624,6 +637,19 @@ mod tests {
              \"placement\":[0,0,2,3,4,5,6,7]}",
             "not a permutation",
         );
+    }
+
+    #[test]
+    fn the_run_cost_limit_is_the_largest_paper_scale_cost() {
+        let cfg = ExperimentConfig::full();
+        let packet_bytes = CellSystem::blade().config().mfc.packet_bytes;
+        let largest = FIGURES
+            .iter()
+            .filter_map(|row| figure_points(&cfg, row.id).unwrap())
+            .flatten()
+            .map(|point| point.plan.cost(packet_bytes))
+            .max();
+        assert_eq!(largest, Some(MAX_RUN_COST));
     }
 
     #[test]

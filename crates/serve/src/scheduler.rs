@@ -19,10 +19,9 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cellsim_core::exec::{RunError, RunKey, RunSpec, SweepExecutor};
 use cellsim_core::FabricReport;
@@ -261,8 +260,6 @@ pub struct SchedulerStats {
     /// Σ simulated `report.cycles` over every successful run answered —
     /// the daemon's uptime in simulated bus cycles.
     pub uptime_cycles: u64,
-    /// Runs converted to [`RunError::Timeout`] by the watchdog.
-    pub timeouts: u64,
     /// Whether the scheduler is draining (reject-new, finish-in-flight).
     pub draining: bool,
     /// Per-connection accepted/completed tallies, ordered by connection
@@ -302,28 +299,19 @@ pub struct Scheduler {
     inner: Mutex<Inner>,
     work: Condvar,
     high_water: usize,
-    /// Per-run wall-clock budget; `None` trusts every run to finish.
-    run_timeout: Option<Duration>,
     draining: AtomicBool,
     deduped: AtomicU64,
     accepted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
     uptime_cycles: AtomicU64,
-    timeouts: AtomicU64,
 }
 
 impl Scheduler {
     /// A scheduler feeding `exec`, admitting at most `high_water`
-    /// queued runs (minimum 1). A run that outlives `run_timeout` is
-    /// answered as [`RunError::Timeout`] instead of blocking its worker
-    /// forever.
+    /// queued runs (minimum 1).
     #[must_use]
-    pub fn new(
-        exec: Arc<SweepExecutor>,
-        high_water: usize,
-        run_timeout: Option<Duration>,
-    ) -> Scheduler {
+    pub fn new(exec: Arc<SweepExecutor>, high_water: usize) -> Scheduler {
         Scheduler {
             exec,
             inner: Mutex::new(Inner {
@@ -337,14 +325,12 @@ impl Scheduler {
             }),
             work: Condvar::new(),
             high_water: high_water.max(1),
-            run_timeout,
             draining: AtomicBool::new(false),
             deduped: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             uptime_cycles: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
         }
     }
 
@@ -428,7 +414,9 @@ impl Scheduler {
     /// One worker: pop → dedup-or-simulate → deliver, forever. The pop
     /// and the in-flight check share one critical section, so between
     /// two concurrent requesters of a key exactly one simulates and the
-    /// other parks — never both.
+    /// other parks — never both. Every run returns: its size was bounded
+    /// when the request was decoded, and a stall ends inside the fabric
+    /// as a typed [`RunError::Stall`].
     fn worker(&self) {
         loop {
             let job = {
@@ -453,72 +441,19 @@ impl Scheduler {
                 }
             };
             let key = job.spec.key.clone();
-            let result = self.run_watchdogged(&job);
-            let waiters = self.lock().inflight.remove(&key).unwrap_or_default();
-            self.deliver(&job, &result);
-            for waiter in &waiters {
-                self.deliver(waiter, &result);
-            }
-        }
-    }
-
-    /// Runs one job on the executor, bounded by the configured
-    /// wall-clock budget when there is one.
-    ///
-    /// With a budget, the simulation runs on a detached thread and this
-    /// worker waits at most `run_timeout` for its answer; a runaway run
-    /// becomes [`RunError::Timeout`], delivered to the requester *and*
-    /// every dedup-parked waiter, and the worker moves on. The runaway
-    /// thread keeps simulating harmlessly — the scheduler state it
-    /// would touch was already handed over, its channel send fails
-    /// silently, and if it ever finishes, the executor caches the
-    /// report so a retry is answered instantly.
-    fn run_watchdogged(&self, job: &Job) -> Result<Arc<FabricReport>, RunError> {
-        let run_inline = || {
             let result = self
                 .exec
                 .try_run_recorded(vec![job.spec.clone()], job.batch.record)
                 .pop()
                 .expect("one result per submitted spec");
-            // The wire carries the typed error; drain the executor's
-            // copy so a resident daemon never accumulates failures.
+            // The wire carries the typed error; drain the executor's copy
+            // so a resident daemon never accumulates failures.
             let _ = self.exec.take_failures();
-            result
-        };
-        let Some(limit) = self.run_timeout else {
-            return run_inline();
-        };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let exec = Arc::clone(&self.exec);
-        let spec = job.spec.clone();
-        let record = job.batch.record;
-        let spawned = std::thread::Builder::new()
-            .name("cellsim-serve-run".to_string())
-            .spawn(move || {
-                let result = exec
-                    .try_run_recorded(vec![spec], record)
-                    .pop()
-                    .expect("one result per submitted spec");
-                let _ = exec.take_failures();
-                let _ = tx.send(result);
-            });
-        match spawned {
-            // No thread to watchdog: run unbounded rather than not at all.
-            Err(_) => run_inline(),
-            Ok(_detached) => match rx.recv_timeout(limit) {
-                Ok(result) => result,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
-                    Err(RunError::Timeout {
-                        key: job.spec.key.clone(),
-                        limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => Err(RunError::Panicked {
-                    key: job.spec.key.clone(),
-                    message: "watchdogged run thread died without a result".to_string(),
-                }),
-            },
+            let waiters = self.lock().inflight.remove(&key).unwrap_or_default();
+            self.deliver(&job, &result);
+            for waiter in &waiters {
+                self.deliver(waiter, &result);
+            }
         }
     }
 
@@ -631,7 +566,6 @@ impl Scheduler {
             completed: self.completed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             uptime_cycles: self.uptime_cycles.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::SeqCst),
             per_connection: inner
                 .tallies

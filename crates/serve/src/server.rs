@@ -9,7 +9,7 @@
 //! makes the sink's sends no-ops — its running simulations still
 //! complete and warm the shared caches for everyone else.
 //!
-//! Hardening (all opt-in via [`ServeOptions`]):
+//! Hardening (the knobs are [`ServeOptions`]):
 //!
 //! * **Read deadlines + idle reaper** — with a `read_timeout`, a
 //!   connection that has nothing in flight and sends nothing for a full
@@ -21,9 +21,10 @@
 //!   sends one final `slow-consumer` error line (best effort) and
 //!   severs the socket, instead of buffering without limit or wedging
 //!   the shared scheduler workers.
-//! * **Per-run watchdog** — `run_timeout` converts a runaway
-//!   simulation into a typed `timeout` failure on the wire
-//!   (see [`Scheduler`]).
+//! * **Bounded runs** (always on) — every run's volume and cost are
+//!   checked when its request is decoded (see [`protocol`]), so no
+//!   admitted run can exhaust memory or outrun the paper's largest
+//!   point; stalls end inside the fabric as typed `stall` failures.
 //! * **Graceful drain** — [`ServeHandle::drain`] (SIGTERM in the
 //!   binary) or an in-band `{"op":"drain"}` flips the daemon to
 //!   reject-new/finish-in-flight; once idle (or after `drain_grace`)
@@ -81,9 +82,6 @@ pub struct ServeOptions {
     /// blocked this long marks the peer a slow consumer. `None` blocks
     /// indefinitely (the bounded queue still protects the workers).
     pub write_timeout: Option<Duration>,
-    /// Per-run wall-clock watchdog: a simulation outliving this is
-    /// answered as a typed `timeout` failure. `None` trusts every run.
-    pub run_timeout: Option<Duration>,
     /// How long a draining daemon waits for in-flight work before
     /// exiting anyway.
     pub drain_grace: Duration,
@@ -106,7 +104,6 @@ impl Default for ServeOptions {
             stats_interval: Duration::from_secs(60),
             read_timeout: None,
             write_timeout: None,
-            run_timeout: None,
             drain_grace: Duration::from_secs(30),
             writer_queue: 1024,
         }
@@ -205,7 +202,7 @@ impl Server {
             exec.set_run_dir(dir)?;
         }
         let exec = Arc::new(exec);
-        let scheduler = Arc::new(Scheduler::new(exec, opts.high_water, opts.run_timeout));
+        let scheduler = Arc::new(Scheduler::new(exec, opts.high_water));
         let workers = if opts.workers == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
@@ -618,7 +615,7 @@ fn submit_batch(
 
 /// The `stats` response: scheduler counters (including the queue's
 /// high-water peak, uptime in wall milliseconds and simulated cycles,
-/// watchdog timeouts, the draining flag, and per-connection tallies),
+/// the draining flag, and per-connection tallies),
 /// executor cache counters, run-dir recording counters when attached,
 /// and (when a cache dir is attached) both the process's disk-tier
 /// activity and a census of the shared directory.
@@ -636,7 +633,6 @@ fn stats_line(scheduler: &Scheduler, connections: &AtomicUsize, started: Instant
         ("accepted", sched.accepted),
         ("completed", sched.completed),
         ("rejected", sched.rejected),
-        ("timeouts", sched.timeouts),
     ];
     counters(w.begin_object().key("op").str("stats"), &top)
         .key("draining")

@@ -13,6 +13,7 @@ use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
     figure10_with, figure12_with, figure_points, figure_specs, workload_plan, ExperimentConfig,
 };
+use cellsim_core::json::{self, JsonValue};
 use cellsim_core::tracestore::{Manifest, TraceStore, TRACE_FILE};
 use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy};
 use cellsim_serve::protocol::encode_run_request;
@@ -254,9 +255,42 @@ fn hostile_lines_get_typed_errors_without_killing_the_connection() {
         "{missing_runs}"
     );
 
-    // Three refused requests later, the same connection still serves.
+    // Runs past the decode limits: a valid 8-SPE stencil asking for
+    // 2^40 bytes per SPE (building its plan would exhaust memory), and a
+    // 32 MiB-per-SPE stream of 8-byte elements whose plan cost (2^26)
+    // is over the per-run limit. Both are refused before admission.
+    let placement = "\"placement\":[0,1,2,3,4,5,6,7]";
+    let huge_stencil = exchange(&format!(
+        "{{\"op\":\"run\",\"id\":\"huge\",\"runs\":[{{\"pattern\":\"stencil\",\
+         \"spes\":8,\"volume\":{},\"elem\":16,\"list\":true,\"sync\":\"all\",\
+         \"params\":{},{placement}}}]}}",
+        1u64 << 40,
+        (5 << 8) | 6
+    ));
+    assert!(
+        huge_stencil.contains("\"reason\":\"bad-request\"")
+            && huge_stencil.contains("run 0: volume 1099511627776 exceeds the 33554432-byte"),
+        "{huge_stencil}"
+    );
+    let over_cost = exchange(&format!(
+        "{{\"op\":\"run\",\"id\":\"dear\",\"runs\":[{{\"pattern\":\"mem-get\",\
+         \"spes\":8,\"volume\":{},\"elem\":8,{placement}}}]}}",
+        32u64 << 20
+    ));
+    assert!(
+        over_cost.contains("\"reason\":\"bad-request\"")
+            && over_cost.contains("run 0: plan cost 67108864"),
+        "{over_cost}"
+    );
+
+    // Five refused requests later, nothing was admitted or simulated,
+    // and the same connection still serves.
     let stats = exchange("{\"op\":\"stats\"}");
-    assert!(stats.contains("\"op\":\"stats\""), "{stats}");
+    let v = json::parse(&stats).unwrap_or_else(|e| panic!("{e}: {stats}"));
+    assert_eq!(v.get("op").and_then(JsonValue::as_str), Some("stats"));
+    assert_eq!(v.get("accepted").and_then(JsonValue::as_u64), Some(0));
+    let misses = v.get("cache").and_then(|c| c.get("misses"));
+    assert_eq!(misses.and_then(JsonValue::as_u64), Some(0), "{stats}");
     daemon.stop();
 }
 

@@ -119,11 +119,18 @@ fn every_listed_id_expands_and_renders_consistently() {
 fn every_sweep_workload_round_trips_through_the_wire_path() {
     // The serve daemon rebuilds plans from bare workloads
     // (`workload_plan`); if a point builder and the rebuild path ever
-    // disagree, remote figures silently diverge from local ones.
-    let cfg = ExperimentConfig::quick();
+    // disagree, remote figures silently diverge from local ones. At the
+    // paper's scale every point must also pass the daemon's per-SPE
+    // volume limit.
+    for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
+        rebuild_every_point(&cfg);
+    }
+}
+
+fn rebuild_every_point(cfg: &ExperimentConfig) {
     for row in FIGURES.iter().filter(|row| row.points.is_some()) {
         let id = row.id;
-        for point in figure_points(&cfg, id).unwrap().unwrap() {
+        for point in figure_points(cfg, id).unwrap().unwrap() {
             let w = &point.workload;
             assert_eq!(
                 canonical_pattern(w.pattern),

@@ -631,3 +631,68 @@ fn paper_scale_gups_plan_holds_one_step_per_spe() {
         assert!(commands >= 1000 * steps, "{pattern}: {commands} commands");
     }
 }
+
+/// `repeat` issues exactly the commands of the unrolled loop, from one
+/// stored body.
+#[test]
+fn repeat_issues_the_unrolled_commands_from_one_stored_body() {
+    use cellsim::mem::RegionId;
+    use cellsim::mfc::ListElement;
+    use cellsim::{PlanError, TransferPlanBuilder};
+    let face = [0, 1024].map(|ea_offset| ListElement {
+        ea_offset,
+        bytes: 64,
+    });
+    let timestep = |b: TransferPlanBuilder| {
+        b.get_from_memory(3, 4096, 1024, SyncPolicy::AfterAll)
+            .get_list_at(3, RegionId(5), &face)
+    };
+    let unrolled = (0..7).fold(TransferPlan::builder(), |b, _| timestep(b));
+    let unrolled = unrolled.build().unwrap();
+    let looped = timestep(TransferPlan::builder()).repeat(3, 7).build();
+    let looped = looped.unwrap();
+    let (u, l) = (&unrolled.scripts()[3], &looped.scripts()[3]);
+    assert!(u.commands().eq(l.commands()));
+    assert_eq!(u.commands().len(), l.commands().len());
+    assert_eq!(unrolled.total_bytes(), looped.total_bytes());
+    assert_eq!(unrolled.cost(128), looped.cost(128));
+    assert_eq!((u.step_count(), l.step_count()), (14, 3));
+    // Once is the body itself; zero times queues nothing.
+    let once = timestep(TransferPlan::builder()).repeat(3, 1).build();
+    assert_eq!(once.unwrap().scripts()[3].step_count(), 2);
+    let none = timestep(TransferPlan::builder()).repeat(3, 0).build();
+    assert_eq!(none.unwrap_err(), PlanError::EmptyPlan);
+}
+
+/// A stencil plan stores one timestep per SPE and repeats it, so its
+/// size is the same at 64 KiB and at the paper's 32 MiB per SPE, even
+/// for the smallest (2×2-cell) subgrid.
+#[test]
+fn stencil_plan_size_does_not_grow_with_volume() {
+    use cellsim::core::exec::Workload;
+    use cellsim::core::experiments::workload_plan;
+    let stencil = |rows_log2, cols_log2, volume| {
+        let params = cellsim::workloads::StencilParams {
+            rows_log2,
+            cols_log2,
+        };
+        let w = Workload {
+            pattern: "stencil",
+            spes: 8,
+            volume,
+            elem: cellsim::workloads::CELL_BYTES,
+            list: true,
+            sync: SyncPolicy::AfterAll,
+            params: params.pack(),
+        };
+        workload_plan(&w).expect("stencil plan builds")
+    };
+    for (rows_log2, cols_log2) in [(1, 1), (5, 6)] {
+        let small = stencil(rows_log2, cols_log2, 64 << 10);
+        let paper = stencil(rows_log2, cols_log2, 32 << 20);
+        let steps =
+            |plan: &TransferPlan| -> usize { plan.scripts().iter().map(|s| s.step_count()).sum() };
+        assert_eq!(steps(&small), steps(&paper));
+        assert_eq!(paper.total_bytes(), small.total_bytes() * 512);
+    }
+}
