@@ -12,12 +12,15 @@
 //! * **Atomic writes.** Entries are written to a unique temp file and
 //!   `rename`d into place; a killed process leaves either the old entry,
 //!   the complete new one, or stray temp files — never a torn entry.
-//! * **Never trust, always verify.** Every load re-parses the entry,
-//!   re-serializes the report canonically, and compares an FNV-1a content
-//!   checksum plus the schema version and the full [`RunKey`] (machine
-//!   config and fault-plan fingerprints included). Any mismatch — a
-//!   truncated file, a flipped bit, an entry written by a different
-//!   machine config — is silently discarded and recomputed.
+//! * **Never trust, always verify.** Every load reads the entry in one
+//!   pass: it checks the schema version, compares the stored key with the
+//!   full [`RunKey`] (machine config and fault-plan fingerprints
+//!   included) byte for byte, decodes the report strictly from the token
+//!   stream (every member in the order the encoder writes it, nothing
+//!   missing, extra or mistyped), and compares an FNV-1a checksum over
+//!   the report's stored bytes. Any mismatch — a truncated file, a
+//!   flipped bit, bytes that are not UTF-8, an entry written by a
+//!   different machine config — is silently discarded and recomputed.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -29,7 +32,7 @@ use cellsim_mem::BankId;
 
 use crate::exec::RunKey;
 use crate::fabric::FabricReport;
-use crate::json::{self, JsonValue, Writer};
+use crate::json::{JsonError, JsonValue, Reader, Writer};
 use crate::latency::{LatencyHistogram, PathLatency};
 use crate::metrics::{FabricMetrics, FaultStats, SpeMetrics};
 
@@ -135,8 +138,9 @@ impl DiskCache {
     /// recomputes — the cache never surfaces unverified data).
     pub fn load(&self, key: &RunKey) -> Option<FabricReport> {
         let path = self.entry_path(key);
-        let text = crate::iofault::read_to_string(&path).ok()?;
-        match validate(key, &text) {
+        let bytes = crate::iofault::read(&path).ok()?;
+        let entry = std::str::from_utf8(&bytes).ok();
+        match entry.and_then(|text| validate(key, text)) {
             Some(report) => {
                 self.loaded.fetch_add(1, Ordering::Relaxed);
                 Some(report)
@@ -218,24 +222,31 @@ fn entry_json(key: &RunKey, report: &FabricReport) -> String {
     text
 }
 
-/// Full verification: schema version, key identity, and the content
-/// checksum recomputed over the canonical re-serialization of the parsed
-/// report — a corrupted byte anywhere changes one of the three.
+/// Full verification in one pass over the entry, in the order
+/// [`entry_json`] writes it: schema version, key identity, the report
+/// decoded strictly from the token stream, and the content checksum over
+/// the report's stored bytes — a corrupted byte anywhere changes one of
+/// them.
 fn validate(key: &RunKey, text: &str) -> Option<FabricReport> {
-    let v = json::parse(text).ok()?;
-    if v.get("schema")?.as_u64()? != SCHEMA {
+    let mut r = Reader::new(text);
+    r.begin_object().ok()?;
+    r.member("schema").ok()?;
+    if r.u64().ok()? != SCHEMA {
         return None;
     }
-    let expected = json::parse(&key_json(key)).expect("canonical key JSON parses");
-    if v.get("key")? != &expected {
+    r.member("checksum").ok()?;
+    let checksum = r.str().ok()?;
+    r.member("key").ok()?;
+    if r.raw().ok()? != key_json(key) {
         return None;
     }
-    let mut report = report_from_json(v.get("report")?)?;
-    let canonical = report_json(&mut report);
-    if v.get("checksum")?.as_str()? != format!("{:016x}", fnv1a(canonical.as_bytes())) {
-        return None;
-    }
-    Some(report)
+    r.member("report").ok()?;
+    let start = r.offset();
+    let report = read_report(&mut r)?;
+    let body = &text[start..r.offset()];
+    r.end_object().ok()?;
+    r.finish().ok()?;
+    (checksum == format!("{:016x}", fnv1a(body.as_bytes()))).then_some(report)
 }
 
 /// Stable 64-bit fingerprint of a [`RunKey`] (FNV-1a over its canonical
@@ -263,6 +274,16 @@ pub fn report_from_json(v: &JsonValue) -> Option<FabricReport> {
     let mut report = FabricReport::default();
     let mut d = Decoder { at: v, ok: true };
     report_fields(&mut d, &mut report);
+    d.ok.then_some(report)
+}
+
+/// Decodes the report object next in `r` straight from its token stream
+/// (see [`StreamDecoder`]); `None` on any departure from the canonical
+/// shape.
+fn read_report(r: &mut Reader<'_>) -> Option<FabricReport> {
+    let mut report = FabricReport::default();
+    let mut d = StreamDecoder { r, ok: true };
+    d.body(&mut report, report_fields);
     d.ok.then_some(report)
 }
 
@@ -308,7 +329,8 @@ fn encode<'w, T>(w: &'w mut Writer, v: &mut T, walk: impl FnOnce(&mut Encoder<'w
 // ---- the persisted shape --------------------------------------------------
 //
 // One walk per struct names every persisted field once, in canonical
-// order; [`Encoder`] writes the fields and [`Decoder`] reads them back.
+// order; [`Encoder`] writes the fields, and [`Decoder`] (from a parsed
+// tree) or [`StreamDecoder`] (from the token stream) reads them back.
 // `f64`s persist as IEEE-754 bit patterns so replays are bit-identical
 // (decimal round-trips are not, and NaN payloads would not survive).
 
@@ -445,6 +467,9 @@ trait Seq: AsMut<[Self::Item]> {
     type Item;
     /// Sizes the sequence for `len` decoded items; `false` if it cannot.
     fn fit(&mut self, len: usize) -> bool;
+    /// The slot of decoded item `i`, items arriving in order; `None` if
+    /// the sequence cannot hold it.
+    fn slot(&mut self, i: usize) -> Option<&mut Self::Item>;
 }
 
 impl<T: Default> Seq for Vec<T> {
@@ -453,12 +478,21 @@ impl<T: Default> Seq for Vec<T> {
         self.resize_with(len, T::default);
         true
     }
+    fn slot(&mut self, i: usize) -> Option<&mut T> {
+        if i == self.len() {
+            self.push(T::default());
+        }
+        self.get_mut(i)
+    }
 }
 
 impl<T, const N: usize> Seq for [T; N] {
     type Item = T;
     fn fit(&mut self, len: usize) -> bool {
         len == N
+    }
+    fn slot(&mut self, i: usize) -> Option<&mut T> {
+        self.get_mut(i)
     }
 }
 
@@ -579,6 +613,98 @@ impl Codec for Decoder<'_> {
     }
 }
 
+/// Reads each field straight from a document's token stream, in the
+/// order the walks name it (the order [`Encoder`] writes), building no
+/// tree. A member that is missing, misplaced, extra or mistyped, or a
+/// fixed array of the wrong length, clears `ok` and stops the read.
+struct StreamDecoder<'r, 'a> {
+    r: &'r mut Reader<'a>,
+    ok: bool,
+}
+
+impl<'a> StreamDecoder<'_, 'a> {
+    /// Runs one read step, unless an earlier one failed.
+    fn read<T>(&mut self, step: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>) -> Option<T> {
+        let v = if self.ok { step(self.r).ok() } else { None };
+        self.ok = v.is_some();
+        v
+    }
+
+    /// An object's members as `walk` names them, then its end.
+    fn body<T>(&mut self, v: &mut T, walk: impl Fn(&mut Self, &mut T)) {
+        if self.read(Reader::begin_object).is_some() {
+            walk(self, v);
+            self.read(Reader::end_object);
+        }
+    }
+
+    /// Array member `key`, each item read into its slot of `v` by `item`.
+    fn array<S: Seq>(&mut self, key: &str, v: &mut S, item: impl Fn(&mut Self, &mut S::Item)) {
+        if self
+            .read(|r| {
+                r.member(key)?;
+                r.begin_array()
+            })
+            .is_none()
+        {
+            return;
+        }
+        let mut len = 0;
+        while self.read(Reader::next_item) == Some(true) {
+            let Some(slot) = v.slot(len) else {
+                self.ok = false;
+                return;
+            };
+            item(self, slot);
+            len += 1;
+        }
+        self.ok &= v.fit(len);
+    }
+}
+
+impl Codec for StreamDecoder<'_, '_> {
+    fn num<N: Num>(&mut self, key: &str, v: &mut N) {
+        if let Some(n) = self.read(|r| {
+            r.member(key)?;
+            r.u64()
+        }) {
+            *v = N::from_u64(n);
+        }
+    }
+
+    fn nums<S: Seq>(&mut self, key: &str, v: &mut S)
+    where
+        S::Item: Num,
+    {
+        self.array(key, v, |d, slot| {
+            if let Some(n) = d.read(Reader::u64) {
+                *slot = S::Item::from_u64(n);
+            }
+        });
+    }
+
+    fn object<T>(&mut self, key: &str, v: &mut T, walk: impl Fn(&mut Self, &mut T)) {
+        if self.read(|r| r.member(key)).is_some() {
+            self.body(v, walk);
+        }
+    }
+
+    fn objects<S: Seq>(&mut self, key: &str, v: &mut S, walk: impl Fn(&mut Self, &mut S::Item)) {
+        self.array(key, v, |d, slot| d.body(slot, &walk));
+    }
+
+    fn bank(&mut self, key: &str, v: &mut BankId) {
+        let name = self.read(|r| {
+            r.member(key)?;
+            r.str()
+        });
+        match BANK_NAMES.iter().find(|(_, n)| name.as_deref() == Some(*n)) {
+            Some((bank, _)) => *v = *bank,
+            None => self.ok = false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,10 +801,30 @@ mod tests {
     }
 
     #[test]
+    fn entries_that_are_not_utf8_are_discarded() {
+        let dir = tmp_dir("utf8");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (key, report) = sample();
+        cache.store(&key, &report);
+        let path = cache.entry_path(&key);
+        let mut bytes = fs::read(&path).unwrap();
+        let report_at = bytes.windows(9).position(|w| w == b"\"report\":").unwrap();
+        bytes[report_at + 20] = 0xFF;
+        fs::write(&path, bytes).unwrap();
+        assert!(cache.load(&key).is_none());
+        assert_eq!(cache.stats().discarded, 1);
+        assert!(!path.exists(), "the entry is removed, not left to rot");
+        // A missing entry is a plain miss.
+        assert!(cache.load(&key).is_none());
+        assert_eq!(cache.stats().discarded, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn wire_report_round_trips_bit_identically() {
         let (key, report) = sample();
         let text = report_to_json(&report);
-        let parsed = report_from_json(&json::parse(&text).unwrap()).unwrap();
+        let parsed = report_from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, report);
         assert_eq!(
             parsed.aggregate_gbps.to_bits(),

@@ -52,7 +52,7 @@ use crate::diskcache::{key_fingerprint, key_json, write_key};
 use crate::exec::{RunKey, RunSpec};
 use crate::fabric::FabricReport;
 use crate::failure::RunFailure;
-use crate::json::{self, Writer};
+use crate::json::{Reader, Writer};
 use crate::latency::DmaPathClass;
 use crate::placement::Placement;
 use crate::plan::TransferPlan;
@@ -1139,54 +1139,100 @@ impl Manifest {
     /// # Errors
     ///
     /// [`TraceStoreError::Io`] when the file cannot be read,
-    /// [`TraceStoreError::Corrupt`] when it does not parse as a
-    /// schema-1 manifest.
+    /// [`TraceStoreError::Corrupt`] when it is not UTF-8 or does not
+    /// parse as a schema-1 manifest.
     pub fn load(dir: &Path) -> Result<Manifest, TraceStoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let text = crate::iofault::read_to_string(&path)?;
-        Manifest::parse(&text)
+        let bytes = crate::iofault::read(&path)?;
+        std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(Manifest::parse)
             .ok_or_else(|| corrupt(format!("unreadable manifest {}", path.display())))
     }
 
+    /// Reads a manifest in one pass, its members in the order
+    /// [`manifest_json`] writes them. The embedded key is kept verbatim;
+    /// the members a [`Manifest`] shows are looked up inside it by name.
     fn parse(text: &str) -> Option<Manifest> {
-        let v = json::parse(text).ok()?;
-        if v.get("schema")?.as_u64()? != MANIFEST_SCHEMA {
+        let mut r = Reader::new(text);
+        r.begin_object().ok()?;
+        if member_u64(&mut r, "schema")? != MANIFEST_SCHEMA {
             return None;
         }
-        let key = v.get("key")?;
-        let metrics = v.get("metrics")?;
-        let trace = v.get("trace")?;
+        let fingerprint = member_str(&mut r, "fingerprint")?;
+        member_str(&mut r, "config")?;
+        member_str(&mut r, "faults")?;
+        r.member("key").ok()?;
+        let key = r.raw().ok()?;
+        let (mut pattern, mut spes, mut volume, mut elem) = (None, None, None, None);
+        let mut k = Reader::new(key);
+        k.begin_object().ok()?;
+        while let Some(name) = k.next_key().ok()? {
+            match &*name {
+                "pattern" => pattern = Some(k.str().ok()?.into_owned()),
+                "spes" => spes = Some(k.u64().ok()?),
+                "volume" => volume = Some(k.u64().ok()?),
+                "elem" => elem = Some(k.u64().ok()?),
+                _ => {
+                    k.raw().ok()?;
+                }
+            }
+        }
+        r.member("metrics").ok()?;
+        r.begin_object().ok()?;
+        let cycles = member_u64(&mut r, "cycles")?;
+        let total_bytes = member_u64(&mut r, "total_bytes")?;
+        let events = member_u64(&mut r, "events")?;
+        let packets = member_u64(&mut r, "packets")?;
+        let abandoned = member_u64(&mut r, "abandoned")?;
+        let aggregate_gbps = f64::from_bits(member_u64(&mut r, "aggregate_gbps_bits")?);
+        let stall_cycles = member_u64(&mut r, "stall_cycles")?;
+        let dominant_stall = member_str(&mut r, "dominant_stall")?;
+        r.end_object().ok()?;
+        r.member("trace").ok()?;
+        r.begin_object().ok()?;
+        let trace_file = member_str(&mut r, "file")?;
+        let trace_bytes = member_u64(&mut r, "bytes")?;
+        let trace_events = member_u64(&mut r, "events")?;
+        let trace_checksum = member_str(&mut r, "checksum")?;
+        r.end_object().ok()?;
+        r.end_object().ok()?;
+        r.finish().ok()?;
         Some(Manifest {
-            fingerprint: v.get("fingerprint")?.as_str()?.to_string(),
-            key: raw_key_json(text)?,
-            pattern: key.get("pattern")?.as_str()?.to_string(),
-            spes: key.get("spes")?.as_u64()?,
-            volume: key.get("volume")?.as_u64()?,
-            elem: key.get("elem")?.as_u64()?,
-            cycles: metrics.get("cycles")?.as_u64()?,
-            total_bytes: metrics.get("total_bytes")?.as_u64()?,
-            events: metrics.get("events")?.as_u64()?,
-            packets: metrics.get("packets")?.as_u64()?,
-            abandoned: metrics.get("abandoned")?.as_u64()?,
-            aggregate_gbps: f64::from_bits(metrics.get("aggregate_gbps_bits")?.as_u64()?),
-            stall_cycles: metrics.get("stall_cycles")?.as_u64()?,
-            dominant_stall: metrics.get("dominant_stall")?.as_str()?.to_string(),
-            trace_file: trace.get("file")?.as_str()?.to_string(),
-            trace_bytes: trace.get("bytes")?.as_u64()?,
-            trace_events: trace.get("events")?.as_u64()?,
-            trace_checksum: trace.get("checksum")?.as_str()?.to_string(),
+            fingerprint,
+            key: key.to_string(),
+            pattern: pattern?,
+            spes: spes?,
+            volume: volume?,
+            elem: elem?,
+            cycles,
+            total_bytes,
+            events,
+            packets,
+            abandoned,
+            aggregate_gbps,
+            stall_cycles,
+            dominant_stall,
+            trace_file,
+            trace_bytes,
+            trace_events,
+            trace_checksum,
         })
     }
 }
 
-/// Extracts the manifest's embedded key object verbatim. Manifests are
-/// written canonically (the key is [`key_json`]'s exact output: a flat
-/// object whose only brackets are the placement array), so the first
-/// `}` after `"key":{` closes it.
-fn raw_key_json(text: &str) -> Option<String> {
-    let start = text.find("\"key\":{")? + "\"key\":".len();
-    let end = start + text[start..].find('}')?;
-    Some(text[start..=end].to_string())
+/// The next member of `r`'s object, which must be `name` holding a
+/// canonical unsigned integer.
+fn member_u64(r: &mut Reader<'_>, name: &str) -> Option<u64> {
+    r.member(name).ok()?;
+    r.u64().ok()
+}
+
+/// The next member of `r`'s object, which must be `name` holding a
+/// string.
+fn member_str(r: &mut Reader<'_>, name: &str) -> Option<String> {
+    r.member(name).ok()?;
+    r.str().ok().map(std::borrow::Cow::into_owned)
 }
 
 #[cfg(test)]
@@ -1434,6 +1480,20 @@ mod tests {
         assert!(rundir.is_complete(&spec.key));
         assert_eq!(fs::read(dir.join(TRACE_FILE)).unwrap(), before_trace);
         assert_eq!(fs::read(dir.join(MANIFEST_FILE)).unwrap(), before_manifest);
+
+        // A manifest that is not UTF-8 is corrupt, not an I/O error, and
+        // de-completes the entry; a missing one is an I/O error.
+        let mut bytes = before_manifest.clone();
+        let mid = bytes.len() / 2;
+        bytes[mid] = 0xFF;
+        fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+        assert!(matches!(
+            Manifest::load(&dir),
+            Err(TraceStoreError::Corrupt { .. })
+        ));
+        assert!(!rundir.is_complete(&spec.key));
+        fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+        assert!(matches!(Manifest::load(&dir), Err(TraceStoreError::Io(_))));
         let _ = fs::remove_dir_all(&root);
     }
 

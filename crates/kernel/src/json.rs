@@ -1,20 +1,24 @@
-//! The simulator's JSON codec: a recursive-descent reader and a
-//! streaming [`Writer`] for its own artifacts (disk-cache entries,
-//! trace-store manifests, wire lines, baseline and metrics files).
+//! The simulator's JSON codec: a recursive-descent tree parser
+//! ([`parse`]), a pull [`Reader`] that walks a document in order without
+//! building a tree, and a streaming [`Writer`] for its own artifacts
+//! (disk-cache entries, trace-store manifests, wire lines, baseline and
+//! metrics files).
 //!
-//! The workspace vendors no serde. The reader parses the full JSON
+//! The workspace vendors no serde. Both readers accept the full JSON
 //! grammar (RFC 8259) minus two corners the artifacts never use:
 //! `\uXXXX` escapes beyond the BMP surrogate rules are passed through
 //! unpaired, and numbers are kept exactly as written so integers
-//! round-trip. It is allocation-light on what the artifacts hold in
-//! bulk: a canonical unsigned integer is stored inline as a `u64`, and
-//! an unescaped string is copied as one slice.
+//! round-trip. They share one scanner for strings and numbers, which is
+//! allocation-light on what the artifacts hold in bulk: a canonical
+//! unsigned integer is read inline as a `u64`, and an unescaped string
+//! is one borrowed slice.
 //!
 //! The writer appends into one `String` and formats integers directly.
 //! Every canonical emitter that feeds a hash or a byte-identity check
 //! (reports, cache entries, run keys, manifests, wire lines) goes
 //! through it.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -203,14 +207,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// [`JsonError`] with the byte offset of the first offending character.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-        items: Vec::new(),
-        members: Vec::new(),
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -234,7 +231,18 @@ struct Parser<'a> {
     members: Vec<(String, JsonValue)>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -263,10 +271,10 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
@@ -276,11 +284,17 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => {
+                let (lexeme, n) = self.number()?;
+                Ok(JsonValue::Number(Number(match n {
+                    Some(n) => Repr::U64(n),
+                    None => Repr::Other(lexeme.into()),
+                })))
+            }
             _ => Err(self.err("expected a JSON value")),
         }
     }
@@ -304,7 +318,7 @@ impl Parser<'_> {
         if self.peek() != Some(b'}') {
             loop {
                 self.skip_ws();
-                let key = self.string()?;
+                let key = self.string()?.into_owned();
                 self.skip_ws();
                 self.expect(b':')?;
                 self.skip_ws();
@@ -348,23 +362,21 @@ impl Parser<'_> {
         Ok(JsonValue::Array(self.items.drain(mark..).collect()))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input when it holds no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let run = self.string_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_owned();
         loop {
-            // Everything up to the next quote or backslash is copied as
-            // one slice; both are ASCII, so the cut is a char boundary.
-            let start = self.pos;
-            self.pos = self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .map_or(self.bytes.len(), |n| start + n);
-            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(_) => {
                     self.pos += 1;
@@ -394,10 +406,25 @@ impl Parser<'_> {
                     }
                 }
             }
+            out.push_str(self.string_run());
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Everything up to the next quote or backslash, as one slice; both
+    /// are ASCII, so the cut is a char boundary.
+    fn string_run(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |n| start + n);
+        &self.text[start..self.pos]
+    }
+
+    /// A number's exact lexeme, and its value when the lexeme is a
+    /// canonical `u64` (no sign, fraction, exponent or leading zero);
+    /// any other lexeme is checked to parse as an `f64`.
+    fn number(&mut self) -> Result<(&'a str, Option<u64>), JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -433,11 +460,256 @@ impl Parser<'_> {
         let canonical =
             !negative && digits == raw.len() && (digits == 1 || raw.as_bytes()[0] != b'0');
         if let (true, Some(n)) = (canonical, n) {
-            return Ok(JsonValue::Number(Number(Repr::U64(n))));
+            return Ok((raw, Some(n)));
         }
         raw.parse::<f64>()
             .map_err(|_| self.err(&format!("bad number '{raw}'")))?;
-        Ok(JsonValue::Number(Number(Repr::Other(raw.into()))))
+        Ok((raw, None))
+    }
+}
+
+/// A pull reader over one JSON document: the caller asks for each
+/// value in document order and no tree is built. Strings are borrowed
+/// when they hold no escapes, [`u64`](Reader::u64) reads a canonical
+/// unsigned integer inline, and [`raw`](Reader::raw) skips any value and
+/// returns its exact text. Containers are tracked by a depth count, not
+/// by recursion, so nesting is capped at [`MAX_DEPTH`] as in [`parse`].
+///
+/// The caller pairs each `begin_object` with [`next_key`](Reader::next_key)
+/// calls and each `begin_array` with [`next_item`](Reader::next_item)
+/// calls; the container is closed when they report its end.
+///
+/// ```
+/// use cellsim_kernel::json::Reader;
+/// let mut r = Reader::new(r#"{"id":"b1","runs":[1,2],"x":{"y":[]}}"#);
+/// r.begin_object().unwrap();
+/// r.member("id").unwrap();
+/// assert_eq!(r.str().unwrap(), "b1");
+/// r.member("runs").unwrap();
+/// r.begin_array().unwrap();
+/// let mut runs = Vec::new();
+/// while r.next_item().unwrap() {
+///     runs.push(r.u64().unwrap());
+/// }
+/// assert_eq!(runs, [1, 2]);
+/// r.member("x").unwrap();
+/// assert_eq!(r.raw().unwrap(), r#"{"y":[]}"#);
+/// r.end_object().unwrap();
+/// r.finish().unwrap();
+/// ```
+pub struct Reader<'a> {
+    p: Parser<'a>,
+    /// Whether the innermost container has yielded no entry yet (its
+    /// next entry takes no leading comma).
+    first: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            p: Parser::new(text),
+            first: false,
+        }
+    }
+
+    /// The byte offset of the next unread byte.
+    #[must_use]
+    pub fn offset(&self) -> usize {
+        self.p.pos
+    }
+
+    /// Opens an object.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] unless the next value is an object within
+    /// [`MAX_DEPTH`].
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// Opens an array.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] unless the next value is an array within
+    /// [`MAX_DEPTH`].
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.p.skip_ws();
+        self.p.expect(bracket)?;
+        self.p.enter()?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// The innermost object's next member key, its `:` consumed so the
+    /// member's value comes next; `None` once the object's `}` is
+    /// consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] on a malformed separator or key.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        let key = self.p.string()?;
+        self.p.skip_ws();
+        self.p.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Whether the innermost array has another item, which comes next;
+    /// `false` once the array's `]` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] on a malformed separator.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.more(b']')
+    }
+
+    /// Consumes the separator before the innermost container's next
+    /// entry, or its closing bracket (returning `false`).
+    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.p.skip_ws();
+        if self.p.peek() == Some(close) {
+            self.p.depth =
+                (self.p.depth.checked_sub(1)).ok_or_else(|| self.p.err("no container is open"))?;
+            self.p.pos += 1;
+            self.first = false;
+            return Ok(false);
+        }
+        if !std::mem::take(&mut self.first) {
+            self.p.expect(b',')?;
+            self.p.skip_ws();
+        }
+        Ok(true)
+    }
+
+    /// Reads the innermost object's next member key and requires it to
+    /// be `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] if the object ends or its next member is another.
+    pub fn member(&mut self, name: &str) -> Result<(), JsonError> {
+        match self.next_key()? {
+            Some(key) if key == name => Ok(()),
+            _ => Err(self.p.err(&format!("expected member \"{name}\""))),
+        }
+    }
+
+    /// Closes the innermost object, which must have no further member.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] if another member follows.
+    pub fn end_object(&mut self) -> Result<(), JsonError> {
+        match self.next_key()? {
+            None => Ok(()),
+            Some(_) => Err(self.p.err("unexpected member")),
+        }
+    }
+
+    /// A canonical unsigned integer: digits only, no leading zero, at
+    /// most `u64::MAX`.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] if the next value is anything else.
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        self.p.skip_ws();
+        if !matches!(self.p.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.p.err("expected an unsigned integer"));
+        }
+        match self.p.number()? {
+            (_, Some(n)) => Ok(n),
+            (lexeme, None) => Err(self.p.err(&format!("'{lexeme}' is not a canonical u64"))),
+        }
+    }
+
+    /// A string, borrowed when it holds no escapes.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] if the next value is not a string.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.p.skip_ws();
+        self.p.string()
+    }
+
+    /// Skips the next value, checking its grammar, and returns its exact
+    /// text. Nested containers are counted, not recursed into: a bit per
+    /// level records whether it is an object.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] if the value is malformed or nests past
+    /// [`MAX_DEPTH`].
+    pub fn raw(&mut self) -> Result<&'a str, JsonError> {
+        self.p.skip_ws();
+        let start = self.p.pos;
+        let base = self.p.depth;
+        let mut objects: u128 = 0;
+        loop {
+            // The head of one value: a scalar, or a container's opening.
+            self.p.skip_ws();
+            match self.p.peek() {
+                Some(b'{') => {
+                    self.begin_object()?;
+                    objects |= 1 << (self.p.depth - base - 1);
+                }
+                Some(b'[') => {
+                    self.begin_array()?;
+                    objects &= !(1 << (self.p.depth - base - 1));
+                }
+                Some(b'"') => {
+                    self.p.string()?;
+                }
+                Some(b't') => self.p.literal("true")?,
+                Some(b'f') => self.p.literal("false")?,
+                Some(b'n') => self.p.literal("null")?,
+                Some(b'-' | b'0'..=b'9') => {
+                    self.p.number()?;
+                }
+                _ => return Err(self.p.err("expected a JSON value")),
+            }
+            // Close finished containers until another value is due.
+            loop {
+                let Some(level) = self.p.depth.checked_sub(base + 1) else {
+                    return Ok(&self.p.text[start..self.p.pos]);
+                };
+                let due = if objects >> level & 1 == 1 {
+                    self.next_key()?.is_some()
+                } else {
+                    self.next_item()?
+                };
+                if due {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Ends the read: only whitespace may follow.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] on trailing characters.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.p.skip_ws();
+        if self.p.pos == self.p.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.p.err("trailing characters after document"))
+        }
     }
 }
 
@@ -815,5 +1087,137 @@ mod tests {
             u64::MAX
         );
         assert_eq!(w.finish(), want);
+    }
+
+    /// Documents covering every value kind, nesting and whitespace.
+    const DOCS: [&str; 6] = [
+        r#"{"a":[1,2.5,{"b":"c\nd"}],"e":null,"f":true,"g":18446744073709551612}"#,
+        " [ {} , [ ] , { \"k\" : [ [ false ] ] } , -0.5e3 , \"\\u00e9\" ] ",
+        "\"plain\"",
+        "0",
+        "[[],[[]],{\"a\":{\"b\":{}}}]",
+        "{\"x\":[{\"y\":[1,{\"z\":[]}]}],\"w\":\"\"}",
+    ];
+
+    #[test]
+    fn reader_walks_members_in_order() {
+        let mut r = Reader::new(DOCS[0]);
+        r.begin_object().unwrap();
+        r.member("a").unwrap();
+        assert_eq!(r.raw().unwrap(), r#"[1,2.5,{"b":"c\nd"}]"#);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("e"));
+        assert_eq!(r.raw().unwrap(), "null");
+        r.member("f").unwrap();
+        assert!(r.u64().is_err(), "true is not a number");
+        let mut r = Reader::new(r#" { "s" : "a\"b" , "n" : [ 7 , 0 ] } "#);
+        r.begin_object().unwrap();
+        r.member("s").unwrap();
+        let s = r.str().unwrap();
+        assert!(matches!(s, Cow::Owned(_)), "an escaped string is decoded");
+        assert_eq!(s, "a\"b");
+        r.member("n").unwrap();
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.u64().unwrap(), 7);
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.u64().unwrap(), 0);
+        assert!(!r.next_item().unwrap());
+        r.end_object().unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn closing_what_was_never_opened_is_an_error() {
+        assert!(Reader::new("}").next_key().is_err());
+        assert!(Reader::new("]").next_item().is_err());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings() {
+        let mut r = Reader::new(r#"["plain"]"#);
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
+    }
+
+    #[test]
+    fn reader_refuses_what_the_caller_did_not_ask_for() {
+        fn member<'a>(doc: &'a str, name: &str) -> Result<Reader<'a>, JsonError> {
+            let mut r = Reader::new(doc);
+            r.begin_object().unwrap();
+            r.member(name).map(|()| r)
+        }
+        assert!(member(r#"{"b":1}"#, "a").is_err(), "another member");
+        assert!(member("{}", "a").is_err(), "no member");
+        let mut r = member(r#"{"a":1,"b":2}"#, "a").unwrap();
+        r.u64().unwrap();
+        assert!(r.end_object().is_err(), "an extra member");
+        let mut r = member(r#"{"a":1,}"#, "a").unwrap();
+        r.u64().unwrap();
+        assert!(r.next_key().is_err(), "a trailing comma");
+        for text in [
+            "01",
+            "1.0",
+            "-1",
+            "1e3",
+            "18446744073709551616",
+            "\"1\"",
+            "-",
+        ] {
+            assert!(Reader::new(text).u64().is_err(), "{text}");
+        }
+        assert_eq!(Reader::new(&u64::MAX.to_string()).u64(), Ok(u64::MAX));
+        let r = Reader::new("1 2");
+        assert!(r.finish().is_err(), "nothing read is trailing text");
+    }
+
+    #[test]
+    fn raw_matches_the_tree_parser() {
+        for doc in DOCS {
+            let mut r = Reader::new(doc);
+            assert_eq!(r.raw().unwrap(), doc.trim());
+            r.finish().unwrap();
+            // Every proper prefix fails in both, never panicking.
+            for cut in 0..doc.trim_end().len() {
+                let Some(prefix) = doc.get(..cut) else {
+                    continue;
+                };
+                let tree = parse(prefix).is_ok();
+                let mut r = Reader::new(prefix);
+                let pull = r.raw().is_ok() && r.finish().is_ok();
+                assert_eq!(pull, tree, "{prefix:?}");
+            }
+        }
+        for bad in [
+            r#"{"a":1]"#,
+            "[1}",
+            "[1,]",
+            r#"{"a"}"#,
+            "{1:2}",
+            "[tru]",
+            "[\"\\q\"]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(Reader::new(bad).raw().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn raw_caps_nesting_without_recursing() {
+        for open in ["[", "{\"k\":"] {
+            let close = if open == "[" { "]" } else { "}" };
+            let deep = format!("{}0{}", open.repeat(100_000), close.repeat(100_000));
+            let err = Reader::new(&deep).raw().expect_err("over-deep value");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let ok = format!("{}0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Reader::new(&ok).raw().unwrap(), ok);
+        let over = format!("[{ok}]");
+        assert!(Reader::new(&over).raw().is_err());
+        // Levels already open count toward the cap.
+        let mut r = Reader::new(&over);
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert!(r.raw().is_err());
     }
 }

@@ -4,7 +4,9 @@
 //! (numbers as `f64` plus a heap lexeme, strings copied one character at
 //! a time). On random valid documents both must give the same value; on
 //! truncated, corrupted and over-deep input both must fail at the same
-//! byte offset with the same message.
+//! byte offset with the same message. The pull `json::Reader` must skip
+//! exactly the documents the tree parser accepts, returning each one's
+//! text.
 
 use cellsim_kernel::json::{self, JsonError, JsonValue, MAX_DEPTH};
 use proptest::prelude::*;
@@ -277,6 +279,23 @@ fn check(text: &str) -> Result<(), TestCaseError> {
         (Ok(a), Ok(b)) => prop_assert!(same(&a, &b), "{:?}: {:?} vs {:?}", text, a, b),
         (Err(a), Err(b)) => prop_assert_eq!(a, b, "{:?}", text),
         (a, b) => prop_assert!(false, "{:?}: old {:?}, new {:?}", text, a, b),
+    }
+    let mut r = json::Reader::new(text);
+    let pulled = match r.raw() {
+        Ok(raw) => r.finish().map(|()| raw),
+        Err(e) => Err(e),
+    };
+    match (json::parse(text), pulled) {
+        (Ok(_), Ok(raw)) => {
+            prop_assert_eq!(
+                raw,
+                text.trim_matches([' ', '\t', '\n', '\r']),
+                "{:?}",
+                text
+            )
+        }
+        (Err(_), Err(_)) => {}
+        (a, b) => prop_assert!(false, "{:?}: parse {:?}, reader {:?}", text, a, b),
     }
     Ok(())
 }
