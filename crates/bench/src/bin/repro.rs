@@ -91,20 +91,19 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cellsim_bench::all_ablations_with;
 use cellsim_core::baseline::Baseline;
 use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
-    figure_metrics_with, figure_roofline_with, figure_row, ExperimentConfig, ExperimentError,
-    Render, FIGURES,
+    figure_metrics_with, figure_roofline_with, figure_row, figure_specs, ExperimentConfig,
+    ExperimentError, Render, SweepPoint, FIGURES,
 };
 use cellsim_core::perf::PerfBaseline;
 use cellsim_core::report::MetricsTable;
-use cellsim_core::tracestore::{record_run_to, TraceStore, TRACE_FILE};
-use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy, TransferPlan};
+use cellsim_core::tracestore::{TraceStore, TRACE_FILE};
+use cellsim_core::{CellSystem, FaultPlan};
 
 struct Args {
     cfg: ExperimentConfig,
@@ -435,7 +434,7 @@ fn run(args: &Args, exec: &SweepExecutor) -> Result<(), String> {
     }
     if args.ablations {
         println!("— ablations —\n");
-        for f in all_ablations_with(exec, cfg) {
+        for f in all_ablations_with(exec, cfg).map_err(err_string)? {
             emit(csv, &f.id, &f, || f.to_csv())?;
         }
     }
@@ -588,13 +587,13 @@ fn check_perf(args: &Args, path: &Path) -> Result<bool, String> {
 }
 
 /// Records the paper's most contended pattern — the 8-SPE cycle at the
-/// largest swept element size — into a trace store and streams it out
-/// as Chrome tracing JSON. The store is the source of truth: with
-/// `--run-dir` it is the run's persisted artifact (recorded through the
-/// executor, so a completed artifact is reused and the run key dedups
-/// against the figure sweeps); without, it is a temporary file deleted
-/// after the projection. Either way nothing buffers the whole event
-/// stream, so `--full` scale runs in bounded memory.
+/// largest swept element size, first placement of its sweep — into a
+/// trace store and streams it out as Chrome tracing JSON. The run is
+/// recorded through a run directory: `exec`'s with `--run-dir` (a
+/// completed artifact is reused and the run key dedups against the
+/// figure sweeps), otherwise a private one-worker executor's over a
+/// temporary directory removed afterwards. Nothing buffers the whole
+/// event stream, so `--full` scale runs in bounded memory.
 fn write_chrome_trace(
     path: &Path,
     exec: &SweepExecutor,
@@ -606,51 +605,45 @@ fn write_chrome_trace(
         .iter()
         .max()
         .ok_or("no element sizes configured")?;
-    let mut b = TransferPlan::builder();
-    for spe in 0..8 {
-        b = b.exchange_with(
-            spe,
-            (spe + 1) % 8,
-            cfg.volume_per_spe,
-            elem,
-            SyncPolicy::AfterAll,
-        );
+    let workload = Workload::dma_elem("cycle", 8, cfg.volume_per_spe, elem);
+    let point = SweepPoint::new(workload).map_err(|e| e.to_string())?;
+    let spec = figure_specs(system, cfg, &[point])
+        .into_iter()
+        .next()
+        .ok_or("no placements configured")?;
+    if exec.run_dir().is_some() {
+        return export_recorded(path, exec, system, spec);
     }
-    let plan = Arc::new(b.build().map_err(|e| e.to_string())?);
-    let placement = Placement::lottery(cfg.seed, 0);
-    let spec = RunSpec::new(
-        system,
-        Workload {
-            pattern: "cycle",
-            spes: 8,
-            volume: cfg.volume_per_spe,
-            elem,
-            list: false,
-            sync: SyncPolicy::AfterAll,
-            params: 0,
-        },
-        placement,
-        Arc::clone(&plan),
-    );
-
-    let (cycles, gbps, store) = if let Some(rd) = exec.run_dir() {
-        let key = spec.key.clone();
-        let report = exec
-            .try_run_recorded(vec![spec], true)
-            .pop()
-            .expect("one result per spec")
-            .map_err(|e| format!("trace run failed: {e}"))?;
-        let store = TraceStore::open(&rd.entry_dir(&key).join(TRACE_FILE))
-            .map_err(|e| format!("recorded trace store: {e}"))?;
-        (report.cycles, report.aggregate_gbps, store)
-    } else {
-        let tmp = path.with_extension("store-tmp");
-        let (report, _) = record_run_to(system, &placement, &plan, &tmp)?;
-        let store = TraceStore::open(&tmp).map_err(|e| format!("recorded trace store: {e}"))?;
-        let _ = std::fs::remove_file(&tmp);
-        (report.cycles, report.aggregate_gbps, store)
+    let tmp = path.with_extension("run-tmp");
+    std::fs::create_dir(&tmp).map_err(|e| format!("could not create {}: {e}", tmp.display()))?;
+    let mut private = SweepExecutor::new(1);
+    let result = match private.set_run_dir(&tmp) {
+        Ok(()) => export_recorded(path, &private, system, spec),
+        Err(e) => Err(format!("could not open run dir {}: {e}", tmp.display())),
     };
+    let _ = std::fs::remove_dir_all(&tmp);
+    result
+}
 
+/// Runs `spec` on `exec`, which has a run directory attached, and
+/// exports the recorded trace store to `path`.
+fn export_recorded(
+    path: &Path,
+    exec: &SweepExecutor,
+    system: &CellSystem,
+    spec: RunSpec,
+) -> Result<(), String> {
+    let store_path = exec
+        .run_dir()
+        .expect("a run dir is attached")
+        .entry_dir(&spec.key)
+        .join(TRACE_FILE);
+    let report = exec
+        .try_run(vec![spec])
+        .pop()
+        .expect("one result per spec")
+        .map_err(|e| format!("trace run failed: {e}"))?;
+    let store = TraceStore::open(&store_path).map_err(|e| format!("recorded trace store: {e}"))?;
     let file = std::fs::File::create(path)
         .map_err(|e| format!("could not create {}: {e}", path.display()))?;
     let mut out = std::io::BufWriter::new(file);
@@ -662,8 +655,8 @@ fn write_chrome_trace(
     eprintln!(
         "trace: 8-SPE cycle, {} events over {} cycles ({:.1} GB/s) -> {}",
         store.totals().events,
-        cycles,
-        gbps,
+        report.cycles,
+        report.aggregate_gbps,
         path.display()
     );
     Ok(())

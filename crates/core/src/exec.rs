@@ -105,6 +105,23 @@ pub struct Workload {
     pub params: u64,
 }
 
+impl Workload {
+    /// A streaming point of the paper's protocol: DMA-elem transfers,
+    /// one tag-group wait after all commands, no generator parameters.
+    #[must_use]
+    pub fn dma_elem(pattern: &'static str, spes: u8, volume: u64, elem: u32) -> Workload {
+        Workload {
+            pattern,
+            spes,
+            volume,
+            elem,
+            list: false,
+            sync: SyncPolicy::AfterAll,
+            params: 0,
+        }
+    }
+}
+
 /// Cache identity of one simulation point.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunKey {

@@ -10,8 +10,6 @@
 //! `Workload::params` so caches and baselines distinguish every
 //! table size, grid shape, and stream seed.
 
-use std::sync::Arc;
-
 use cellsim_kernel::rng::derive_seed;
 use cellsim_workloads::{GupsParams, PairlistParams, StencilParams, StreamError, CELL_BYTES};
 
@@ -94,7 +92,7 @@ pub(crate) fn gups_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
         .iter()
         .flat_map(|&n| {
             GUPS_GRAINS.iter().map(move |&grain| {
-                let workload = Workload {
+                SweepPoint::new(Workload {
                     pattern: "gups",
                     spes: n as u8,
                     volume,
@@ -102,11 +100,8 @@ pub(crate) fn gups_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
                     list: false,
                     sync: SyncPolicy::AfterAll,
                     params,
-                };
-                SweepPoint {
-                    plan: Arc::new(gups_plan(&workload).expect("experiment plan is valid")),
-                    workload,
-                }
+                })
+                .expect("experiment plan is valid")
             })
         })
         .collect()
@@ -219,7 +214,7 @@ pub(crate) fn stencil_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
             };
             let steps = (cfg.volume_per_spe / shape.interior_bytes()).max(1);
             STENCIL_HALOS.iter().map(move |&halo| {
-                let workload = Workload {
+                SweepPoint::new(Workload {
                     pattern: "stencil",
                     spes: STENCIL_SPES as u8,
                     volume: steps * shape.interior_bytes(),
@@ -227,11 +222,8 @@ pub(crate) fn stencil_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
                     list: true,
                     sync: SyncPolicy::AfterAll,
                     params: shape.pack(),
-                };
-                SweepPoint {
-                    plan: Arc::new(stencil_plan(&workload).expect("experiment plan is valid")),
-                    workload,
-                }
+                })
+                .expect("experiment plan is valid")
             })
         })
         .collect()
@@ -384,7 +376,7 @@ pub(crate) fn pairlist_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
         .iter()
         .flat_map(|&n| {
             PAIRLIST_RECORDS.iter().map(move |&record| {
-                let workload = Workload {
+                SweepPoint::new(Workload {
                     pattern: "pairlist",
                     spes: n as u8,
                     volume,
@@ -392,11 +384,8 @@ pub(crate) fn pairlist_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
                     list: true,
                     sync: SyncPolicy::AfterAll,
                     params,
-                };
-                SweepPoint {
-                    plan: Arc::new(pairlist_plan(&workload).expect("experiment plan is valid")),
-                    workload,
-                }
+                })
+                .expect("experiment plan is valid")
             })
         })
         .collect()

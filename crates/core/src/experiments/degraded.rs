@@ -19,15 +19,15 @@
 //! Every fault decision derives from the plan seed, so the ladder is
 //! bit-identical across `--jobs` like every other sweep.
 
-use std::sync::Arc;
-
 use cellsim_faults::{BankFaults, DerateWindow, FaultPlan, Window};
 
-use crate::exec::{RunSpec, SweepExecutor, Workload};
-use crate::experiments::{group_results, mean, ExperimentConfig, ExperimentError};
+use crate::exec::{SweepExecutor, Workload};
+use crate::experiments::{
+    figure_specs, group_results, mean, ExperimentConfig, ExperimentError, SweepPoint,
+};
 use crate::metrics::MetricsSummary;
 use crate::report::{format_bytes, Figure, MetricsTable, Point, Series};
-use crate::{CellSystem, Placement, SyncPolicy, TransferPlan};
+use crate::CellSystem;
 
 /// A window spanning any realistic run length.
 const ALWAYS: Window = Window {
@@ -110,32 +110,17 @@ pub fn figure_degraded_with(
     let scenarios = ladder(cfg.seed);
     let mut specs = Vec::new();
     for scenario in &scenarios {
-        scenario
-            .plan
-            .validate()
-            .expect("ladder plans are valid by construction");
         let machine = system.clone().with_faults(scenario.plan.clone());
-        let mask = scenario.plan.fused_mask();
-        let spes = (8 - mask.count_ones()) as usize;
-        for &elem in &cfg.dma_elem_sizes {
-            let plan = Arc::new(copy_plan(spes, cfg.volume_per_spe, elem));
-            for k in 0..cfg.placements {
-                specs.push(RunSpec::new(
-                    &machine,
-                    Workload {
-                        pattern: "mem-copy",
-                        spes: spes as u8,
-                        volume: cfg.volume_per_spe,
-                        elem,
-                        list: false,
-                        sync: SyncPolicy::AfterAll,
-                        params: 0,
-                    },
-                    Placement::lottery_avoiding(cfg.seed, k as u64, mask),
-                    Arc::clone(&plan),
-                ));
-            }
-        }
+        let spes = 8 - scenario.plan.fused_mask().count_ones() as u8;
+        let points: Vec<SweepPoint> = cfg
+            .dma_elem_sizes
+            .iter()
+            .map(|&elem| {
+                let workload = Workload::dma_elem("mem-copy", spes, cfg.volume_per_spe, elem);
+                SweepPoint::new(workload).expect("experiment plan is valid")
+            })
+            .collect();
+        specs.extend(figure_specs(&machine, cfg, &points));
     }
     let grouped = group_results(exec.try_run(specs), cfg.placements);
     let mut summary = MetricsSummary::default();
@@ -175,14 +160,6 @@ pub fn figure_degraded_with(
     Ok((figure, table))
 }
 
-fn copy_plan(spes: usize, volume: u64, elem: u32) -> TransferPlan {
-    let mut b = TransferPlan::builder();
-    for spe in 0..spes {
-        b = b.copy_memory(spe, volume, elem, SyncPolicy::AfterAll);
-    }
-    b.build().expect("experiment plan is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +170,13 @@ mod tests {
             dma_elem_sizes: vec![2048, 16384],
             placements: 2,
             seed: 0xCE11,
+        }
+    }
+
+    #[test]
+    fn ladder_plans_are_valid() {
+        for scenario in ladder(7) {
+            assert_eq!(scenario.plan.validate(), Ok(()), "{}", scenario.label);
         }
     }
 

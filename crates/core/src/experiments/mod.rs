@@ -362,13 +362,30 @@ pub struct SweepPoint {
     pub plan: Arc<TransferPlan>,
 }
 
+impl SweepPoint {
+    /// The point for `workload`, its plan built by the builder
+    /// [`workload_plan`] uses. Unlike `workload_plan`, it takes any
+    /// volume, so local sweeps above [`MAX_VOLUME_PER_SPE`] still run;
+    /// only workloads received over a wire are capped.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError`] naming the first invalid parameter.
+    pub fn new(workload: Workload) -> Result<SweepPoint, WorkloadError> {
+        let plan = build_plan(&workload, u64::MAX)?;
+        Ok(SweepPoint { workload, plan })
+    }
+}
+
 /// One sweep point's outcome: the reports of the placements that
 /// completed, plus how many failed (stalled or panicked). The failures
 /// themselves stay on the executor ([`SweepExecutor::take_failures`]), keyed
 /// by `RunKey`; here they only subtract samples, so a partially failed
 /// sweep still renders a figure with the incomplete points marked.
-pub(crate) struct PointRuns {
+pub struct PointRuns {
+    /// The completed runs' reports, in placement order.
     pub reports: Vec<Arc<FabricReport>>,
+    /// How many runs of the point failed.
     pub failed: usize,
 }
 
@@ -393,7 +410,7 @@ impl PointRuns {
 
 /// Groups a `try_run` result vector into [`PointRuns`], `per_point`
 /// consecutive results per point.
-pub(crate) fn group_results(
+pub fn group_results(
     results: Vec<Result<Arc<FabricReport>, RunError>>,
     per_point: usize,
 ) -> Vec<PointRuns> {
@@ -579,22 +596,28 @@ pub fn canonical_pattern(name: &str) -> Option<&'static str> {
     }
 }
 
-/// Rebuilds the [`TransferPlan`] a [`Workload`] describes — the inverse
-/// of the experiment point builders, for callers (the serve daemon)
-/// that receive workloads rather than construct them. The returned plan
-/// simulates identically to the one the local experiment would build
-/// for the same workload, so run keys and cached reports coincide. A
-/// `volume` above [`MAX_VOLUME_PER_SPE`] is refused before anything is
-/// built.
+/// Builds the [`TransferPlan`] a [`Workload`] describes, for callers
+/// (the serve daemon) that receive workloads rather than construct
+/// them. It is the builder [`SweepPoint::new`] uses, so the plan is the
+/// one the local experiment runs for the same workload and run keys
+/// and cached reports coincide. A `volume` above
+/// [`MAX_VOLUME_PER_SPE`] is refused before anything is built.
 ///
 /// # Errors
 ///
 /// [`WorkloadError`] naming the first invalid parameter.
 pub fn workload_plan(w: &Workload) -> Result<Arc<TransferPlan>, WorkloadError> {
+    build_plan(w, MAX_VOLUME_PER_SPE)
+}
+
+/// The one plan builder behind [`workload_plan`] and [`SweepPoint::new`]:
+/// refuses an unknown pattern, a `volume` above `max_volume` and every
+/// other invalid parameter before building.
+fn build_plan(w: &Workload, max_volume: u64) -> Result<Arc<TransferPlan>, WorkloadError> {
     let pattern = canonical_pattern(w.pattern)
         .ok_or_else(|| WorkloadError::UnknownPattern(w.pattern.to_string()))?;
     if w.volume == 0
-        || w.volume > MAX_VOLUME_PER_SPE
+        || w.volume > max_volume
         || w.elem == 0
         || !w.volume.is_multiple_of(u64::from(w.elem))
     {
@@ -657,7 +680,8 @@ pub fn workload_plan(w: &Workload) -> Result<Arc<TransferPlan>, WorkloadError> {
 /// Mean of `samples`; `0.0` for an empty slice (a sweep point whose
 /// every placement failed), so partial figures render a marked zero
 /// instead of `NaN`.
-pub(crate) fn mean(samples: &[f64]) -> f64 {
+#[must_use]
+pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

@@ -164,18 +164,11 @@ fn kernel_run(
     let elem = spec.block_bytes;
     check_block(&spec.name, u64::from(elem))?;
     let volume = KERNEL_VOLUME_PER_SPE / u64::from(elem) * u64::from(elem);
-    let workload = Workload {
-        pattern: match spec.traffic {
-            Traffic::StreamIn => "mem-get",
-            Traffic::StreamInOut => "mem-copy",
-        },
-        spes: spes as u8,
-        volume,
-        elem,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
+    let pattern = match spec.traffic {
+        Traffic::StreamIn => "mem-get",
+        Traffic::StreamInOut => "mem-copy",
     };
+    let workload = Workload::dma_elem(pattern, spes as u8, volume, elem);
     let plan = workload_plan(&workload).map_err(ProgramError::Plan)?;
     Ok(RunSpec::new(system, workload, Placement::identity(), plan))
 }

@@ -1,7 +1,5 @@
 //! SPE↔memory DMA bandwidth (paper Figure 8).
 
-use std::sync::Arc;
-
 use crate::exec::{SweepExecutor, Workload};
 use crate::experiments::{mean, sweep, ExperimentConfig, ExperimentError, SweepPoint};
 use crate::report::{format_bytes, Figure, Point, Series};
@@ -12,17 +10,6 @@ pub(crate) enum MemOp {
     Get,
     Put,
     Copy,
-}
-
-impl MemOp {
-    /// The run-cache identity of this operation.
-    pub(crate) fn key(self) -> &'static str {
-        match self {
-            MemOp::Get => "mem-get",
-            MemOp::Put => "mem-put",
-            MemOp::Copy => "mem-copy",
-        }
-    }
 }
 
 /// SPE↔memory DMA-elem bandwidth for GET / PUT / GET+PUT with 1, 2, 4
@@ -43,18 +30,13 @@ pub fn figure8_with(
 ) -> Result<Vec<Figure>, ExperimentError> {
     cfg.validate()
         .map_err(|issue| ExperimentError::InvalidConfig { figure: "8", issue })?;
-    let ops = [
-        (MemOp::Get, "a", "GET"),
-        (MemOp::Put, "b", "PUT"),
-        (MemOp::Copy, "c", "GET+PUT"),
-    ];
-    let spe_counts = [1usize, 2, 4, 8];
+    let ops = [("a", "GET"), ("b", "PUT"), ("c", "GET+PUT")];
     let points = figure8_points(cfg);
     let mut groups = sweep(exec, system, cfg, &points).into_iter();
     Ok(ops
         .into_iter()
-        .map(|(_, sub, name)| {
-            let series = spe_counts
+        .map(|(sub, name)| {
+            let series = SPE_COUNTS
                 .into_iter()
                 .map(|n| Series {
                     label: format!("{n} SPE{}", if n > 1 { "s" } else { "" }),
@@ -81,34 +63,24 @@ pub fn figure8_with(
         .collect())
 }
 
+/// Figure 8's SPE counts, one series each.
+const SPE_COUNTS: [u8; 4] = [1, 2, 4, 8];
+
 /// Figure 8's sweep points: ops (GET, PUT, GET+PUT) × SPE counts × elems.
 /// The figure renderer and the per-figure metric digest both build from
 /// here so their runs coincide in the cache. `cfg` must already be
 /// validated — plan building panics on degenerate configs.
 pub(crate) fn figure8_points(cfg: &ExperimentConfig) -> Vec<SweepPoint> {
-    let ops = [MemOp::Get, MemOp::Put, MemOp::Copy];
-    let spe_counts = [1usize, 2, 4, 8];
-    ops.iter()
-        .flat_map(|&op| {
-            spe_counts.iter().flat_map(move |&n| {
-                cfg.dma_elem_sizes.iter().map(move |&elem| SweepPoint {
-                    workload: Workload {
-                        pattern: op.key(),
-                        spes: n as u8,
-                        volume: cfg.volume_per_spe,
-                        elem,
-                        list: false,
-                        sync: SyncPolicy::AfterAll,
-                        params: 0,
-                    },
-                    plan: Arc::new(
-                        mem_plan(op, n, cfg.volume_per_spe, elem)
-                            .expect("experiment plan is valid"),
-                    ),
-                })
-            })
-        })
-        .collect()
+    let mut points = Vec::new();
+    for op in ["mem-get", "mem-put", "mem-copy"] {
+        for spes in SPE_COUNTS {
+            for &elem in &cfg.dma_elem_sizes {
+                let workload = Workload::dma_elem(op, spes, cfg.volume_per_spe, elem);
+                points.push(SweepPoint::new(workload).expect("experiment plan is valid"));
+            }
+        }
+    }
+    points
 }
 
 /// Builds the SPE↔memory streaming plan. Fallible for the same reason

@@ -6,8 +6,6 @@
 //! Figure 12's 2-SPE series, and the 8-SPE columns of Figures 12/15 are
 //! exactly the sweeps of Figures 13/16 — simulate once per executor.
 
-use std::sync::Arc;
-
 use cellsim_kernel::stats::Summary;
 
 use crate::exec::{SweepExecutor, Workload};
@@ -83,21 +81,16 @@ fn point(
     list: bool,
     sync: SyncPolicy,
 ) -> SweepPoint {
-    SweepPoint {
-        workload: Workload {
-            pattern: pattern.key(),
-            spes: spes as u8,
-            volume,
-            elem,
-            list,
-            sync,
-            params: 0,
-        },
-        plan: Arc::new(
-            pattern_plan(pattern, spes, volume, elem, list, sync)
-                .expect("experiment plan is valid"),
-        ),
-    }
+    SweepPoint::new(Workload {
+        pattern: pattern.key(),
+        spes: spes as u8,
+        volume,
+        elem,
+        list,
+        sync,
+        params: 0,
+    })
+    .expect("experiment plan is valid")
 }
 
 /// Figure 10's sync-policy sweep, in series order.

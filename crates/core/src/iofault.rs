@@ -26,6 +26,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use cellsim_kernel::rng::{splitmix64, GOLDEN_GAMMA};
+
 /// Fast path: no plan installed, hooks are plain `std::fs` calls.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -126,13 +128,9 @@ enum Kind {
     RenameError,
 }
 
-/// SplitMix64 finalizer over (seed, draw index).
+/// SplitMix64 over (seed, draw index).
 fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64((seed ^ n.wrapping_mul(GOLDEN_GAMMA)).wrapping_add(GOLDEN_GAMMA))
 }
 
 /// Should this operation on `path` inject `kind`? Draws from the

@@ -47,15 +47,12 @@ use cellsim_kernel::fnv::{fnv1a, Fnv1a};
 use cellsim_kernel::varint::{decode_u64, encode_u64, MAX_VARINT_BYTES};
 use cellsim_kernel::{Cycle, MachineClock};
 
-use crate::config::CellSystem;
 use crate::diskcache::{key_fingerprint, key_json, write_key};
 use crate::exec::{RunKey, RunSpec};
 use crate::fabric::FabricReport;
 use crate::failure::RunFailure;
 use crate::json::{Reader, Writer};
 use crate::latency::DmaPathClass;
-use crate::placement::Placement;
-use crate::plan::TransferPlan;
 use crate::tracing::{FabricEvent, TraceMeta, TraceSink};
 
 /// Store file magic.
@@ -995,40 +992,6 @@ impl RunDir {
     }
 }
 
-/// Records one standalone run into a store file at `path` — the
-/// `--trace-out`-without-`--run-dir` path, where the store is a
-/// temporary vehicle for the Chrome projection.
-///
-/// # Errors
-///
-/// `Err(Ok(failure))` is never constructed; the outer error is a
-/// formatted message naming what failed (stall or I/O), matching the
-/// CLI's error reporting.
-pub fn record_run_to(
-    system: &CellSystem,
-    placement: &Placement,
-    plan: &TransferPlan,
-    path: &Path,
-) -> Result<(FabricReport, StoreSummary), String> {
-    let file = crate::iofault::create_file(path)
-        .map_err(|e| format!("could not create {}: {e}", path.display()))?;
-    let mut writer = TraceStoreWriter::new(io::BufWriter::new(file));
-    let report = system
-        .try_run_with_sink(placement, plan, &mut writer)
-        .map_err(|failure| {
-            let _ = fs::remove_file(path);
-            format!("trace run stalled: {failure}")
-        })?;
-    let summary = writer
-        .finalize(report.metrics.events, report.packets)
-        .map_err(|e| {
-            let _ = fs::remove_file(path);
-            format!("could not write {}: {e}", path.display())
-        })?
-        .1;
-    Ok((report, summary))
-}
-
 // ---- manifests ----------------------------------------------------------
 
 /// The canonical one-line manifest linking a run's identity, metrics
@@ -1238,8 +1201,10 @@ fn member_str(r: &mut Reader<'_>, name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CellSystem;
     use crate::exec::Workload;
-    use crate::plan::SyncPolicy;
+    use crate::placement::Placement;
+    use crate::plan::{SyncPolicy, TransferPlan};
     use std::sync::Arc;
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cellsim_kernel::json::{self, JsonValue, Writer};
-use cellsim_kernel::rng::derive_seed;
+use cellsim_kernel::rng::{derive_seed, splitmix64, GOLDEN_GAMMA};
 
 /// Version tag accepted in plan files (the `"version"` member).
 pub const FAULT_PLAN_VERSION: u64 = 1;
@@ -272,12 +272,8 @@ impl NackStream {
             return false;
         }
         // SplitMix64: Weyl increment then avalanche.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % 1_000_000) < u64::from(self.ppm)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        (splitmix64(self.state) % 1_000_000) < u64::from(self.ppm)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The `cellsim-serve` daemon binary.
 //!
 //! ```text
-//! cellsim-serve [--addr HOST:PORT] [--jobs N] [--workers N]
+//! cellsim-serve [--addr HOST:PORT] [--workers N]
 //!               [--cache-dir <dir>] [--cache-capacity N] [--high-water N]
 //!               [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N]
 //!               [--read-timeout-ms N] [--write-timeout-ms N]
@@ -9,7 +9,6 @@
 //!
 //!   --addr HOST:PORT    listen address (default 127.0.0.1:7117;
 //!                       use :0 for an ephemeral port)
-//!   --jobs N            executor threads per simulation (default: all cores)
 //!   --workers N         concurrent runs in flight (default: all cores)
 //!   --cache-dir <dir>   shared persistent report cache (same format and
 //!                       directory as repro --cache-dir)
@@ -94,10 +93,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |what: &str| argv.next().ok_or(format!("{arg} needs {what}"));
         match arg.as_str() {
             "--addr" => addr = value("an address")?,
-            "--jobs" => {
-                let n = value("a count")?;
-                opts.jobs = n.parse().map_err(|_| format!("bad job count: {n}"))?;
-            }
             "--workers" => {
                 let n = value("a count")?;
                 opts.workers = n.parse().map_err(|_| format!("bad worker count: {n}"))?;
@@ -154,7 +149,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "cellsim-serve [--addr HOST:PORT] [--jobs N] [--workers N] \
+                    "cellsim-serve [--addr HOST:PORT] [--workers N] \
                      [--cache-dir <dir>] [--cache-capacity N] [--high-water N] \
                      [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N] \
                      [--read-timeout-ms N] [--write-timeout-ms N] \

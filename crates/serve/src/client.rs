@@ -75,7 +75,7 @@ impl From<std::io::Error> for ClientError {
 /// One run's failure as reported over the wire.
 #[derive(Debug, Clone)]
 pub struct WireFailure {
-    /// `"stall"`, `"panic"`, or `"timeout"`.
+    /// `"stall"` or `"panic"`.
     pub kind: String,
     /// The failed run's key in display form.
     pub run: String,

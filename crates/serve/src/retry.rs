@@ -12,6 +12,8 @@
 
 use std::time::Duration;
 
+use cellsim_kernel::rng::{splitmix64, GOLDEN_GAMMA};
+
 /// A reusable retry schedule; see the module docs.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -30,10 +32,7 @@ impl RetryPolicy {
     pub fn new(base: Duration, cap: Duration, max_retries: u32, seed: u64) -> RetryPolicy {
         // SplitMix64 scramble so adjacent seeds get unrelated jitter
         // streams; `| 1` keeps the xorshift state nonzero.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(seed.wrapping_add(GOLDEN_GAMMA));
         RetryPolicy {
             base: base.max(Duration::from_millis(1)),
             cap: cap.max(base).max(Duration::from_millis(1)),

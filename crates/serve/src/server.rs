@@ -48,7 +48,9 @@ use crate::scheduler::{Batch, ConnSink, Job, Scheduler, SubmitError};
 
 /// Daemon construction knobs; `Default` is a sensible single-host setup.
 pub struct ServeOptions {
-    /// Executor worker threads per simulation batch (`0` = all cores).
+    /// Has no effect: the scheduler submits one-spec batches, so the
+    /// executor never runs more than one thread per batch. Run
+    /// concurrency is [`ServeOptions::workers`].
     pub jobs: usize,
     /// Scheduler worker threads — concurrent runs in flight (`0` = all
     /// cores). Each worker drives one run at a time through the shared
@@ -193,11 +195,10 @@ impl Server {
     /// directory.
     pub fn bind<A: ToSocketAddrs>(addr: A, opts: &ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let mut exec = SweepExecutor::with_cache_options(
-            opts.jobs,
-            opts.cache_capacity,
-            opts.cache_dir.as_deref(),
-        )?;
+        // One executor thread: every batch the scheduler submits holds
+        // one spec.
+        let mut exec =
+            SweepExecutor::with_cache_options(1, opts.cache_capacity, opts.cache_dir.as_deref())?;
         if let Some(dir) = &opts.run_dir {
             exec.set_run_dir(dir)?;
         }
