@@ -16,9 +16,10 @@
 //!   --faults <f>        run every figure on a degraded machine: <f> is a
 //!                       FaultPlan JSON (see README). Plans with
 //!                       fused_spes need --figure degraded — the paper
-//!                       figures drive all 8 SPEs. Incompatible with
-//!                       --baseline-out/--check (baselines snapshot the
-//!                       healthy blade).
+//!                       figures, --kernels and --trace-out drive all 8
+//!                       SPEs. Incompatible with --baseline-out/--check
+//!                       (baselines snapshot the healthy blade) and
+//!                       --ablations (defined on the healthy blade).
 //!   --ablations         also run the design-choice ablations
 //!   --kernels           also render figure K1, the small-kernel roofline
 //!   --seed N            placement-lottery seed (default 0xCE11)
@@ -257,15 +258,20 @@ fn parse_args() -> Result<Args, String> {
                     .into(),
             );
         }
+        if ablations {
+            return Err("--faults cannot combine with --ablations \
+                 (the ablations are defined on the healthy blade)"
+                .into());
+        }
         if plan.fused_mask() != 0 {
             let only_degraded = !figures.is_empty()
                 && figures.iter().all(|f| {
                     figure_row(f).is_some_and(|row| matches!(row.render, Render::Degraded(_)))
                 });
-            if !only_degraded || trace_out.is_some() {
+            if !only_degraded || kernels || trace_out.is_some() {
                 return Err(
                     "fault plans with fused_spes need --figure degraded: the paper \
-                     figures and --trace-out drive all 8 SPEs"
+                     figures, --kernels and --trace-out drive all 8 SPEs"
                         .into(),
                 );
             }

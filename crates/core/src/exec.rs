@@ -28,7 +28,7 @@
 //!    across runs;
 //! 2. the simulator itself is deterministic for a given
 //!    `(config, placement, plan)`;
-//! 3. [`SweepExecutor::run`] returns results in spec order regardless of
+//! 3. [`SweepExecutor::try_run`] returns results in spec order regardless of
 //!    which worker finished which spec when.
 //!
 //! The cache preserves this: a hit returns the exact report the miss
@@ -255,7 +255,7 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Default entry cap of the in-memory report cache. A full paper
+/// Entry cap of the in-memory report cache. A full paper
 /// protocol touches well under 2 000 distinct run keys, so at CLI sweep
 /// sizes the bound never evicts; it only matters to a resident process
 /// (the `cellsim-serve` daemon) fed sustained distinct-key traffic,
@@ -281,7 +281,7 @@ impl BoundedCache {
         BoundedCache {
             map: HashMap::new(),
             tick: 0,
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -310,10 +310,6 @@ impl BoundedCache {
             }
         }
         self.map.insert(key, (report, self.tick));
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -356,8 +352,9 @@ impl CacheStats {
 /// let specs: Vec<RunSpec> = (0..4)
 ///     .map(|k| RunSpec::new(&system, workload.clone(), Placement::lottery(7, k), Arc::clone(&plan)))
 ///     .collect();
-/// let a = exec.run(specs.clone());
-/// let b = exec.run(specs); // all four answered from cache
+/// let a = exec.try_run(specs.clone());
+/// let b = exec.try_run(specs); // all four answered from cache
+/// assert!(a.iter().all(Result::is_ok));
 /// assert_eq!(a, b);
 /// assert_eq!(exec.stats().hits, 4);
 /// # Ok::<(), cellsim_core::PlanError>(())
@@ -374,8 +371,8 @@ pub struct SweepExecutor {
     failures: Mutex<Vec<RunError>>,
     /// Optional persistent tier under the in-memory cache.
     disk: Option<DiskCache>,
-    /// Optional per-run artifact root for recorded batches
-    /// ([`SweepExecutor::try_run_recorded`]).
+    /// Optional per-run artifact root; every batch records into it
+    /// ([`SweepExecutor::set_run_dir`]).
     run_dir: Option<RunDir>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -403,15 +400,6 @@ impl SweepExecutor {
     /// [`std::thread::available_parallelism`].
     #[must_use]
     pub fn new(jobs: usize) -> SweepExecutor {
-        SweepExecutor::with_cache_capacity(jobs, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Like [`SweepExecutor::new`] with an explicit in-memory cache
-    /// entry cap (minimum 1). The default
-    /// ([`DEFAULT_CACHE_CAPACITY`]) never evicts at CLI sweep sizes;
-    /// long-running services tune this to bound resident memory.
-    #[must_use]
-    pub fn with_cache_capacity(jobs: usize, capacity: usize) -> SweepExecutor {
         let jobs = if jobs == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -419,7 +407,7 @@ impl SweepExecutor {
         };
         SweepExecutor {
             jobs,
-            cache: Mutex::new(BoundedCache::new(capacity)),
+            cache: Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)),
             failures: Mutex::new(Vec::new()),
             disk: None,
             run_dir: None,
@@ -438,25 +426,8 @@ impl SweepExecutor {
     ///
     /// Any [`std::io::Error`] from creating the directory.
     pub fn with_cache_dir(jobs: usize, dir: &std::path::Path) -> std::io::Result<SweepExecutor> {
-        SweepExecutor::with_cache_options(jobs, DEFAULT_CACHE_CAPACITY, Some(dir))
-    }
-
-    /// Fully explicit construction: worker count, in-memory entry cap,
-    /// and an optional persistent tier — the form a resident daemon
-    /// configures from its command line.
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] from creating the cache directory.
-    pub fn with_cache_options(
-        jobs: usize,
-        capacity: usize,
-        dir: Option<&std::path::Path>,
-    ) -> std::io::Result<SweepExecutor> {
-        let mut exec = SweepExecutor::with_cache_capacity(jobs, capacity);
-        if let Some(dir) = dir {
-            exec.disk = Some(DiskCache::open(dir)?);
-        }
+        let mut exec = SweepExecutor::new(jobs);
+        exec.disk = Some(DiskCache::open(dir)?);
         Ok(exec)
     }
 
@@ -484,12 +455,6 @@ impl SweepExecutor {
         std::mem::take(&mut *self.failures.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Entries currently resident in the in-memory cache (bounded by
-    /// the configured capacity).
-    pub fn cache_len(&self) -> usize {
-        self.lock_cache().len()
-    }
-
     /// Seeds the in-memory cache with an already-computed report, so a
     /// later sweep over `key` is answered without simulating. This is
     /// how a remote client replays reports streamed from `cellsim-serve`
@@ -500,10 +465,9 @@ impl SweepExecutor {
         self.lock_cache().insert(key, report);
     }
 
-    /// Attaches a per-run artifact root: recorded batches
-    /// ([`SweepExecutor::try_run_recorded`] with `record = true`) commit
-    /// one trace store + manifest per [`RunKey`] under `dir`. See
-    /// [`crate::tracestore`].
+    /// Attaches a per-run artifact root: every later batch
+    /// ([`SweepExecutor::try_run`]) commits one trace store + manifest
+    /// per [`RunKey`] under `dir`. See [`crate::tracestore`].
     ///
     /// # Errors
     ///
@@ -551,32 +515,18 @@ impl SweepExecutor {
     /// [`SweepExecutor::with_cache_dir`]) verified on disk — are not
     /// re-simulated. Only successful reports are cached; a failed key is
     /// retried on its next appearance.
-    /// With a run directory attached ([`SweepExecutor::set_run_dir`])
-    /// every batch records per-run trace artifacts; this is
-    /// `try_run_recorded(specs, true)`. Callers needing unrecorded
-    /// batches on a recording executor (the serve daemon's per-batch
-    /// opt-in) call [`SweepExecutor::try_run_recorded`] directly.
-    pub fn try_run(&self, specs: Vec<RunSpec>) -> Vec<Result<Arc<FabricReport>, RunError>> {
-        self.try_run_recorded(specs, true)
-    }
-
-    /// Like [`SweepExecutor::try_run`], optionally recording a per-run
-    /// trace artifact for every spec. With `record = true` and a run
-    /// directory attached ([`SweepExecutor::set_run_dir`]), each key ends
-    /// the batch with a complete store + manifest entry: keys whose
-    /// artifact already exists are answered from cache as usual (counted
-    /// in [`RunDirStats::reused`](crate::tracestore::RunDirStats)), while
+    ///
+    /// With a run directory attached ([`SweepExecutor::set_run_dir`]),
+    /// each key ends the batch with a complete store + manifest entry:
+    /// keys whose artifact already exists are answered from cache as
+    /// usual (counted in
+    /// [`RunDirStats::reused`](crate::tracestore::RunDirStats)), while
     /// keys missing one bypass the report caches and re-simulate with a
     /// streaming store writer attached — tracing never perturbs timing,
     /// so the report (and the refreshed cache entry) is bit-identical to
-    /// an untraced run. With `record = false` (or no run directory) this
-    /// is exactly `try_run`.
-    pub fn try_run_recorded(
-        &self,
-        specs: Vec<RunSpec>,
-        record: bool,
-    ) -> Vec<Result<Arc<FabricReport>, RunError>> {
-        let recording = if record { self.run_dir.as_ref() } else { None };
+    /// an untraced run.
+    pub fn try_run(&self, specs: Vec<RunSpec>) -> Vec<Result<Arc<FabricReport>, RunError>> {
+        let recording = self.run_dir.as_ref();
         // Resolve against the cache tiers and dedup the remainder,
         // keeping the first spec of each distinct key as the one to
         // simulate.
@@ -726,19 +676,6 @@ impl SweepExecutor {
             })
             .collect()
     }
-
-    /// Panicking form of [`SweepExecutor::try_run`] for sweeps that are
-    /// known healthy (tests, examples): unwraps every result.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first [`RunError`]'s message if any point fails.
-    pub fn run(&self, specs: Vec<RunSpec>) -> Vec<Arc<FabricReport>> {
-        self.try_run(specs)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|error| panic!("{error}")))
-            .collect()
-    }
 }
 
 /// The order in which a multi-worker batch hands out its distinct
@@ -797,8 +734,9 @@ mod tests {
             .flat_map(|k| [2048u32, 16384].into_iter().map(move |elem| (k, elem)))
             .map(|(k, elem)| spec(&system, elem, Placement::lottery(11, k)))
             .collect();
-        let serial = SweepExecutor::new(1).run(specs.clone());
-        let parallel = SweepExecutor::new(4).run(specs);
+        let serial = SweepExecutor::new(1).try_run(specs.clone());
+        let parallel = SweepExecutor::new(4).try_run(specs);
+        assert!(serial.iter().all(Result::is_ok));
         assert_eq!(serial, parallel);
     }
 
@@ -824,11 +762,12 @@ mod tests {
         let p = Placement::lottery(3, 0);
         let exec = SweepExecutor::new(2);
         let batch: Vec<RunSpec> = (0..4).map(|_| spec(&system, 4096, p)).collect();
-        let reports = exec.run(batch);
+        let reports = exec.try_run(batch);
         assert_eq!(exec.stats(), CacheStats { hits: 3, misses: 1 });
+        assert!(reports[0].is_ok());
         assert!(reports.windows(2).all(|w| w[0] == w[1]));
         // A later batch with the same point is served entirely from cache.
-        let again = exec.run(vec![spec(&system, 4096, p)]);
+        let again = exec.try_run(vec![spec(&system, 4096, p)]);
         assert_eq!(exec.stats().hits, 4);
         assert_eq!(again[0], reports[0]);
     }
@@ -846,32 +785,32 @@ mod tests {
     #[test]
     fn cache_growth_is_bounded_with_lru_eviction() {
         let system = CellSystem::blade();
-        let exec = SweepExecutor::with_cache_capacity(2, 8);
+        let probe = spec(&system, 4096, Placement::identity());
+        let report = Arc::new(
+            system
+                .try_run(&probe.placement, &probe.plan)
+                .expect("healthy run"),
+        );
         // Sustained distinct-key traffic (12 distinct placements of one
         // workload) must not grow the map past its 8-entry cap.
-        let keys: Vec<Placement> = (0..12).map(|k| Placement::lottery(0xD15C, k)).collect();
-        for p in &keys {
-            let _ = exec.run(vec![spec(&system, 4096, *p)]);
-        }
-        assert!(
-            exec.cache_len() <= 8,
-            "cache len {} > cap",
-            exec.cache_len()
-        );
-        // The most recent keys survived; re-running them is pure hits.
-        let before = exec.stats();
-        let recent: Vec<RunSpec> = keys[keys.len() - 4..]
-            .iter()
-            .map(|p| spec(&system, 4096, *p))
+        let keys: Vec<RunKey> = (0..12)
+            .map(|k| spec(&system, 4096, Placement::lottery(0xD15C, k)).key)
             .collect();
-        let _ = exec.run(recent);
-        let after = exec.stats();
-        assert_eq!(after.misses, before.misses, "recent entries were evicted");
-        assert_eq!(after.hits, before.hits + 4);
-        // The oldest key was evicted and recomputes as a miss.
-        let _ = exec.run(vec![spec(&system, 4096, keys[0])]);
-        assert_eq!(exec.stats().misses, after.misses + 1);
-        assert!(exec.cache_len() <= 8);
+        let mut cache = BoundedCache::new(8);
+        for key in &keys {
+            cache.insert(key.clone(), Arc::clone(&report));
+        }
+        assert_eq!(cache.map.len(), 8);
+        // The most recent keys survived; the oldest were evicted.
+        assert!(keys[4..].iter().all(|key| cache.get(key).is_some()));
+        assert!(keys[..4].iter().all(|key| cache.get(key).is_none()));
+        // A hit refreshes recency: after touching keys[4], a new insert
+        // evicts keys[5], now the least recently used.
+        assert!(cache.get(&keys[4]).is_some());
+        cache.insert(keys[0].clone(), Arc::clone(&report));
+        assert_eq!(cache.map.len(), 8);
+        assert!(cache.get(&keys[5]).is_none());
+        assert!(cache.get(&keys[4]).is_some());
     }
 
     #[test]
@@ -879,11 +818,14 @@ mod tests {
         let system = CellSystem::blade();
         let source = SweepExecutor::new(1);
         let s = spec(&system, 4096, Placement::identity());
-        let report = source.run(vec![s.clone()]).remove(0);
+        let report = source
+            .try_run(vec![s.clone()])
+            .remove(0)
+            .expect("healthy run");
         let target = SweepExecutor::new(1);
         target.preload(s.key.clone(), Arc::clone(&report));
-        let replayed = target.run(vec![s]);
-        assert_eq!(replayed[0], report);
+        let replayed = target.try_run(vec![s]);
+        assert_eq!(replayed, vec![Ok(report)]);
         assert_eq!(target.stats(), CacheStats { hits: 1, misses: 0 });
     }
 

@@ -943,27 +943,15 @@ impl TransferPlanBuilder {
         self
     }
 
-    /// SPE `spe` GETs one `bytes`-sized element at each scattered `offsets`
-    /// entry of `region` — the building block for application-shaped
-    /// address streams (random gathers, indexed reads). Local Store slots
-    /// rotate through [`LS_WINDOW`] on a 16-byte-aligned stride, so
-    /// sub-quadword elements require 16-byte-aligned effective offsets
-    /// (the MFC's LS/EA low-nibble agreement rule); violations surface as
-    /// [`PlanError::Dma`] at [`TransferPlanBuilder::build`], never panics.
-    pub fn get_elems_at(self, spe: usize, region: RegionId, offsets: &[u64], bytes: u32) -> Self {
-        self.elems_at(spe, DmaKind::Get, region, offsets, bytes)
-    }
-
-    /// Scatter counterpart of [`TransferPlanBuilder::get_elems_at`]: one
-    /// PUT per offset.
-    pub fn put_elems_at(self, spe: usize, region: RegionId, offsets: &[u64], bytes: u32) -> Self {
-        self.elems_at(spe, DmaKind::Put, region, offsets, bytes)
-    }
-
-    /// Read-modify-write cycle at each scattered offset: a fenced GET then
-    /// a fenced PUT of the same element on a rotating tag chain, exactly
-    /// the `mfc_getf`/`mfc_putf` discipline real GUPS update loops use so
-    /// the store cannot overtake its load.
+    /// Read-modify-write cycle at each scattered offset of `region`: a
+    /// fenced GET then a fenced PUT of the same `bytes`-sized element on a
+    /// rotating tag chain, exactly the `mfc_getf`/`mfc_putf` discipline
+    /// real GUPS update loops use so the store cannot overtake its load.
+    /// Local Store slots rotate through [`LS_WINDOW`] on a
+    /// 16-byte-aligned stride, so sub-quadword elements require
+    /// 16-byte-aligned effective offsets (the MFC's LS/EA low-nibble
+    /// agreement rule); violations surface as [`PlanError::Dma`] at
+    /// [`TransferPlanBuilder::build`], never panics.
     pub fn update_elems_at(
         mut self,
         spe: usize,
@@ -1009,12 +997,7 @@ impl TransferPlanBuilder {
     /// commands (≤ [`MAX_LIST_ELEMENTS`][cellsim_mfc::MAX_LIST_ELEMENTS]
     /// entries, payload ≤ [`LS_WINDOW`] each).
     pub fn get_list_at(self, spe: usize, region: RegionId, elements: &[ListElement]) -> Self {
-        self.list_at(spe, region, elements, ListOp::Single(DmaKind::Get))
-    }
-
-    /// Scatter counterpart of [`TransferPlanBuilder::get_list_at`].
-    pub fn put_list_at(self, spe: usize, region: RegionId, elements: &[ListElement]) -> Self {
-        self.list_at(spe, region, elements, ListOp::Single(DmaKind::Put))
+        self.list_at(spe, region, elements, ListOp::Get)
     }
 
     /// Gather/scatter cycle over an element list: each batch issues a GETL
@@ -1082,42 +1065,6 @@ impl TransferPlanBuilder {
         self
     }
 
-    fn elems_at(
-        mut self,
-        spe: usize,
-        kind: DmaKind,
-        region: RegionId,
-        offsets: &[u64],
-        bytes: u32,
-    ) -> Self {
-        if self.err.is_some() {
-            return self;
-        }
-        if spe >= SPE_COUNT {
-            self.err = Some(PlanError::BadSpe(spe));
-            return self;
-        }
-        let stride = u64::from(bytes.max(16));
-        for (j, &off) in offsets.iter().enumerate() {
-            let ls = LsAddr(((j as u64 * stride) % u64::from(LS_WINDOW)) as u32);
-            let ea = EffectiveAddr::Memory {
-                region,
-                offset: off,
-            };
-            match DmaCommand::new(kind, ls, ea, bytes, tag()) {
-                Ok(cmd) => self.scripts[spe].steps.push(Step::Cmd(Planned::Elem(cmd))),
-                Err(e) => {
-                    self.err = Some(e.into());
-                    return self;
-                }
-            }
-        }
-        if !offsets.is_empty() {
-            self.scripts[spe].sync.get_or_insert(SyncPolicy::AfterAll);
-        }
-        self
-    }
-
     fn list_at(
         mut self,
         spe: usize,
@@ -1152,7 +1099,7 @@ impl TransferPlanBuilder {
             }
             let batch = elements[start..end].to_vec();
             let result = match op {
-                ListOp::Single(kind) => DmaListCommand::new(kind, LsAddr(0), base, batch, tag())
+                ListOp::Get => DmaListCommand::new(DmaKind::Get, LsAddr(0), base, batch, tag())
                     .map(|cmd| {
                         self.scripts[spe].steps.push(Step::Cmd(Planned::List(cmd)));
                     }),
@@ -1214,8 +1161,8 @@ impl TransferPlanBuilder {
 /// How a batched element list is issued.
 #[derive(Debug, Clone, Copy)]
 enum ListOp {
-    /// One list command per batch in the given direction.
-    Single(DmaKind),
+    /// One GETL per batch.
+    Get,
     /// GETL then fenced PUTL per batch (gather/scatter update).
     Update,
 }
@@ -1404,19 +1351,21 @@ mod tests {
     fn scattered_elems_rotate_aligned_slots() {
         let offsets: Vec<u64> = (0..64).map(|i| i * 4096).collect();
         let plan = TransferPlan::builder()
-            .get_elems_at(0, RegionId(0), &offsets, 8)
+            .update_elems_at(0, RegionId(0), &offsets, 8)
             .build()
             .unwrap();
         let cmds: Vec<Planned> = plan.scripts()[0].commands().collect();
-        assert_eq!(cmds.len(), 64);
-        for (j, p) in cmds.iter().enumerate() {
-            let Planned::Elem(c) = p else { panic!() };
-            // 8-byte elements still advance on a 16-byte LS stride so the
-            // low nibble agrees with the 16-aligned effective addresses.
-            assert_eq!(c.ls().0, (j as u32 * 16) % LS_WINDOW);
-            assert_eq!(c.bytes(), 8);
+        assert_eq!(cmds.len(), 2 * 64);
+        for (j, pair) in cmds.chunks(2).enumerate() {
+            for p in pair {
+                let Planned::Elem(c) = p else { panic!() };
+                // 8-byte elements still advance on a 16-byte LS stride so
+                // the low nibble agrees with the 16-aligned effective
+                // addresses.
+                assert_eq!(c.ls().0, (j as u32 * 16) % LS_WINDOW);
+                assert_eq!(c.bytes(), 8);
+            }
         }
-        assert_eq!(plan.total_bytes(), 64 * 8);
     }
 
     #[test]
@@ -1494,14 +1443,14 @@ mod tests {
         // Misaligned sub-quadword offset: LS slot is 16-aligned, EA is not.
         assert!(matches!(
             TransferPlan::builder()
-                .get_elems_at(0, RegionId(0), &[8], 8)
+                .update_elems_at(0, RegionId(0), &[8], 8)
                 .build()
                 .unwrap_err(),
             PlanError::Dma(_)
         ));
         assert_eq!(
             TransferPlan::builder()
-                .get_elems_at(9, RegionId(0), &[0], 16)
+                .update_elems_at(9, RegionId(0), &[0], 16)
                 .build()
                 .unwrap_err(),
             PlanError::BadSpe(9)
@@ -1524,7 +1473,7 @@ mod tests {
         // reports EmptyPlan.
         assert_eq!(
             TransferPlan::builder()
-                .get_elems_at(0, RegionId(0), &[], 16)
+                .update_elems_at(0, RegionId(0), &[], 16)
                 .build()
                 .unwrap_err(),
             PlanError::EmptyPlan

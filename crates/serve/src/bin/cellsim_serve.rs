@@ -2,30 +2,25 @@
 //!
 //! ```text
 //! cellsim-serve [--addr HOST:PORT] [--workers N]
-//!               [--cache-dir <dir>] [--cache-capacity N] [--high-water N]
+//!               [--cache-dir <dir>] [--high-water N]
 //!               [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N]
-//!               [--read-timeout-ms N] [--write-timeout-ms N]
-//!               [--drain-grace-ms N] [--writer-queue N]
+//!               [--write-timeout-ms N] [--drain-grace-ms N] [--writer-queue N]
 //!
 //!   --addr HOST:PORT    listen address (default 127.0.0.1:7117;
 //!                       use :0 for an ephemeral port)
 //!   --workers N         concurrent runs in flight (default: all cores)
 //!   --cache-dir <dir>   shared persistent report cache (same format and
 //!                       directory as repro --cache-dir)
-//!   --cache-capacity N  in-memory report cache entry cap
 //!   --high-water N      admission queue high-water mark (default 4096)
-//!   --run-dir <dir>     trace-store run directory; batches sent with
-//!                       "record":true persist one queryable artifact per
-//!                       run here (same layout as repro --run-dir, read
-//!                       with cellsim-trace). Without it, recording
-//!                       batches are refused.
+//!   --run-dir <dir>     trace-store run directory; every run the daemon
+//!                       simulates persists one queryable artifact here
+//!                       (same layout and rule as repro --run-dir, read
+//!                       with cellsim-trace). Without it, batches sent
+//!                       with "record":true are refused.
 //!   --stats-log <file>  append one {"op":"stats"} snapshot line per
 //!                       interval (and one at shutdown) — a stats history
 //!                       with uptime and queue high-water marks
 //!   --stats-interval-ms N  snapshot interval (default 60000)
-//!   --read-timeout-ms N    socket read deadline; a connection idle past
-//!                          it with nothing in flight is reaped
-//!                          (0 = never, the default)
 //!   --write-timeout-ms N   socket write deadline; one write blocked this
 //!                          long marks the peer a slow consumer
 //!                          (0 = never, the default)
@@ -98,14 +93,6 @@ fn parse_args() -> Result<Args, String> {
                 opts.workers = n.parse().map_err(|_| format!("bad worker count: {n}"))?;
             }
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("a directory")?)),
-            "--cache-capacity" => {
-                let n = value("a count")?;
-                let cap: usize = n.parse().map_err(|_| format!("bad capacity: {n}"))?;
-                if cap == 0 {
-                    return Err("--cache-capacity must be >= 1".into());
-                }
-                opts.cache_capacity = cap;
-            }
             "--high-water" => {
                 let n = value("a count")?;
                 let mark: usize = n.parse().map_err(|_| format!("bad high-water mark: {n}"))?;
@@ -123,11 +110,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--stats-interval-ms must be >= 1".into());
                 }
                 opts.stats_interval = std::time::Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let n = value("a count")?;
-                let ms: u64 = n.parse().map_err(|_| format!("bad timeout: {n}"))?;
-                opts.read_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
             }
             "--write-timeout-ms" => {
                 let n = value("a count")?;
@@ -150,14 +132,14 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "cellsim-serve [--addr HOST:PORT] [--workers N] \
-                     [--cache-dir <dir>] [--cache-capacity N] [--high-water N] \
+                     [--cache-dir <dir>] [--high-water N] \
                      [--run-dir <dir>] [--stats-log <file>] [--stats-interval-ms N] \
-                     [--read-timeout-ms N] [--write-timeout-ms N] \
-                     [--drain-grace-ms N] [--writer-queue N]\n\n\
+                     [--write-timeout-ms N] [--drain-grace-ms N] [--writer-queue N]\n\n\
                      Long-running sweep daemon; see README §cellsim-serve for the \
-                     line protocol. Runs above 32 MiB per SPE or above a plan cost of \
-                     2^24 are refused as bad-request. SIGTERM drains: reject new \
-                     batches, finish in-flight work, exit 0."
+                     line protocol. With --run-dir every simulated run is recorded \
+                     there, as repro --run-dir does. Runs above 32 MiB per SPE or \
+                     above a plan cost of 2^24 are refused as bad-request. SIGTERM \
+                     drains: reject new batches, finish in-flight work, exit 0."
                 );
                 std::process::exit(0);
             }

@@ -209,9 +209,10 @@ impl Client {
         self.run_batch_recorded(id, faults, specs, false)
     }
 
-    /// Like [`Client::run_batch`], with `record` asking the daemon to
-    /// persist a trace-store artifact per run under its `--run-dir`. A
-    /// daemon without one refuses the batch ([`ClientError::Refused`]).
+    /// Like [`Client::run_batch`], with `record` asserting that the
+    /// daemon records every run under its `--run-dir` (a daemon with
+    /// one records every batch). A daemon without one refuses a
+    /// `record` batch ([`ClientError::Refused`]).
     ///
     /// # Errors
     ///

@@ -14,10 +14,12 @@
 //! exits once idle (or when its drain grace expires). The ack is a
 //! `{"op":"draining","queued":Q,"inflight":M}` line.
 //!
-//! The optional `record` flag (default `false`) asks the daemon to
-//! persist a trace-store artifact for every run of the batch under its
-//! `--run-dir`; a daemon started without one refuses such batches with
-//! a `bad-request` error before anything is enqueued.
+//! A daemon started with `--run-dir` persists a trace-store artifact
+//! for every run it simulates, as `repro --run-dir` does, whatever the
+//! batch says. The optional `record` flag (default `false`) only
+//! asserts that it does: a daemon started without a run dir refuses a
+//! `"record":true` batch with a `bad-request` error before anything is
+//! enqueued.
 //!
 //! Each run names one simulation point explicitly — the daemon never
 //! invents placements, so a batch replays bit-identically anywhere:
@@ -110,7 +112,8 @@ pub struct BatchRequest {
     pub id: String,
     /// The decoded specs, in request order.
     pub specs: Vec<RunSpec>,
-    /// Whether the batch asked for trace-store artifacts (`"record"`).
+    /// Whether the batch asserts that the daemon records (`"record"`);
+    /// refused by a daemon without a run dir.
     pub record: bool,
 }
 
@@ -523,9 +526,9 @@ fn write_run(w: &mut Writer, spec: &RunSpec) {
 }
 
 /// Encodes a whole `run` request line (without the trailing newline).
-/// `record` asks the daemon to persist trace-store artifacts for the
-/// batch; `false` omits the key, so the line is byte-identical to what
-/// older clients sent.
+/// `record` asserts that the daemon records the batch's runs into its
+/// run dir; `false` omits the key, so the line is byte-identical to
+/// what older clients sent.
 #[must_use]
 pub fn encode_run_request(
     id: &str,

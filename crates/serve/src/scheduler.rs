@@ -156,16 +156,6 @@ pub struct Batch {
     pub out: ConnSink,
     /// The owning connection's id (per-connection stats tallies).
     pub conn: u64,
-    /// Whether the batch asked for trace-store artifacts. A run is
-    /// recorded when the job that *triggers* its simulation carries the
-    /// flag; a recording batch whose key rides an already-in-flight
-    /// unrecorded simulation gets its result without an artifact, and a
-    /// later recording request for the same key re-simulates (the run
-    /// dir gates cache hits on artifact completeness).
-    pub record: bool,
-    /// The owning connection's count of unfinished batches; the idle
-    /// reaper leaves a connection alone while this is nonzero.
-    active: Arc<AtomicUsize>,
     remaining: AtomicUsize,
     ok: AtomicUsize,
     failed: AtomicUsize,
@@ -173,22 +163,12 @@ pub struct Batch {
 
 impl Batch {
     /// A tracker expecting `runs` deliveries before `done` goes out.
-    /// `active` is the owning connection's unfinished-batch count.
     #[must_use]
-    pub fn new(
-        id: String,
-        out: ConnSink,
-        conn: u64,
-        record: bool,
-        runs: usize,
-        active: Arc<AtomicUsize>,
-    ) -> Arc<Batch> {
+    pub fn new(id: String, out: ConnSink, conn: u64, runs: usize) -> Arc<Batch> {
         Arc::new(Batch {
             id,
             out,
             conn,
-            record,
-            active,
             remaining: AtomicUsize::new(runs),
             ok: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
@@ -374,7 +354,6 @@ impl Scheduler {
                     high_water: self.high_water,
                 }));
             }
-            batch.active.fetch_add(1, Ordering::SeqCst);
             let queue = inner.queues.entry(conn).or_default();
             let was_empty = queue.is_empty();
             queue.extend(jobs);
@@ -443,7 +422,7 @@ impl Scheduler {
             let key = job.spec.key.clone();
             let result = self
                 .exec
-                .try_run_recorded(vec![job.spec.clone()], job.batch.record)
+                .try_run(vec![job.spec.clone()])
                 .pop()
                 .expect("one result per submitted spec");
             // The wire carries the typed error; drain the executor's copy
@@ -483,7 +462,6 @@ impl Scheduler {
                 batch.ok.load(Ordering::Relaxed),
                 batch.failed.load(Ordering::Relaxed),
             ));
-            batch.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -547,7 +525,6 @@ impl Scheduler {
                 job.batch
                     .out
                     .send(protocol::shutting_down_line(&job.batch.id));
-                job.batch.active.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }

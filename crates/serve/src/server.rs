@@ -9,13 +9,15 @@
 //! makes the sink's sends no-ops — its running simulations still
 //! complete and warm the shared caches for everyone else.
 //!
+//! With a run directory ([`ServeOptions::run_dir`]) the daemon records
+//! every run it simulates, as `repro --run-dir` does; a batch's
+//! `"record":true` only asserts that it does.
+//!
 //! Hardening (the knobs are [`ServeOptions`]):
 //!
-//! * **Read deadlines + idle reaper** — with a `read_timeout`, a
-//!   connection that has nothing in flight and sends nothing for a full
-//!   deadline is reaped; one that is merely waiting on results keeps
-//!   its socket as long as batches are unfinished (framing survives
-//!   the deadline expiry mid-line — see [`LineReader`]).
+//! * **Bounded request lines** — a request line longer than
+//!   [`MAX_LINE_BYTES`] gets a typed `protocol` error and the
+//!   connection is closed (see [`LineReader`]).
 //! * **Bounded writers, typed slow-consumer disconnect** — a peer that
 //!   stops reading overflows its bounded response queue; the writer
 //!   sends one final `slow-consumer` error line (best effort) and
@@ -34,12 +36,12 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cellsim_core::exec::{SweepExecutor, DEFAULT_CACHE_CAPACITY};
+use cellsim_core::exec::SweepExecutor;
 use cellsim_core::json::Writer;
 
 use crate::framing::{LineRead, LineReader};
@@ -59,16 +61,13 @@ pub struct ServeOptions {
     /// Persistent content-addressed cache directory, shared freely with
     /// concurrent daemons and `repro --cache-dir` invocations.
     pub cache_dir: Option<PathBuf>,
-    /// In-memory report cache entry cap.
-    pub cache_capacity: usize,
     /// Admission high-water mark: most queued (admitted, unstarted)
     /// runs before batches are rejected as overloaded.
     pub high_water: usize,
-    /// Longest accepted request line in bytes.
-    pub max_line: usize,
-    /// Trace-store run directory: batches sent with `"record":true`
-    /// persist one artifact per run here (same layout as
-    /// `repro --run-dir`). `None` refuses recording batches.
+    /// Trace-store run directory: every run the daemon simulates
+    /// persists one artifact here (same layout and rule as
+    /// `repro --run-dir`). `None` refuses batches that send
+    /// `"record":true`.
     pub run_dir: Option<PathBuf>,
     /// Stats-history log: every `stats_interval`, one `stats` snapshot
     /// line (identical to the wire response) is appended here, plus a
@@ -76,10 +75,6 @@ pub struct ServeOptions {
     pub stats_log: Option<PathBuf>,
     /// Interval between appended stats snapshots.
     pub stats_interval: Duration,
-    /// Socket read deadline. A connection with batches in flight just
-    /// keeps waiting across expiries; one with nothing in flight is
-    /// reaped as idle. `None` waits forever.
-    pub read_timeout: Option<Duration>,
     /// Socket write deadline for the connection writer; a single write
     /// blocked this long marks the peer a slow consumer. `None` blocks
     /// indefinitely (the bounded queue still protects the workers).
@@ -98,13 +93,10 @@ impl Default for ServeOptions {
             jobs: 0,
             workers: 0,
             cache_dir: None,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
             high_water: 4096,
-            max_line: MAX_LINE_BYTES,
             run_dir: None,
             stats_log: None,
             stats_interval: Duration::from_secs(60),
-            read_timeout: None,
             write_timeout: None,
             drain_grace: Duration::from_secs(30),
             writer_queue: 1024,
@@ -113,7 +105,8 @@ impl Default for ServeOptions {
 }
 
 /// Live sockets by connection id, so [`ServeHandle::kill`] can sever
-/// every conversation at once (the crash-test lever).
+/// every conversation at once (the crash-test lever); its size is the
+/// `stats` `connections` count.
 type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A bound, not-yet-serving daemon. [`Server::serve`] blocks; grab a
@@ -122,16 +115,12 @@ pub struct Server {
     listener: TcpListener,
     scheduler: Arc<Scheduler>,
     workers: Vec<JoinHandle<()>>,
-    connections: Arc<AtomicUsize>,
     conns: ConnRegistry,
     next_conn: AtomicU64,
     stopping: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    max_line: usize,
     started: Instant,
     stats_log: Option<PathBuf>,
     stats_interval: Duration,
-    read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     drain_grace: Duration,
     writer_queue: usize,
@@ -142,7 +131,6 @@ pub struct Server {
 pub struct ServeHandle {
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
     scheduler: Arc<Scheduler>,
     conns: ConnRegistry,
 }
@@ -163,7 +151,6 @@ impl ServeHandle {
     /// is `{"op":"drain"}`; the binary maps SIGTERM here.
     pub fn drain(&self) {
         self.scheduler.drain();
-        self.draining.store(true, Ordering::SeqCst);
     }
 
     /// Kills the daemon the unceremonious way: stops accepting and
@@ -197,8 +184,10 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         // One executor thread: every batch the scheduler submits holds
         // one spec.
-        let mut exec =
-            SweepExecutor::with_cache_options(1, opts.cache_capacity, opts.cache_dir.as_deref())?;
+        let mut exec = match &opts.cache_dir {
+            Some(dir) => SweepExecutor::with_cache_dir(1, dir)?,
+            None => SweepExecutor::new(1),
+        };
         if let Some(dir) = &opts.run_dir {
             exec.set_run_dir(dir)?;
         }
@@ -214,16 +203,12 @@ impl Server {
             listener,
             scheduler,
             workers,
-            connections: Arc::new(AtomicUsize::new(0)),
             conns: Arc::new(Mutex::new(HashMap::new())),
             next_conn: AtomicU64::new(0),
             stopping: Arc::new(AtomicBool::new(false)),
-            draining: Arc::new(AtomicBool::new(false)),
-            max_line: opts.max_line,
             started: Instant::now(),
             stats_log: opts.stats_log.clone(),
             stats_interval: opts.stats_interval.max(Duration::from_millis(10)),
-            read_timeout: opts.read_timeout,
             write_timeout: opts.write_timeout,
             drain_grace: opts.drain_grace,
             writer_queue: opts.writer_queue.max(1),
@@ -249,7 +234,6 @@ impl Server {
         Ok(ServeHandle {
             addr: self.listener.local_addr()?,
             stopping: Arc::clone(&self.stopping),
-            draining: Arc::clone(&self.draining),
             scheduler: Arc::clone(&self.scheduler),
             conns: Arc::clone(&self.conns),
         })
@@ -268,21 +252,14 @@ impl Server {
         let stats_thread = self.stats_log.as_ref().and_then(|path| {
             let path = path.clone();
             let scheduler = Arc::clone(&self.scheduler);
-            let connections = Arc::clone(&self.connections);
+            let conns = Arc::clone(&self.conns);
             let stopping = Arc::clone(&self.stopping);
             let interval = self.stats_interval;
             let started = self.started;
             std::thread::Builder::new()
                 .name("cellsim-serve-stats".to_string())
                 .spawn(move || {
-                    stats_history(
-                        &path,
-                        &scheduler,
-                        &connections,
-                        &stopping,
-                        interval,
-                        started,
-                    );
+                    stats_history(&path, &scheduler, &conns, &stopping, interval, started);
                 })
                 .map_err(|e| eprintln!("cellsim-serve: could not spawn stats thread: {e}"))
                 .ok()
@@ -302,29 +279,22 @@ impl Server {
             }
             let ctx = ConnContext {
                 scheduler: Arc::clone(&self.scheduler),
-                connections: Arc::clone(&self.connections),
-                draining: Arc::clone(&self.draining),
+                conns: Arc::clone(&self.conns),
                 conn,
-                max_line: self.max_line,
                 started: self.started,
-                read_timeout: self.read_timeout,
                 write_timeout: self.write_timeout,
                 writer_queue: self.writer_queue,
             };
-            let conns = Arc::clone(&self.conns);
-            self.connections.fetch_add(1, Ordering::Relaxed);
             let spawned = std::thread::Builder::new()
                 .name(format!("cellsim-serve-conn-{conn}"))
                 .spawn(move || {
                     serve_connection(&ctx, stream);
-                    ctx.connections.fetch_sub(1, Ordering::Relaxed);
-                    conns
+                    ctx.conns
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .remove(&conn);
                 });
             if spawned.is_err() {
-                self.connections.fetch_sub(1, Ordering::Relaxed);
                 self.conns
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -353,13 +323,12 @@ impl Server {
         let handle = self.handle().ok()?;
         let scheduler = Arc::clone(&self.scheduler);
         let stopping = Arc::clone(&self.stopping);
-        let draining = Arc::clone(&self.draining);
         let grace = self.drain_grace;
         std::thread::Builder::new()
             .name("cellsim-serve-drain".to_string())
             .spawn(move || {
                 let poll = Duration::from_millis(25);
-                while !draining.load(Ordering::SeqCst) {
+                while !scheduler.is_draining() {
                     if stopping.load(Ordering::SeqCst) {
                         return;
                     }
@@ -388,7 +357,7 @@ impl Server {
 fn stats_history(
     path: &std::path::Path,
     scheduler: &Arc<Scheduler>,
-    connections: &AtomicUsize,
+    conns: &ConnRegistry,
     stopping: &AtomicBool,
     interval: Duration,
     started: Instant,
@@ -402,14 +371,14 @@ fn stats_history(
         let mut slept = Duration::ZERO;
         while slept < interval {
             if stopping.load(Ordering::SeqCst) {
-                append(&stats_line(scheduler, connections, started));
+                append(&stats_line(scheduler, conns, started));
                 return;
             }
             let step = (interval - slept).min(Duration::from_millis(100));
             std::thread::sleep(step);
             slept += step;
         }
-        append(&stats_line(scheduler, connections, started));
+        append(&stats_line(scheduler, conns, started));
     }
 }
 
@@ -427,12 +396,9 @@ fn frame(buf: &mut Vec<u8>, line: &str) {
 /// Everything a connection's reader needs, bundled.
 struct ConnContext {
     scheduler: Arc<Scheduler>,
-    connections: Arc<AtomicUsize>,
-    draining: Arc<AtomicBool>,
+    conns: ConnRegistry,
     conn: u64,
-    max_line: usize,
     started: Instant,
-    read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     writer_queue: usize,
 }
@@ -443,7 +409,6 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
     // without TCP_NODELAY, Nagle's algorithm holds a short line back
     // until the peer's delayed ACK (tens of ms per batch).
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(ctx.read_timeout);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -494,33 +459,12 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                 let _ = out.shutdown(Shutdown::Both);
             }
         });
-    // The idle reaper's evidence: how many of this connection's batches
-    // are still owed lines. Shared with every Batch submitted here.
-    let active = Arc::new(AtomicUsize::new(0));
-    let mut reader = LineReader::new(BufReader::new(stream), ctx.max_line);
+    let mut reader = LineReader::new(BufReader::new(stream), MAX_LINE_BYTES);
     loop {
         if sink.is_dead() {
             break;
         }
         match reader.read() {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Read deadline expired. Waiting on results is fine;
-                // idle with nothing in flight is reaped.
-                if active.load(Ordering::SeqCst) == 0 {
-                    sink.send(protocol::error_line(
-                        None,
-                        "idle-timeout",
-                        "no requests and nothing in flight within the read deadline",
-                    ));
-                    break;
-                }
-                continue;
-            }
             Err(_) | Ok(LineRead::Eof) => break,
             Ok(LineRead::TooLong) => {
                 // An over-long line cannot be framed; answering anything
@@ -528,7 +472,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                 sink.send(protocol::error_line(
                     None,
                     "protocol",
-                    &format!("request line exceeds {} bytes", ctx.max_line),
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 ));
                 break;
             }
@@ -544,16 +488,15 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                 sink.send(refusal.to_line());
             }
             Ok(Request::Stats) => {
-                sink.send(stats_line(&ctx.scheduler, &ctx.connections, ctx.started));
+                sink.send(stats_line(&ctx.scheduler, &ctx.conns, ctx.started));
             }
             Ok(Request::Drain) => {
                 ctx.scheduler.drain();
-                ctx.draining.store(true, Ordering::SeqCst);
                 let stats = ctx.scheduler.stats();
                 sink.send(protocol::draining_line(stats.queue_depth, stats.inflight));
             }
             Ok(Request::Run(batch)) => {
-                submit_batch(&ctx.scheduler, ctx.conn, &sink, &active, batch);
+                submit_batch(&ctx.scheduler, ctx.conn, &sink, batch);
             }
         }
     }
@@ -570,7 +513,6 @@ fn submit_batch(
     scheduler: &Arc<Scheduler>,
     conn: u64,
     sink: &ConnSink,
-    active: &Arc<AtomicUsize>,
     request: protocol::BatchRequest,
 ) {
     if request.record && scheduler.executor().run_dir().is_none() {
@@ -581,14 +523,7 @@ fn submit_batch(
         ));
         return;
     }
-    let batch = Batch::new(
-        request.id,
-        sink.clone(),
-        conn,
-        request.record,
-        request.specs.len(),
-        Arc::clone(active),
-    );
+    let batch = Batch::new(request.id, sink.clone(), conn, request.specs.len());
     let jobs: Vec<Job> = request
         .specs
         .into_iter()
@@ -620,12 +555,13 @@ fn submit_batch(
 /// executor cache counters, run-dir recording counters when attached,
 /// and (when a cache dir is attached) both the process's disk-tier
 /// activity and a census of the shared directory.
-fn stats_line(scheduler: &Scheduler, connections: &AtomicUsize, started: Instant) -> String {
+fn stats_line(scheduler: &Scheduler, conns: &ConnRegistry, started: Instant) -> String {
+    let connections = conns.lock().unwrap_or_else(PoisonError::into_inner).len();
     let sched = scheduler.stats();
     let exec = scheduler.executor();
     let mut w = Writer::with_capacity(512 + 64 * sched.per_connection.len());
     let top = [
-        ("connections", connections.load(Ordering::Relaxed) as u64),
+        ("connections", connections as u64),
         ("queue_depth", sched.queue_depth as u64),
         ("high_water", sched.high_water as u64),
         ("queue_peak", sched.queue_peak as u64),

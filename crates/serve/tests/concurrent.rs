@@ -16,7 +16,7 @@ use cellsim_core::experiments::{
 use cellsim_core::json::{self, JsonValue};
 use cellsim_core::tracestore::{Manifest, TraceStore, TRACE_FILE};
 use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy};
-use cellsim_serve::protocol::encode_run_request;
+use cellsim_serve::protocol::{encode_run_request, MAX_LINE_BYTES};
 use cellsim_serve::{Client, ClientError, ServeHandle, ServeOptions, Server};
 
 /// A reduced sweep: enough runs for the figures to have shape, small
@@ -296,18 +296,21 @@ fn hostile_lines_get_typed_errors_without_killing_the_connection() {
 
 #[test]
 fn over_long_lines_error_and_close() {
-    let daemon = start_daemon(&ServeOptions {
-        max_line: 1024,
-        ..ServeOptions::default()
-    });
+    let daemon = start_daemon(&ServeOptions::default());
     let mut stream = TcpStream::connect(daemon.addr).expect("connect");
-    stream.write_all(&vec![b'a'; 4096]).expect("send");
-    stream.write_all(b"\n").expect("send");
+    // One byte past the cap is refused before any newline arrives, and
+    // the daemon has read every byte sent, so it closes cleanly.
+    stream
+        .write_all(&vec![b'a'; MAX_LINE_BYTES + 1])
+        .expect("send");
     let mut response = String::new();
     let mut reader = BufReader::new(stream);
     reader.read_line(&mut response).expect("recv");
     assert!(response.contains("\"op\":\"error\""), "{response}");
-    assert!(response.contains("exceeds 1024 bytes"), "{response}");
+    assert!(
+        response.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+        "{response}"
+    );
     // The daemon hangs up after an unframeable line.
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).expect("drain");
@@ -400,41 +403,68 @@ fn stats_log_appends_periodic_and_final_snapshots() {
 
 #[test]
 fn recorded_batches_persist_queryable_artifacts() {
-    let run_dir = temp_dir("record");
-    let daemon = start_daemon(&ServeOptions {
-        run_dir: Some(run_dir.clone()),
-        ..ServeOptions::default()
-    });
-    let system = CellSystem::blade();
-    let specs = tiny_specs(&system, "12");
+    // A daemon with a run dir records every run it simulates, as
+    // `repro --run-dir` does: `"record":true` only asserts that it does.
+    for record in [true, false] {
+        let run_dir = temp_dir("record");
+        let daemon = start_daemon(&ServeOptions {
+            run_dir: Some(run_dir.clone()),
+            ..ServeOptions::default()
+        });
+        let system = CellSystem::blade();
+        let specs = tiny_specs(&system, "12");
 
-    let mut client = Client::connect(daemon.addr).expect("connect");
-    let outcome = client
-        .run_batch_recorded("rec", None, &specs, true)
-        .expect("batch");
-    assert_eq!(outcome.failed, 0);
+        let mut client = Client::connect(daemon.addr).expect("connect");
+        let outcome = client
+            .run_batch_recorded("rec", None, &specs, record)
+            .expect("batch");
+        assert_eq!(outcome.failed, 0);
 
-    // Every distinct key of the batch left a complete, self-consistent
-    // artifact: manifest metrics match the wire report, and the trace
-    // store's conserved totals match the manifest.
-    let mut distinct = std::collections::BTreeSet::new();
-    for (spec, result) in specs.iter().zip(&outcome.results) {
-        let report = result.as_ref().expect("ok result");
-        if !distinct.insert(key_fingerprint(&spec.key)) {
-            continue;
+        // Every distinct key of the batch left a complete artifact that
+        // `cellsim-trace check` reconciles: manifest metrics match the
+        // wire report, and the trace store's recount, trailer, size and
+        // checksum match the manifest.
+        let mut distinct = std::collections::BTreeSet::new();
+        for (spec, result) in specs.iter().zip(&outcome.results) {
+            let report = result.as_ref().expect("ok result");
+            if !distinct.insert(key_fingerprint(&spec.key)) {
+                continue;
+            }
+            let entry = run_dir.join(format!("{:016x}", key_fingerprint(&spec.key)));
+            let manifest = Manifest::load(&entry).expect("manifest parses");
+            assert_eq!(manifest.packets, report.packets, "record={record}");
+            assert_eq!(manifest.total_bytes, report.total_bytes);
+            let store = TraceStore::open(&entry.join(TRACE_FILE)).expect("store opens");
+            let totals = *store.totals();
+            assert_eq!(totals.delivered, report.packets);
+            assert_eq!(totals.delivered_bytes, report.total_bytes);
+            let (counts, delivered_bytes) = store.recount().expect("store decodes");
+            assert_eq!(
+                counts,
+                [
+                    totals.issued,
+                    totals.mem_accesses,
+                    totals.grants,
+                    totals.delivered
+                ]
+            );
+            assert_eq!(delivered_bytes, totals.delivered_bytes);
+            assert_eq!(totals.issued, manifest.packets + manifest.abandoned);
+            assert_eq!(totals.sim_events, manifest.events);
+            assert_eq!(totals.packets, manifest.packets);
+            assert_eq!(totals.events, manifest.trace_events);
+            assert_eq!(store.size_bytes(), manifest.trace_bytes);
+            assert_eq!(
+                format!("{:016x}", store.payload_checksum()),
+                manifest.trace_checksum
+            );
         }
-        let entry = run_dir.join(format!("{:016x}", key_fingerprint(&spec.key)));
-        let manifest = Manifest::load(&entry).expect("manifest parses");
-        assert_eq!(manifest.packets, report.packets);
-        assert_eq!(manifest.total_bytes, report.total_bytes);
-        let store = TraceStore::open(&entry.join(TRACE_FILE)).expect("store opens");
-        let totals = store.totals();
-        assert_eq!(totals.delivered, report.packets);
-        assert_eq!(totals.delivered_bytes, report.total_bytes);
+        assert!(!distinct.is_empty());
+        let entries = std::fs::read_dir(&run_dir).expect("run dir").count();
+        assert_eq!(entries, distinct.len(), "record={record}");
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(run_dir);
     }
-    assert!(!distinct.is_empty());
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(run_dir);
 }
 
 #[test]

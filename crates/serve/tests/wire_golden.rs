@@ -53,7 +53,11 @@ fn batch(name: &str) -> (String, Vec<RunSpec>) {
 }
 
 fn run(specs: &[RunSpec]) -> Vec<Arc<FabricReport>> {
-    SweepExecutor::new(1).run(specs.to_vec())
+    SweepExecutor::new(1)
+        .try_run(specs.to_vec())
+        .into_iter()
+        .map(|result| result.expect("golden batches run healthy"))
+        .collect()
 }
 
 fn fingerprint(spec: &RunSpec) -> String {

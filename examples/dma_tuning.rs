@@ -9,10 +9,11 @@
 //! cargo run --release --example dma_tuning
 //! ```
 
+use std::error::Error;
 use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::{CellSystem, Placement, PlanError, SyncPolicy, TransferPlan};
+use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
 
 const VOLUME: u64 = 1 << 20;
 
@@ -23,7 +24,7 @@ fn exchange(
     elem: u32,
     list: bool,
     sync: SyncPolicy,
-) -> Result<f64, PlanError> {
+) -> Result<f64, Box<dyn Error>> {
     let b = TransferPlan::builder();
     let b = if list {
         b.exchange_with_list(0, 1, volume, elem, sync)
@@ -41,10 +42,10 @@ fn exchange(
         params: 0,
     };
     let spec = RunSpec::new(system, workload, Placement::identity(), plan);
-    Ok(exec.run(vec![spec])[0].aggregate_gbps)
+    Ok(exec.try_run(vec![spec]).remove(0)?.aggregate_gbps)
 }
 
-fn main() -> Result<(), PlanError> {
+fn main() -> Result<(), Box<dyn Error>> {
     let system = CellSystem::blade();
     let exec = SweepExecutor::default();
     println!("SPE0 <-> SPE1 exchange, peak 33.6 GB/s. One rule at a time:\n");

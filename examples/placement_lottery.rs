@@ -10,16 +10,17 @@
 //! cargo run --release --example placement_lottery
 //! ```
 
+use std::error::Error;
 use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::{CellSystem, Placement, PlanError, SyncPolicy, TransferPlan};
+use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
 
 const VOLUME: u64 = 1 << 20;
 const ELEM: u32 = 16 * 1024;
 const DRAWS: u64 = 20;
 
-fn main() -> Result<(), PlanError> {
+fn main() -> Result<(), Box<dyn Error>> {
     let system = CellSystem::blade();
     let mut b = TransferPlan::builder();
     for spe in 0..8 {
@@ -44,7 +45,10 @@ fn main() -> Result<(), PlanError> {
         .iter()
         .map(|&p| RunSpec::new(&system, workload.clone(), p, Arc::clone(&plan)))
         .collect();
-    let reports = exec.run(specs);
+    let reports = exec
+        .try_run(specs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut draws: Vec<(f64, Placement)> = reports
         .iter()

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim::experiments::{figure_degraded_with, ExperimentConfig};
 use cellsim::{
-    CellSystem, DerateWindow, FaultPlan, Placement, RingOutage, SyncPolicy, TransferPlan, Window,
+    CellSystem, DerateWindow, FabricReport, FaultPlan, Placement, RingOutage, SyncPolicy,
+    TransferPlan, Window,
 };
 use proptest::prelude::*;
 
@@ -43,6 +44,14 @@ fn copy_specs(system: &CellSystem, mask: u8) -> Vec<RunSpec> {
     specs
 }
 
+/// Runs `specs` on `exec`; every point of these sweeps completes.
+fn run(exec: &SweepExecutor, specs: Vec<RunSpec>) -> Vec<Arc<FabricReport>> {
+    exec.try_run(specs)
+        .into_iter()
+        .map(|result| result.expect("every point completes"))
+        .collect()
+}
+
 #[test]
 fn empty_plan_is_byte_identical_to_no_plan() {
     let healthy = CellSystem::blade();
@@ -54,9 +63,9 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     // Same reports — and the *same cache entries*: a warm healthy
     // executor answers the empty-plan sweep without simulating.
     let exec = SweepExecutor::new(2);
-    let healthy_reports = exec.run(copy_specs(&healthy, 0));
+    let healthy_reports = run(&exec, copy_specs(&healthy, 0));
     let before = exec.stats();
-    let empty_reports = exec.run(copy_specs(&empty, 0));
+    let empty_reports = run(&exec, copy_specs(&empty, 0));
     assert_eq!(healthy_reports, empty_reports);
     assert_eq!(
         exec.stats().misses,
@@ -138,16 +147,16 @@ proptest! {
         let mask = plan.fused_mask();
         let system = CellSystem::blade().with_faults(plan);
 
-        let serial = SweepExecutor::new(1).run(copy_specs(&system, mask));
-        let parallel = SweepExecutor::new(jobs).run(copy_specs(&system, mask));
+        let serial = run(&SweepExecutor::new(1), copy_specs(&system, mask));
+        let parallel = run(&SweepExecutor::new(jobs), copy_specs(&system, mask));
         prop_assert_eq!(&serial, &parallel, "seed {} jobs {}", seed, jobs);
 
         // And through the cache: a warm second pass is identical without
         // a single fresh simulation.
         let exec = SweepExecutor::new(jobs);
-        let first = exec.run(copy_specs(&system, mask));
+        let first = run(&exec, copy_specs(&system, mask));
         let misses = exec.stats().misses;
-        let second = exec.run(copy_specs(&system, mask));
+        let second = run(&exec, copy_specs(&system, mask));
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(exec.stats().misses, misses);
         prop_assert_eq!(&serial, &first);
