@@ -595,11 +595,7 @@ impl Fabric<'_> {
             sched.schedule(grant.delivered_at, Ev::Delivered(id));
         }
         self.grants = grants;
-        if self.eib.has_pending() {
-            let at = self
-                .eib
-                .next_release_after(now)
-                .expect("pending transfers imply a future release");
+        if let Some(at) = self.eib.next_wakeup(now) {
             if self.kick_scheduled.is_none_or(|t| at < t || t <= now) {
                 self.kick_scheduled = Some(at);
                 sched.schedule(at, Ev::EibKick);

@@ -150,6 +150,7 @@ struct Pending {
 
 /// Grant queue of a (MIC class, `routes[0]` direction) pair: the
 /// memory-priority pair first, clockwise before counter-clockwise.
+#[inline]
 fn lane(mic: bool, dir: Direction) -> usize {
     let class = if mic { 0 } else { 2 };
     match dir {
@@ -168,6 +169,7 @@ struct RouteSet {
 }
 
 impl RouteSet {
+    #[inline]
     fn as_slice(&self) -> &[Route] {
         &self.routes[..usize::from(self.len)]
     }
@@ -189,6 +191,7 @@ struct ReleaseCalendar {
 }
 
 impl ReleaseCalendar {
+    #[inline]
     fn add(&mut self, at: Cycle, count: u32) {
         // A new expiry is usually the latest one, so search from the back.
         let i = self.entries.iter().rposition(|&(t, _)| t <= at);
@@ -198,6 +201,7 @@ impl ReleaseCalendar {
         }
     }
 
+    #[inline]
     fn remove(&mut self, at: Cycle) {
         let i = self
             .entries
@@ -210,11 +214,13 @@ impl ReleaseCalendar {
         }
     }
 
+    #[inline]
     fn drop_through(&mut self, now: Cycle) {
         let expired = self.entries.iter().take_while(|&&(t, _)| t <= now).count();
         self.entries.drain(..expired);
     }
 
+    #[inline]
     fn next_after(&self, now: Cycle) -> Option<Cycle> {
         self.entries.iter().map(|&(t, _)| t).find(|&t| t > now)
     }
@@ -361,6 +367,7 @@ impl Eib {
     /// # Panics
     ///
     /// Panics if `src == dst` or either endpoint is not on the bus.
+    #[inline]
     pub fn submit(&mut self, now: Cycle, token: u64, req: TransferRequest) {
         // Resolve endpoints eagerly so errors point at the submitter —
         // and so arbitration never repeats the lookups.
@@ -384,6 +391,7 @@ impl Eib {
     }
 
     /// Whether any requests are waiting for a ring.
+    #[inline]
     pub fn has_pending(&self) -> bool {
         self.queues.iter().any(|q| !q.is_empty())
     }
@@ -421,13 +429,21 @@ impl Eib {
     /// refused at every time before that. A refusal changes no state, so
     /// skipping it leaves every other try, and every grant, exactly as a
     /// full pass would.
+    ///
+    /// So a healthy pass in which every queued head is still certain to be
+    /// refused grants nothing and returns at once, without even dropping
+    /// expired reservations from the calendar: the release queries skip
+    /// those, and the next pass that tries a head drops them.
+    #[inline]
     pub fn arbitrate_into(&mut self, now: Cycle, granted: &mut Vec<(u64, Grant)>) {
-        if !self.has_pending() {
-            return;
-        }
         // A fault window can open or close without any reservation
         // expiring, so a faulted bus tries every head.
         let healthy = self.faults.is_empty();
+        let quiet =
+            |lane: usize| self.queues[lane].is_empty() || (healthy && self.retry[lane] > now);
+        if (0..self.queues.len()).all(quiet) {
+            return;
+        }
         self.calendar.drop_through(now);
         for pair in [
             lane(true, Direction::Clockwise),
@@ -469,6 +485,7 @@ impl Eib {
     /// success. A refusal returns a time before which, on a healthy bus,
     /// the request is certain to be refused again: the earliest expiry
     /// among the reservations that blocked it.
+    #[inline]
     fn try_grant(&mut self, now: Cycle, p: &Pending) -> Result<Grant, Cycle> {
         let (src, dst) = (p.src_ramp, p.dst_ramp);
         if self.send_free[src] > now {
@@ -578,6 +595,7 @@ impl Eib {
     /// The earliest reservation expiry strictly after `now`, across all
     /// rings and ports — the time at which a blocked request could next be
     /// granted. `None` when the bus is idle after `now`.
+    #[inline]
     pub fn next_release_after(&self, now: Cycle) -> Option<Cycle> {
         let reserved = self.calendar.next_after(now);
         if self.faults.is_empty() {
@@ -591,6 +609,24 @@ impl Eib {
             .next_boundary_after(now.as_u64())
             .map(Cycle::new);
         reserved.into_iter().chain(fault_next).min()
+    }
+
+    /// When a caller holding queued requests must arbitrate next: `None`
+    /// if no request is queued, else [`next_release_after`](Eib::next_release_after).
+    ///
+    /// # Panics
+    ///
+    /// Panics if requests are queued but no reservation or fault window
+    /// will ever release them.
+    #[inline]
+    pub fn next_wakeup(&self, now: Cycle) -> Option<Cycle> {
+        if !self.has_pending() {
+            return None;
+        }
+        let at = self
+            .next_release_after(now)
+            .expect("pending transfers imply a future release");
+        Some(at)
     }
 }
 

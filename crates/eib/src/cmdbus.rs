@@ -51,6 +51,7 @@ impl CommandBus {
 
     /// Issues a command at or after `now`; returns the cycle at which the
     /// snoop completes and the data phase may begin.
+    #[inline]
     pub fn issue(&mut self, now: Cycle) -> Cycle {
         let start = now.max(self.next_slot);
         self.next_slot = start + self.issue_interval;

@@ -45,6 +45,7 @@ impl Ring {
     /// `None` if every segment in `mask` is free at `now`; otherwise the
     /// expiry of the first one still reserved, before which the path
     /// cannot be free.
+    #[inline]
     pub(crate) fn path_blocked_until(&self, mask: u32, now: Cycle) -> Option<Cycle> {
         let mut m = mask;
         while m != 0 {
@@ -71,6 +72,7 @@ impl Ring {
     /// otherwise, for the first segment not free when the head reaches
     /// it, the launch time at which it would be: a transfer launched
     /// before then cannot use the route.
+    #[inline]
     pub(crate) fn route_blocked_until(
         &self,
         route: &Route,
@@ -92,6 +94,7 @@ impl Ring {
     /// # Panics
     ///
     /// Panics in debug builds if any staggered window is already taken.
+    #[inline]
     pub fn reserve_route(&mut self, route: &Route, now: Cycle, duration: u64, hop_latency: u64) {
         for (k, seg) in route.segments_in_order() {
             let start = now + k * hop_latency;
@@ -109,6 +112,7 @@ impl Ring {
     ///
     /// Panics in debug builds if a segment is already reserved past `until`
     /// — the arbiter must only reserve free paths.
+    #[inline]
     pub fn reserve(&mut self, mask: u32, now: Cycle, until: Cycle) {
         let mut m = mask;
         while m != 0 {
@@ -136,6 +140,7 @@ impl Ring {
     }
 
     /// The cycle until which `segment` is reserved.
+    #[inline]
     pub(crate) fn busy_until(&self, segment: usize) -> Cycle {
         self.busy_until[segment]
     }

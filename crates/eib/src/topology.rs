@@ -29,6 +29,7 @@ impl Element {
     /// # Panics
     ///
     /// Panics if `n >= 8`; the CBE has eight SPEs.
+    #[inline]
     pub fn spe(n: u8) -> Element {
         assert!(n < 8, "the CBE has 8 SPEs; got physical index {n}");
         Element::Spe(n)
@@ -36,6 +37,7 @@ impl Element {
 
     /// Whether this element is the memory controller (which the data
     /// arbiter treats with the highest priority).
+    #[inline]
     pub fn is_mic(self) -> bool {
         self == Element::Mic
     }
@@ -92,6 +94,7 @@ impl Route {
     /// source: the packet head reaches segment `i` after `i` hops, so a
     /// pipelined reservation staggers each segment's busy window by the
     /// per-hop latency.
+    #[inline]
     pub fn segments_in_order(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         let n = self.ring_len;
         let a = self.src_ramp;
@@ -106,6 +109,25 @@ impl Route {
     }
 }
 
+/// Slots of [`Topology`]'s ramp table: one per element that can exist,
+/// the four fixed elements first, then `Spe(0..=255)`.
+const ELEMENT_SLOTS: usize = 4 + 256;
+
+/// A ramp-table slot holding no ramp (topologies have at most 32).
+const NO_RAMP: u8 = u8::MAX;
+
+/// The ramp-table slot of `element`.
+#[inline]
+fn element_slot(element: Element) -> usize {
+    match element {
+        Element::Ppe => 0,
+        Element::Mic => 1,
+        Element::Ioif0 => 2,
+        Element::Ioif1 => 3,
+        Element::Spe(n) => 4 + usize::from(n),
+    }
+}
+
 /// The physical order of elements around the EIB.
 ///
 /// [`Topology::cbe`] reproduces the layout described in Krolak's EIB
@@ -113,9 +135,21 @@ impl Route {
 /// bottleneck): `PPE, SPE1, SPE3, SPE5, SPE7, IOIF1, IOIF0, SPE6, SPE4,
 /// SPE2, SPE0, MIC`. Custom orders (≤32 ramps) are supported for
 /// experimentation and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Topology {
     order: Vec<Element>,
+    /// Ramp of each element by [`element_slot`] ([`NO_RAMP`] if it is not
+    /// attached): the bus resolves both endpoints of every packet it is
+    /// handed, so the lookup is one load, not a scan of the ring.
+    ramps: [u8; ELEMENT_SLOTS],
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("order", &self.order)
+            .finish()
+    }
 }
 
 impl Topology {
@@ -155,10 +189,15 @@ impl Topology {
                 assert!(a != b, "duplicate element {a} in topology");
             }
         }
-        Topology { order }
+        let mut ramps = [NO_RAMP; ELEMENT_SLOTS];
+        for (ramp, &element) in order.iter().enumerate() {
+            ramps[element_slot(element)] = ramp as u8;
+        }
+        Topology { order, ramps }
     }
 
     /// Number of ramps (equals the number of ring segments).
+    #[inline]
     pub fn ramp_count(&self) -> usize {
         self.order.len()
     }
@@ -169,8 +208,12 @@ impl Topology {
     }
 
     /// Ring position of `element`, or `None` if it is not attached.
+    #[inline]
     pub fn ramp_of(&self, element: Element) -> Option<RampIndex> {
-        self.order.iter().position(|&e| e == element).map(RampIndex)
+        match self.ramps[element_slot(element)] {
+            NO_RAMP => None,
+            ramp => Some(RampIndex(usize::from(ramp))),
+        }
     }
 
     /// Shortest-path hop distance between two attached elements.
@@ -361,6 +404,37 @@ mod tests {
     fn self_route_rejected() {
         let t = Topology::cbe();
         let _ = t.routes(Element::Ppe, Element::Ppe);
+    }
+
+    #[test]
+    fn ramp_of_agrees_with_element_order() {
+        let check = |t: &Topology| {
+            for (ramp, &element) in t.elements().iter().enumerate() {
+                assert_eq!(t.ramp_of(element), Some(RampIndex(ramp)), "{element}");
+            }
+        };
+        check(&Topology::cbe());
+        // A custom order that leaves out the PPE, the IOIFs and most SPEs,
+        // and names an SPE index past the CBE's eight.
+        let custom = Topology::new(vec![
+            Element::Mic,
+            Element::spe(6),
+            Element::Spe(200),
+            Element::spe(0),
+        ]);
+        check(&custom);
+        for absent in [
+            Element::Ppe,
+            Element::Ioif0,
+            Element::Ioif1,
+            Element::spe(1),
+            Element::spe(7),
+            Element::Spe(8),
+            Element::Spe(255),
+        ] {
+            assert_eq!(custom.ramp_of(absent), None, "{absent}");
+        }
+        assert_eq!(custom.distance(Element::Mic, Element::spe(0)), 1);
     }
 
     #[test]

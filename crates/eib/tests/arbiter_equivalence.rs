@@ -6,7 +6,12 @@
 //! and `next_release_after` calls at non-decreasing times, over both
 //! occupancy modes, source-switch penalties, every flow class, and random
 //! ring outages and derate windows. Grants (order and every field),
-//! counters and release horizons must agree exactly.
+//! counters and release horizons must agree exactly. Two more streams
+//! arbitrate at every cycle between releases, where most passes can only
+//! refuse and take the arbiter's early return, and replace the fault
+//! windows mid-stream.
+//!
+//! Each property runs 256 cases unless `PROPTEST_CASES` sets the count.
 
 use std::collections::VecDeque;
 
@@ -204,6 +209,10 @@ enum Op {
     Advance(u64),
     /// Move to the next release, as a discrete-event loop would.
     Jump,
+    /// Arbitrate at each of the next this-many cycles.
+    Sweep(u64),
+    /// Replace the fault windows.
+    SetFaults(EibFaults),
 }
 
 fn element() -> impl Strategy<Value = Element> {
@@ -239,6 +248,23 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Arbitrate),
         (0u64..12).prop_map(Op::Advance),
         Just(Op::Jump),
+    ]
+}
+
+/// Submits and cycle-by-cycle arbitration, nothing else.
+fn sweep_op() -> impl Strategy<Value = Op> {
+    prop_oneof![submit(), submit(), (1u64..40).prop_map(Op::Sweep)]
+}
+
+/// The basic mix plus sweeps and fault-window changes.
+fn fault_change_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op(),
+        op(),
+        op(),
+        op(),
+        (1u64..40).prop_map(Op::Sweep),
+        faults().prop_map(Op::SetFaults),
     ]
 }
 
@@ -312,8 +338,79 @@ fn same_state(eib: &Eib, reference: &ReferenceEib, now: Cycle) -> Result<(), Tes
     Ok(())
 }
 
+/// Drives both arbiters through `ops`, then drains them, checking after
+/// every step that they agree.
+fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut eib = Eib::new(Topology::cbe(), cfg);
+    eib.set_faults(faults.clone());
+    let mut reference = ReferenceEib::new(Topology::cbe(), cfg, faults);
+    let mut now = Cycle::ZERO;
+    let mut token = 0u64;
+    for op in ops {
+        match op {
+            Op::Submit(src, dst, bytes, class) => {
+                let req = TransferRequest {
+                    src,
+                    dst,
+                    bytes,
+                    class,
+                };
+                eib.submit(now, token, req);
+                reference.submit(now, token, req);
+                token += 1;
+            }
+            Op::Arbitrate => {
+                prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
+            }
+            Op::Advance(dt) => now += dt,
+            Op::Jump => {
+                if let Some(next) = reference.next_release_after(now) {
+                    now = next;
+                }
+            }
+            Op::Sweep(cycles) => {
+                for _ in 0..cycles {
+                    now += 1;
+                    prop_assert_eq!(
+                        eib.arbitrate(now),
+                        reference.arbitrate(now),
+                        "pass at cycle {}",
+                        now.as_u64()
+                    );
+                    same_state(&eib, &reference, now)?;
+                }
+            }
+            Op::SetFaults(faults) => {
+                eib.set_faults(faults.clone());
+                reference.faults = faults;
+            }
+        }
+        same_state(&eib, &reference, now)?;
+    }
+    // Drain: every request is eventually granted, identically.
+    let mut rounds = 0;
+    while reference.has_pending() {
+        prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
+        same_state(&eib, &reference, now)?;
+        if let Some(next) = reference.next_release_after(now) {
+            now = next;
+        }
+        rounds += 1;
+        prop_assert!(rounds < 100_000, "arbitration did not drain");
+    }
+    Ok(())
+}
+
+/// Cases per property: `PROPTEST_CASES` if set, else 256.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn indexed_arbiter_matches_the_scanning_reference(
@@ -321,41 +418,24 @@ proptest! {
         faults in faults(),
         ops in collection::vec(op(), 1..160),
     ) {
-        let mut eib = Eib::new(Topology::cbe(), cfg);
-        eib.set_faults(faults.clone());
-        let mut reference = ReferenceEib::new(Topology::cbe(), cfg, faults);
-        let mut now = Cycle::ZERO;
-        let mut token = 0u64;
-        for op in ops {
-            match op {
-                Op::Submit(src, dst, bytes, class) => {
-                    let req = TransferRequest { src, dst, bytes, class };
-                    eib.submit(now, token, req);
-                    reference.submit(now, token, req);
-                    token += 1;
-                }
-                Op::Arbitrate => {
-                    prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
-                }
-                Op::Advance(dt) => now += dt,
-                Op::Jump => {
-                    if let Some(next) = reference.next_release_after(now) {
-                        now = next;
-                    }
-                }
-            }
-            same_state(&eib, &reference, now)?;
-        }
-        // Drain: every request is eventually granted, identically.
-        let mut rounds = 0;
-        while reference.has_pending() {
-            prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
-            same_state(&eib, &reference, now)?;
-            if let Some(next) = reference.next_release_after(now) {
-                now = next;
-            }
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "arbitration did not drain");
-        }
+        drive(cfg, faults, ops)?;
+    }
+
+    #[test]
+    fn passes_at_every_cycle_match_the_scanning_reference(
+        cfg in config(),
+        faults in faults(),
+        ops in collection::vec(sweep_op(), 1..80),
+    ) {
+        drive(cfg, faults, ops)?;
+    }
+
+    #[test]
+    fn fault_windows_replaced_mid_stream_match_the_scanning_reference(
+        cfg in config(),
+        faults in faults(),
+        ops in collection::vec(fault_change_op(), 1..160),
+    ) {
+        drive(cfg, faults, ops)?;
     }
 }

@@ -51,11 +51,13 @@ pub struct Window {
 
 impl Window {
     /// One past the last degraded cycle (saturating).
+    #[inline]
     pub fn end(&self) -> u64 {
         self.start.saturating_add(self.cycles)
     }
 
     /// Whether `now` falls inside the window.
+    #[inline]
     pub fn contains(&self, now: u64) -> bool {
         now >= self.start && now < self.end()
     }
@@ -109,11 +111,13 @@ pub struct EibFaults {
 
 impl EibFaults {
     /// No EIB faults configured.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.ring_outages.is_empty() && self.derate.is_empty()
     }
 
     /// Whether ring `ring` is out at `now`.
+    #[inline]
     pub fn ring_out(&self, ring: usize, now: u64) -> bool {
         self.ring_outages
             .iter()
@@ -121,6 +125,7 @@ impl EibFaults {
     }
 
     /// Effective bus capacity at `now` in percent (100 = healthy).
+    #[inline]
     pub fn capacity_percent(&self, now: u64) -> u32 {
         self.derate
             .iter()
@@ -162,6 +167,7 @@ impl BankFaults {
     }
 
     /// Effective service capacity at `now` in percent (100 = healthy).
+    #[inline]
     pub fn capacity_percent(&self, now: u64) -> u32 {
         self.throttle
             .iter()
@@ -185,12 +191,14 @@ pub struct MfcFaults {
 
 impl MfcFaults {
     /// No MFC faults configured.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.slot_limit.is_none() && self.queue_stalls.is_empty()
     }
 
     /// If `now` is inside a stall window, the cycle the stall lifts
     /// (the latest end over all windows containing `now`).
+    #[inline]
     pub fn stalled_until(&self, now: u64) -> Option<u64> {
         self.queue_stalls
             .iter()
@@ -267,6 +275,7 @@ impl NackStream {
     }
 
     /// Draws the next decision: `true` = NACK this access.
+    #[inline]
     pub fn roll(&mut self) -> bool {
         if self.ppm == 0 {
             return false;

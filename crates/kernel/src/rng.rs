@@ -42,6 +42,7 @@ pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// caller brings its own pre-step (a Weyl increment of a state, an
 /// index folded into a seed), which this does not include.
 #[must_use]
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

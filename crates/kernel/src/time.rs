@@ -23,7 +23,10 @@ use std::ops::{Add, AddAssign, Sub};
 pub struct Cycle(u64);
 
 // Every layer compares and advances time stamps on its per-packet path,
-// from other crates, so the small methods below are `#[inline]`.
+// from other crates, so the small methods below are `#[inline]`. This is
+// the cross-crate inlining rule of DESIGN.md "Simulator hot paths": what
+// the fabric calls per packet in another crate is `#[inline]`, and the
+// Cargo profiles stay untouched.
 impl Cycle {
     /// Time zero: the start of every simulation.
     pub const ZERO: Cycle = Cycle(0);

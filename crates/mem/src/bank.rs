@@ -78,6 +78,7 @@ pub struct Access {
 impl Access {
     /// Data-pipe cycles this access occupied (`service_done − start`) —
     /// the bank-service share attributed to the owning DMA command.
+    #[inline]
     pub fn service_cycles(&self) -> u64 {
         self.service_done.saturating_since(self.start)
     }
@@ -163,6 +164,7 @@ impl XdrBank {
     /// that model retry semantics ask this *before* [`XdrBank::submit`];
     /// a `true` answer means the access was refused transiently and the
     /// requester must back off and retry. Always `false` without faults.
+    #[inline]
     pub fn nack_roll(&mut self) -> bool {
         self.nacks.roll()
     }
@@ -178,11 +180,13 @@ impl XdrBank {
     }
 
     /// Whether the bank will take new work at `now` (backlog horizon).
+    #[inline]
     pub fn can_accept(&self, now: Cycle) -> bool {
         self.next_free.saturating_since(now) <= self.cfg.max_backlog_cycles
     }
 
     /// Earliest time at which [`XdrBank::can_accept`] becomes true.
+    #[inline]
     pub fn next_accept_time(&self, now: Cycle) -> Cycle {
         if self.can_accept(now) {
             now
@@ -203,6 +207,7 @@ impl XdrBank {
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
+    #[inline]
     pub fn submit(&mut self, now: Cycle, op: Op, bytes: u32) -> Access {
         assert!(bytes > 0, "zero-byte DRAM access");
         if self.next_free > now {
@@ -233,7 +238,10 @@ impl XdrBank {
             self.cfg.bytes_per_cycle
         };
         let exact = f64::from(bytes) / rate + self.debt;
-        let service = exact.floor() as u64;
+        // `exact` is positive, so truncation is its floor, without a call
+        // to the C library's `floor` on targets that lack a rounding
+        // instruction.
+        let service = exact as u64;
         self.debt = exact - service as f64;
         // Never let an access be free even if the carry says so.
         let service = service.max(1);

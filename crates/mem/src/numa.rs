@@ -36,6 +36,7 @@ impl NumaPolicy {
     /// # Panics
     ///
     /// Panics if an interleaving granularity of zero was configured.
+    #[inline]
     pub fn bank_for(self, region: RegionId, offset: u64) -> BankId {
         match self {
             NumaPolicy::LocalOnly => BankId::Local,

@@ -66,6 +66,7 @@ impl MemorySystem {
     /// Consult before [`MemorySystem::submit`]; `true` means the access
     /// was refused transiently and must be retried. Always `false`
     /// without faults installed.
+    #[inline]
     pub fn nack_roll(&mut self, bank: BankId) -> bool {
         self.bank_mut(bank).nack_roll()
     }
@@ -81,11 +82,13 @@ impl MemorySystem {
     }
 
     /// The bank holding byte `offset` of `region` under the current policy.
+    #[inline]
     pub fn bank_for(&self, region: RegionId, offset: u64) -> BankId {
         self.policy.bank_for(region, offset)
     }
 
     /// Shared access to a bank.
+    #[inline]
     pub fn bank(&self, id: BankId) -> &XdrBank {
         match id {
             BankId::Local => &self.local,
@@ -94,20 +97,24 @@ impl MemorySystem {
     }
 
     /// Queues an access on `bank`.
+    #[inline]
     pub fn submit(&mut self, now: Cycle, bank: BankId, op: Op, bytes: u32) -> Access {
         self.bank_mut(bank).submit(now, op, bytes)
     }
 
     /// Whether `bank` will take new work at `now`.
+    #[inline]
     pub fn can_accept(&self, bank: BankId, now: Cycle) -> bool {
         self.bank(bank).can_accept(now)
     }
 
     /// Earliest time `bank` will take new work.
+    #[inline]
     pub fn next_accept_time(&self, bank: BankId, now: Cycle) -> Cycle {
         self.bank(bank).next_accept_time(now)
     }
 
+    #[inline]
     fn bank_mut(&mut self, id: BankId) -> &mut XdrBank {
         match id {
             BankId::Local => &mut self.local,

@@ -48,6 +48,7 @@ pub enum EffectiveAddr {
 
 impl EffectiveAddr {
     /// The byte offset used for alignment checks.
+    #[inline]
     pub fn offset(&self) -> u64 {
         match *self {
             EffectiveAddr::Memory { offset, .. } => offset,
@@ -56,6 +57,7 @@ impl EffectiveAddr {
     }
 
     /// Returns this address advanced by `bytes`.
+    #[inline]
     pub fn advanced(&self, bytes: u64) -> EffectiveAddr {
         match *self {
             EffectiveAddr::Memory { region, offset } => EffectiveAddr::Memory {
@@ -151,6 +153,7 @@ impl DmaCommand {
     /// Returns a [`DmaError`] if the size or alignment violates the CBE
     /// rules (see [`DmaCommand::validate`]) or the transfer overruns the
     /// Local Store.
+    #[inline]
     pub fn new(
         kind: DmaKind,
         ls: LsAddr,
@@ -173,12 +176,14 @@ impl DmaCommand {
     /// begin transferring until every earlier command in the same tag
     /// group has completed. This is how real CBE code orders a put after
     /// the get that produced its data without a blocking wait.
+    #[inline]
     pub fn with_fence(mut self) -> DmaCommand {
         self.fence = true;
         self
     }
 
     /// Whether this command is fenced against its tag group.
+    #[inline]
     pub fn fence(&self) -> bool {
         self.fence
     }
@@ -194,6 +199,7 @@ impl DmaCommand {
     /// # Errors
     ///
     /// Returns the specific [`DmaError`] for the first rule violated.
+    #[inline]
     pub fn validate(ls: LsAddr, ea: &EffectiveAddr, bytes: u32) -> Result<(), DmaError> {
         if bytes == 0 {
             return Err(DmaError::Empty);
@@ -233,26 +239,31 @@ impl DmaCommand {
     }
 
     /// The transfer direction.
+    #[inline]
     pub fn kind(&self) -> DmaKind {
         self.kind
     }
 
     /// The Local Store side of the transfer.
+    #[inline]
     pub fn ls(&self) -> LsAddr {
         self.ls
     }
 
     /// The effective-address side of the transfer.
+    #[inline]
     pub fn ea(&self) -> EffectiveAddr {
         self.ea
     }
 
     /// Transfer size in bytes.
+    #[inline]
     pub fn bytes(&self) -> u32 {
         self.bytes
     }
 
     /// The tag group this command completes under.
+    #[inline]
     pub fn tag(&self) -> TagId {
         self.tag
     }
@@ -270,6 +281,7 @@ pub enum TargetClass {
 }
 
 impl From<&EffectiveAddr> for TargetClass {
+    #[inline]
     fn from(ea: &EffectiveAddr) -> TargetClass {
         match ea {
             EffectiveAddr::Memory { .. } => TargetClass::Memory,
@@ -336,6 +348,7 @@ impl ElementLifecycle {
     /// The element's transfer latency: first packet issue → last packet
     /// retired. This is the latency double-buffering depth is tuned
     /// against.
+    #[inline]
     pub fn service_latency(&self) -> u64 {
         self.completed_at.saturating_since(self.first_issue_at)
     }
@@ -408,6 +421,7 @@ impl CommandLifecycle {
     /// last grant, completion]` the phase partition is cut from. Clamping
     /// makes each stamp at least its predecessor; when no grant was ever
     /// reported the grant stamp collapses onto last issue (ring-wait 0).
+    #[inline]
     fn timeline(&self) -> [Cycle; 5] {
         let t0 = self.enqueued_at;
         let t1 = self.first_issue_at.max(t0);
@@ -422,6 +436,7 @@ impl CommandLifecycle {
     }
 
     /// End-to-end latency: enqueue → completion.
+    #[inline]
     pub fn latency(&self) -> u64 {
         let t = self.timeline();
         t[4].saturating_since(t[0])
@@ -429,6 +444,7 @@ impl CommandLifecycle {
 
     /// The four-phase partition in [`DmaPhase::ALL`] order; sums to
     /// [`CommandLifecycle::latency`] exactly.
+    #[inline]
     pub fn phases(&self) -> [u64; 4] {
         let t = self.timeline();
         [
@@ -440,6 +456,7 @@ impl CommandLifecycle {
     }
 
     /// Cycles spent in one phase.
+    #[inline]
     pub fn phase(&self, phase: DmaPhase) -> u64 {
         let idx = DmaPhase::ALL
             .iter()
@@ -450,6 +467,7 @@ impl CommandLifecycle {
 
     /// The phase holding the most cycles (earliest phase wins ties) —
     /// the per-command dominant-phase attribution.
+    #[inline]
     pub fn dominant_phase(&self) -> DmaPhase {
         let phases = self.phases();
         let mut best = 0;

@@ -146,42 +146,49 @@ enum Work {
 }
 
 impl Work {
+    #[inline]
     fn kind(&self) -> DmaKind {
         match self {
             Work::Elem(c) => c.kind(),
             Work::List(l) => l.kind(),
         }
     }
+    #[inline]
     fn tag(&self) -> TagId {
         match self {
             Work::Elem(c) => c.tag(),
             Work::List(l) => l.tag(),
         }
     }
+    #[inline]
     fn fence(&self) -> bool {
         match self {
             Work::Elem(c) => c.fence(),
             Work::List(l) => l.fence(),
         }
     }
+    #[inline]
     fn element_count(&self) -> usize {
         match self {
             Work::Elem(_) => 1,
             Work::List(l) => l.elements().len(),
         }
     }
+    #[inline]
     fn total_bytes(&self) -> u64 {
         match self {
             Work::Elem(c) => u64::from(c.bytes()),
             Work::List(l) => l.elements().iter().map(|e| u64::from(e.bytes)).sum(),
         }
     }
+    #[inline]
     fn target(&self) -> TargetClass {
         match self {
             Work::Elem(c) => TargetClass::from(&c.ea()),
             Work::List(l) => TargetClass::from(&l.ea_base()),
         }
     }
+    #[inline]
     fn element_bytes(&self, idx: usize) -> u32 {
         match self {
             Work::Elem(c) => c.bytes(),
@@ -189,6 +196,7 @@ impl Work {
         }
     }
     /// (effective address, size) of element `idx`.
+    #[inline]
     fn element(&self, idx: usize) -> (EffectiveAddr, u32) {
         match self {
             Work::Elem(c) => (c.ea(), c.bytes()),
@@ -198,6 +206,7 @@ impl Work {
             }
         }
     }
+    #[inline]
     fn ls_base(&self) -> LsAddr {
         match self {
             Work::Elem(c) => c.ls(),
@@ -226,6 +235,7 @@ struct ActiveCommand {
 }
 
 impl ActiveCommand {
+    #[inline]
     fn fully_issued(&self) -> bool {
         self.elem_idx >= self.work.element_count()
     }
@@ -380,6 +390,7 @@ impl MfcEngine {
 
     /// The outstanding-packet budget currently in force: the configured
     /// budget, clipped by a fault-plan slot limit when one is installed.
+    #[inline]
     pub fn slot_budget(&self) -> usize {
         match self.faults.slot_limit {
             Some(limit) => (limit as usize).min(self.cfg.max_outstanding_packets),
@@ -398,26 +409,31 @@ impl MfcEngine {
     }
 
     /// Commands currently occupying queue entries.
+    #[inline]
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether another command can be enqueued.
+    #[inline]
     pub fn has_space(&self) -> bool {
         self.queue.len() < self.cfg.queue_depth
     }
 
     /// Whether the engine has no queued commands and no packets in flight.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.outstanding == 0
     }
 
     /// Tag-group status (for wait/sync decisions).
+    #[inline]
     pub fn tags(&self) -> &TagSet {
         &self.tags
     }
 
     /// Packets currently in flight on the bus.
+    #[inline]
     pub fn outstanding(&self) -> usize {
         self.outstanding
     }
@@ -436,6 +452,7 @@ impl MfcEngine {
         self.note_occupancy(now);
     }
 
+    #[inline]
     fn note_occupancy(&mut self, now: Cycle) {
         let dt = now.saturating_since(self.occ_since);
         self.occupancy[self.outstanding] += dt;
@@ -449,6 +466,7 @@ impl MfcEngine {
     /// Returns [`DmaError::QueueFull`] when all queue entries are occupied
     /// (a command occupies its entry until its last packet is delivered,
     /// as on the real part).
+    #[inline]
     pub fn enqueue(&mut self, now: Cycle, cmd: DmaCommand) -> Result<(), DmaError> {
         self.admit(now, Work::Elem(cmd))
     }
@@ -458,10 +476,12 @@ impl MfcEngine {
     /// # Errors
     ///
     /// Returns [`DmaError::QueueFull`] when all queue entries are occupied.
+    #[inline]
     pub fn enqueue_list(&mut self, now: Cycle, cmd: DmaListCommand) -> Result<(), DmaError> {
         self.admit(now, Work::List(cmd))
     }
 
+    #[inline]
     fn admit(&mut self, now: Cycle, work: Work) -> Result<(), DmaError> {
         if !self.has_space() {
             return Err(DmaError::QueueFull);
@@ -540,6 +560,7 @@ impl MfcEngine {
     }
 
     /// Produces the next bus packet if structural resources allow.
+    #[inline]
     pub fn try_issue(&mut self, now: Cycle) -> Issue {
         if self.queue.is_empty() {
             return Issue::Idle;
@@ -676,6 +697,7 @@ impl MfcEngine {
     /// # Panics
     ///
     /// Panics if `token` was never issued or is reported twice.
+    #[inline]
     pub fn packet_delivered(&mut self, now: Cycle, token: PacketToken) -> bool {
         self.retire_packet(now, token, true)
     }
@@ -691,10 +713,12 @@ impl MfcEngine {
     /// # Panics
     ///
     /// Panics if `token` was never issued or is reported twice.
+    #[inline]
     pub fn packet_abandoned(&mut self, now: Cycle, token: PacketToken) -> bool {
         self.retire_packet(now, token, false)
     }
 
+    #[inline]
     fn retire_packet(&mut self, now: Cycle, token: PacketToken, credited: bool) -> bool {
         let slot = self
             .packet_slot(token)
@@ -749,6 +773,7 @@ impl MfcEngine {
     }
 
     /// The in-flight table slot `token` names, if the packet is in flight.
+    #[inline]
     fn packet_slot(&self, token: PacketToken) -> Option<usize> {
         let slot = (token.0 & ((1 << TOKEN_SLOT_BITS) - 1)) as usize;
         match self.packets.get(slot) {
@@ -766,6 +791,7 @@ impl MfcEngine {
     /// # Panics
     ///
     /// Panics if `token` is not currently in flight.
+    #[inline]
     pub fn note_nack(&mut self, now: Cycle, token: PacketToken) -> NackVerdict {
         let (max_retries, policy) = (self.retry.max_retries, self.retry);
         let cmd = self.in_flight_mut(token);
@@ -790,6 +816,7 @@ impl MfcEngine {
     /// # Panics
     ///
     /// Panics if `token` is not currently in flight.
+    #[inline]
     pub fn note_grant(&mut self, now: Cycle, token: PacketToken, waited: u64) {
         let cmd = self.in_flight_mut(token);
         if cmd.life.packets_granted == 0 {
@@ -806,10 +833,12 @@ impl MfcEngine {
     /// # Panics
     ///
     /// Panics if `token` is not currently in flight.
+    #[inline]
     pub fn note_bank_service(&mut self, token: PacketToken, cycles: u64) {
         self.in_flight_mut(token).life.bank_service_cycles += cycles;
     }
 
+    #[inline]
     fn in_flight_mut(&mut self, token: PacketToken) -> &mut ActiveCommand {
         let slot = self.packet_slot(token).expect("packet token not in flight");
         let cmd = self.packets[slot].1.cmd as usize;
@@ -822,6 +851,7 @@ impl MfcEngine {
     /// Call right after [`MfcEngine::packet_delivered`] returns `true`;
     /// records left unclaimed are overwritten by the next completion
     /// (harnesses that don't track latency can simply never call this).
+    #[inline]
     pub fn take_completed(&mut self) -> Option<CommandLifecycle> {
         self.last_completed.take()
     }
@@ -830,6 +860,7 @@ impl MfcEngine {
     /// the admission pool. Optional — purely an allocation-recycling
     /// hook: harnesses that observe lifecycles and hand them back here
     /// let steady-state [`MfcEngine::enqueue`] run allocation-free.
+    #[inline]
     pub fn recycle(&mut self, life: CommandLifecycle) {
         const POOL_CAP: usize = 64;
         let mut records = life.element_records;

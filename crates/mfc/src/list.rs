@@ -83,6 +83,7 @@ impl DmaListCommand {
     }
 
     /// Whether this command is fenced against its tag group.
+    #[inline]
     pub fn fence(&self) -> bool {
         self.fence
     }
@@ -111,21 +112,25 @@ impl DmaListCommand {
     }
 
     /// The transfer direction.
+    #[inline]
     pub fn kind(&self) -> DmaKind {
         self.kind
     }
 
     /// Base Local Store address; elements pack contiguously from here.
+    #[inline]
     pub fn ls(&self) -> LsAddr {
         self.ls
     }
 
     /// Base effective address; element offsets are relative to this.
+    #[inline]
     pub fn ea_base(&self) -> EffectiveAddr {
         self.ea_base
     }
 
     /// The list elements, in transfer order.
+    #[inline]
     pub fn elements(&self) -> &[ListElement] {
         &self.elements
     }
@@ -136,6 +141,7 @@ impl DmaListCommand {
     }
 
     /// The tag group this command completes under.
+    #[inline]
     pub fn tag(&self) -> TagId {
         self.tag
     }

@@ -22,6 +22,7 @@ impl TagId {
     /// # Errors
     ///
     /// Returns [`DmaError::BadTag`] if `value >= 32`.
+    #[inline]
     pub fn new(value: u8) -> Result<TagId, DmaError> {
         if usize::from(value) >= Self::COUNT {
             return Err(DmaError::BadTag(value));
@@ -30,6 +31,7 @@ impl TagId {
     }
 
     /// The raw tag value (0..32).
+    #[inline]
     pub fn value(self) -> u8 {
         self.0
     }
@@ -57,6 +59,7 @@ impl TagSet {
     }
 
     /// Records one unit of outstanding work on `tag`.
+    #[inline]
     pub fn retain(&mut self, tag: TagId) {
         self.pending[usize::from(tag.value())] += 1;
     }
@@ -67,6 +70,7 @@ impl TagSet {
     ///
     /// Panics if the tag has no outstanding work — that is a bookkeeping
     /// bug in the caller.
+    #[inline]
     pub fn release(&mut self, tag: TagId) {
         let slot = &mut self.pending[usize::from(tag.value())];
         assert!(*slot > 0, "release of idle {tag}");
@@ -74,17 +78,20 @@ impl TagSet {
     }
 
     /// Whether the tag group has outstanding work.
+    #[inline]
     pub fn is_pending(&self, tag: TagId) -> bool {
         self.pending[usize::from(tag.value())] > 0
     }
 
     /// Whether any work is outstanding under any tag.
+    #[inline]
     pub fn any_pending(&self) -> bool {
         self.pending.iter().any(|&c| c > 0)
     }
 
     /// Whether every tag in `mask` (bit *i* = tag *i*) is complete —
     /// the `mfc_read_tag_status_all` condition.
+    #[inline]
     pub fn mask_complete(&self, mask: u32) -> bool {
         (0..TagId::COUNT).all(|i| mask & (1 << i) == 0 || self.pending[i] == 0)
     }

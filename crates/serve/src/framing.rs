@@ -103,6 +103,12 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
+    /// The underlying reader, with whatever it has buffered but this
+    /// framer has not consumed.
+    pub fn into_inner(self) -> R {
+        self.reader
+    }
+
     /// Client-side convenience: the next line as a string, `None` at
     /// EOF.
     ///

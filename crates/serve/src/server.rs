@@ -17,7 +17,9 @@
 //!
 //! * **Bounded request lines** — a request line longer than
 //!   [`MAX_LINE_BYTES`] gets a typed `protocol` error and the
-//!   connection is closed (see [`LineReader`]).
+//!   connection is closed (see [`LineReader`]): the daemon half-closes,
+//!   discards a bounded amount of further input until the peer closes,
+//!   then closes, so the error line is not lost to a reset.
 //! * **Bounded writers, typed slow-consumer disconnect** — a peer that
 //!   stops reading overflows its bounded response queue; the writer
 //!   sends one final `slow-consumer` error line (best effort) and
@@ -33,7 +35,7 @@
 //!   the accept loop exits cleanly, appending a final stats snapshot.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,6 +49,12 @@ use cellsim_core::json::Writer;
 use crate::framing::{LineRead, LineReader};
 use crate::protocol::{self, Request, MAX_LINE_BYTES};
 use crate::scheduler::{Batch, ConnSink, Job, Scheduler, SubmitError};
+
+/// Input the daemon discards, after answering an over-long request line,
+/// before it closes the connection. Closing a socket with unread input
+/// makes the kernel reset the connection, and a reset can destroy the
+/// error line before the peer reads it.
+const OVER_LONG_DISCARD_BYTES: u64 = 4 * MAX_LINE_BYTES as u64;
 
 /// Daemon construction knobs; `Default` is a sensible single-host setup.
 pub struct ServeOptions {
@@ -460,6 +468,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
             }
         });
     let mut reader = LineReader::new(BufReader::new(stream), MAX_LINE_BYTES);
+    let mut over_long = false;
     loop {
         if sink.is_dead() {
             break;
@@ -474,6 +483,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                     "protocol",
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 ));
+                over_long = true;
                 break;
             }
             Ok(LineRead::Line) => {}
@@ -506,6 +516,16 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
     // failed write after the peer vanished.
     drop(sink);
     let _ = writer.map(JoinHandle::join);
+    if over_long {
+        // The error line is written: end the output after it, then read
+        // what the peer already sent (bounded) until it closes.
+        let mut input = reader.into_inner();
+        let _ = input.get_ref().shutdown(Shutdown::Write);
+        let _ = std::io::copy(
+            &mut input.by_ref().take(OVER_LONG_DISCARD_BYTES),
+            &mut std::io::sink(),
+        );
+    }
 }
 
 /// Wraps a decoded batch in delivery state and offers it for admission.

@@ -319,6 +319,43 @@ fn over_long_lines_error_and_close() {
 }
 
 #[test]
+fn over_long_line_error_survives_trailing_requests() {
+    // Requests pipelined behind an over-long line are still unread when
+    // the daemon answers it; closing over them would reset the
+    // connection and could destroy the error line before it is read.
+    let daemon = start_daemon(&ServeOptions::default());
+    let mut request = vec![b'a'; MAX_LINE_BYTES + 1];
+    request.push(b'\n');
+    for _ in 0..200 {
+        request.extend_from_slice(b"{\"op\":\"stats\"}\n");
+    }
+    for attempt in 0..20 {
+        let mut stream = TcpStream::connect(daemon.addr).expect("connect");
+        stream
+            .write_all(&request)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: send: {e}"));
+        let mut reader = BufReader::new(stream);
+        let mut response = String::new();
+        reader
+            .read_line(&mut response)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: recv: {e}"));
+        assert!(
+            response.contains("\"op\":\"error\"") && response.contains("\"protocol\""),
+            "attempt {attempt}: {response:?}"
+        );
+        let mut rest = Vec::new();
+        reader
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: close: {e}"));
+        assert!(
+            rest.is_empty(),
+            "attempt {attempt}: answered past the error"
+        );
+    }
+    daemon.stop();
+}
+
+#[test]
 fn stats_carry_uptime_queue_peak_and_per_connection_tallies() {
     let daemon = start_daemon(&ServeOptions::default());
     let system = CellSystem::blade();
