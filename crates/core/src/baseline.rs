@@ -8,18 +8,19 @@
 //! [`LatencyMetrics`](crate::latency::LatencyMetrics).
 //!
 //! The file embeds the [`ExperimentConfig`] it was collected with and
-//! the [`config_fingerprint`] of the machine model. `--check` re-runs
-//! the *baseline's* experiment config (so a committed quick-scale
-//! baseline stays fast to verify) and reports every drifted value; a
-//! changed machine model shows up both as a fingerprint mismatch and as
-//! value drifts, each naming the figure and metric that moved.
+//! the [`config_fingerprint`](crate::exec::config_fingerprint) of the
+//! machine model. `--check` re-runs the *baseline's* experiment config
+//! (so a committed quick-scale baseline stays fast to verify) and reports
+//! every drifted value; a changed machine model shows up both as a
+//! fingerprint mismatch and as value drifts, each naming the figure and
+//! metric that moved.
 //!
 //! Intentional modelling changes are re-baselined by regenerating the
 //! file with `--baseline-out` and committing it alongside the change.
 
 use std::fmt;
 
-use crate::exec::{config_fingerprint, SweepExecutor};
+use crate::exec::SweepExecutor;
 use crate::experiments::{self, ExperimentConfig, ExperimentError};
 use crate::json::{self, JsonValue, Writer};
 use crate::latency::DmaPathClass;
@@ -102,7 +103,8 @@ pub struct LatencyDigest {
 /// A committed performance snapshot: what `--check` gates against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {
-    /// [`config_fingerprint`] of the machine model that produced it.
+    /// [`config_fingerprint`](crate::exec::config_fingerprint) of the
+    /// machine model that produced it.
     pub config_fingerprint: u64,
     /// Relative tolerance band recorded at collection time (e.g. `0.01`
     /// = 1 %); `--check-tolerance` overrides it.
@@ -209,7 +211,7 @@ impl Baseline {
             }
         }
         Ok(Baseline {
-            config_fingerprint: config_fingerprint(system.config()),
+            config_fingerprint: system.config_fingerprint(),
             tolerance,
             experiment: cfg.clone(),
             figures: figures.iter().map(FigureDigest::from_figure).collect(),

@@ -11,6 +11,7 @@ use cellsim_ppe::{PpeConfig, PpeModel};
 use cellsim_spe::{SpuLsConfig, SpuLsModel};
 
 use crate::data::MachineState;
+use crate::exec::config_fingerprint;
 use crate::fabric::{self, FabricReport};
 use crate::failure::RunFailure;
 use crate::placement::Placement;
@@ -73,7 +74,7 @@ impl Default for CellConfig {
 /// A configured Cell blade, ready to run transfer plans and kernels.
 ///
 /// See the [crate-level quickstart](crate).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CellSystem {
     config: CellConfig,
     /// Installed fault plan. `None` (and an installed *empty* plan, which
@@ -83,6 +84,17 @@ pub struct CellSystem {
     /// the plan contributes to cache identity via
     /// [`CellSystem::faults_fingerprint`].
     faults: Option<Arc<FaultPlan>>,
+    /// [`config_fingerprint`] of `config`, computed when the machine is
+    /// built: every run key of the machine reads it.
+    config_fingerprint: u64,
+    /// The fault plan's fingerprint, 0 when healthy; computed with it.
+    faults_fingerprint: u64,
+}
+
+impl Default for CellSystem {
+    fn default() -> Self {
+        CellSystem::new(CellConfig::default())
+    }
 }
 
 impl CellSystem {
@@ -96,6 +108,8 @@ impl CellSystem {
         CellSystem {
             config,
             faults: None,
+            config_fingerprint: config_fingerprint(&config),
+            faults_fingerprint: 0,
         }
     }
 
@@ -115,10 +129,11 @@ impl CellSystem {
     /// cache-identically* the healthy machine.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> CellSystem {
-        self.faults = if plan.is_empty() {
-            None
+        (self.faults, self.faults_fingerprint) = if plan.is_empty() {
+            (None, 0)
         } else {
-            Some(Arc::new(plan))
+            let fingerprint = plan.fingerprint();
+            (Some(Arc::new(plan)), fingerprint)
         };
         self
     }
@@ -131,7 +146,14 @@ impl CellSystem {
     /// Cache identity of the installed fault plan: its canonical-JSON
     /// fingerprint, 0 when healthy (no plan or an empty one).
     pub fn faults_fingerprint(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |p| p.fingerprint())
+        self.faults_fingerprint
+    }
+
+    /// Cache identity of the machine configuration:
+    /// [`config_fingerprint`]`(self.config())`, computed once when the
+    /// machine was built.
+    pub fn config_fingerprint(&self) -> u64 {
+        self.config_fingerprint
     }
 
     /// The machine configuration.
@@ -217,5 +239,87 @@ impl CellSystem {
     /// The SPU↔Local-Store model configured for this machine.
     pub fn spu_ls_model(&self) -> SpuLsModel {
         SpuLsModel::new(self.config.spu_ls)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cellsim_mem::NumaPolicy;
+
+    use super::*;
+
+    /// The cached fingerprints equal the ones computed from scratch.
+    fn assert_cached(system: &CellSystem) {
+        assert_eq!(
+            system.config_fingerprint(),
+            config_fingerprint(system.config())
+        );
+        assert_eq!(
+            system.faults_fingerprint(),
+            system.faults().map_or(0, FaultPlan::fingerprint)
+        );
+    }
+
+    fn derated() -> FaultPlan {
+        FaultPlan::parse(
+            "{\"seed\":7,\"eib\":{\"derate\":[{\"start\":0,\"cycles\":1000,\
+             \"capacity_percent\":50}]}}",
+        )
+        .expect("valid plan")
+    }
+
+    #[test]
+    fn preset_machines_carry_their_fingerprints() {
+        for system in [
+            CellSystem::blade(),
+            CellSystem::ps3(),
+            CellSystem::default(),
+        ] {
+            assert_cached(&system);
+        }
+        assert_eq!(CellSystem::blade().faults_fingerprint(), 0);
+        assert_ne!(CellSystem::ps3().faults_fingerprint(), 0);
+    }
+
+    #[test]
+    fn edited_configs_carry_their_fingerprints() {
+        let blade = CellSystem::blade().config_fingerprint();
+        let edits: [fn(&mut CellConfig); 4] = [
+            |c| c.cmd_latency += 1,
+            |c| c.mfc.packet_bytes = 64,
+            |c| c.local_bank = c.remote_bank,
+            |c| c.numa = NumaPolicy::LocalOnly,
+        ];
+        for edit in edits {
+            let mut config = CellConfig::default();
+            edit(&mut config);
+            let system = CellSystem::new(config);
+            assert_cached(&system);
+            assert_ne!(system.config_fingerprint(), blade);
+        }
+    }
+
+    #[test]
+    fn installed_plans_carry_their_fingerprints() {
+        let config = CellConfig {
+            cmd_latency: 3,
+            ..CellConfig::default()
+        };
+        let healthy = CellSystem::new(config).with_faults(FaultPlan::default());
+        assert_cached(&healthy);
+        assert_eq!(healthy.faults_fingerprint(), 0);
+
+        let degraded = healthy.with_faults(derated());
+        assert_cached(&degraded);
+        assert_eq!(degraded.faults_fingerprint(), derated().fingerprint());
+        assert_eq!(
+            degraded.config_fingerprint(),
+            config_fingerprint(&config),
+            "a fault plan leaves the config's identity alone"
+        );
+
+        let restored = degraded.with_faults(FaultPlan::default());
+        assert_cached(&restored);
+        assert_eq!(restored.faults_fingerprint(), 0);
     }
 }

@@ -69,6 +69,11 @@ const _: () = {
 /// `DefaultHasher`'s algorithm is explicitly *not* specified to stay the
 /// same across Rust releases, which would silently re-key any persisted
 /// cached reports or metric baselines.
+///
+/// [`CellSystem`] computes it once, when the machine is built, and run
+/// keys read [`CellSystem::config_fingerprint`]. Every cache entry, run
+/// dir, baseline and wire line is keyed by this value, so the rendering
+/// it hashes must not change.
 #[must_use]
 pub fn config_fingerprint(config: &CellConfig) -> u64 {
     use std::fmt::Write;
@@ -223,8 +228,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Builds a spec, deriving the [`RunKey`] from the machine, workload
-    /// and placement.
+    /// Builds a spec, deriving the [`RunKey`] from the machine's cached
+    /// fingerprints, the workload and the placement.
     pub fn new(
         system: &CellSystem,
         workload: Workload,
@@ -233,7 +238,7 @@ impl RunSpec {
     ) -> RunSpec {
         RunSpec {
             key: RunKey {
-                config: config_fingerprint(system.config()),
+                config: system.config_fingerprint(),
                 faults: system.faults_fingerprint(),
                 workload,
                 placement: *placement.mapping(),

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use cellsim_mfc::{CommandLifecycle, DmaKind, DmaPhase, TargetClass};
+use cellsim_mfc::{CommandLifecycle, DmaKind, TargetClass};
 
 /// Number of log2 buckets. Bucket 0 holds exact zeros; bucket `k ≥ 1`
 /// holds values in `[2^(k−1), 2^k − 1]`. 48 buckets cover every latency
@@ -150,6 +150,13 @@ impl DmaPathClass {
         }
     }
 
+    /// Position in [`DmaPathClass::ALL`], which lists the variants in
+    /// declaration order.
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// The path a lifecycle record belongs to.
     pub fn of(life: &CommandLifecycle) -> DmaPathClass {
         match (life.target, life.kind) {
@@ -174,12 +181,13 @@ pub struct PathLatency {
     pub commands: u64,
     /// End-to-end (enqueue → tag completion) latency distribution.
     pub end_to_end: LatencyHistogram,
-    /// Σ cycles per lifecycle phase, in [`DmaPhase::ALL`] order. Each
-    /// command's four phases sum to its end-to-end latency, so these sum
-    /// to `end_to_end.total` (conservation).
+    /// Σ cycles per lifecycle phase, in
+    /// [`DmaPhase::ALL`](cellsim_mfc::DmaPhase::ALL) order. Each command's
+    /// four phases sum to its end-to-end latency, so these sum to
+    /// `end_to_end.total` (conservation).
     pub phase_cycles: [u64; 4],
-    /// Commands whose dominant phase was each of [`DmaPhase::ALL`];
-    /// sums to `commands`.
+    /// Commands whose dominant phase was each of
+    /// [`DmaPhase::ALL`](cellsim_mfc::DmaPhase::ALL); sums to `commands`.
     pub dominant_counts: [u64; 4],
     /// Transient NACKs observed by commands on this path.
     pub nacks: u64,
@@ -196,19 +204,23 @@ pub struct PathLatency {
 }
 
 impl PathLatency {
-    /// Folds one lifecycle record in.
+    /// Folds one lifecycle record in, from one [`CommandLifecycle::phases`]:
+    /// the phases cut a monotone timeline, so they sum to
+    /// [`CommandLifecycle::latency`] exactly, and the first largest phase
+    /// is [`CommandLifecycle::dominant_phase`].
     pub fn observe(&mut self, life: &CommandLifecycle) {
-        self.commands += 1;
-        self.end_to_end.observe(life.latency());
-        for (acc, cycles) in self.phase_cycles.iter_mut().zip(life.phases()) {
+        let phases = life.phases();
+        let (mut latency, mut dominant) = (0, 0);
+        for (i, (acc, cycles)) in self.phase_cycles.iter_mut().zip(phases).enumerate() {
             *acc += cycles;
+            latency += cycles;
+            if cycles > phases[dominant] {
+                dominant = i;
+            }
         }
-        let dom = life.dominant_phase();
-        let idx = DmaPhase::ALL
-            .iter()
-            .position(|&p| p == dom)
-            .expect("phase in ALL");
-        self.dominant_counts[idx] += 1;
+        self.commands += 1;
+        self.end_to_end.observe(latency);
+        self.dominant_counts[dominant] += 1;
         self.nacks += u64::from(life.nacks);
         self.retries += u64::from(life.retries);
         self.retry_backoff_cycles += life.retry_backoff_cycles;
@@ -248,11 +260,7 @@ pub struct LatencyMetrics {
 impl LatencyMetrics {
     /// Folds one retired command's lifecycle in.
     pub fn observe(&mut self, life: &CommandLifecycle) {
-        let idx = DmaPathClass::ALL
-            .iter()
-            .position(|&p| p == DmaPathClass::of(life))
-            .expect("path in ALL");
-        self.paths[idx].observe(life);
+        self.paths[DmaPathClass::of(life).index()].observe(life);
         for elem in &life.element_records {
             self.element_service.observe(elem.service_latency());
         }
@@ -270,11 +278,7 @@ impl LatencyMetrics {
 
     /// The accounting for one path.
     pub fn path(&self, path: DmaPathClass) -> &PathLatency {
-        let idx = DmaPathClass::ALL
-            .iter()
-            .position(|&p| p == path)
-            .expect("path in ALL");
-        &self.paths[idx]
+        &self.paths[path.index()]
     }
 
     /// Commands retired across all paths.
@@ -291,7 +295,8 @@ impl LatencyMetrics {
         all
     }
 
-    /// Σ cycles per phase over all paths, in [`DmaPhase::ALL`] order.
+    /// Σ cycles per phase over all paths, in
+    /// [`DmaPhase::ALL`](cellsim_mfc::DmaPhase::ALL) order.
     pub fn phase_cycles(&self) -> [u64; 4] {
         let mut sums = [0u64; 4];
         for p in &self.paths {
@@ -353,6 +358,68 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, union);
+    }
+
+    #[test]
+    fn path_indices_follow_all() {
+        for (i, path) in DmaPathClass::ALL.into_iter().enumerate() {
+            assert_eq!(path.index(), i);
+        }
+    }
+
+    /// One fold of `phases()` accounts a command exactly as `latency()`,
+    /// `phases()` and `dominant_phase()` separately do, over in-order,
+    /// out-of-order (clamped) and tied stamps, with and without grants.
+    #[test]
+    fn one_phase_fold_matches_the_lifecycle_accessors() {
+        use cellsim_kernel::Cycle;
+        use cellsim_mfc::DmaPhase;
+        let stamps: [[u64; 5]; 6] = [
+            [10, 20, 40, 70, 110],
+            [5, 5, 5, 5, 5],
+            [0, 7, 7, 14, 14],
+            [100, 50, 200, 150, 120],
+            [3, 9, 1, 2, 30],
+            [0, 0, 10, 10, 20],
+        ];
+        let mut folded = PathLatency::default();
+        let mut reference = PathLatency::default();
+        for (n, [enq, first, last, grant, done]) in stamps.into_iter().enumerate() {
+            let life = CommandLifecycle {
+                kind: DmaKind::Get,
+                target: TargetClass::Memory,
+                bytes: 128,
+                elements: 1,
+                packets: 1,
+                enqueued_at: Cycle::new(enq),
+                decoded_at: Cycle::new(enq),
+                first_issue_at: Cycle::new(first),
+                last_issue_at: Cycle::new(last),
+                first_grant_at: Cycle::new(grant),
+                last_grant_at: Cycle::new(grant),
+                packets_granted: u32::from(n % 2 == 0),
+                eib_wait_cycles: 0,
+                bank_service_cycles: 0,
+                completed_at: Cycle::new(done),
+                nacks: 0,
+                retries: 0,
+                retry_backoff_cycles: 0,
+                exhausted: false,
+                element_records: Vec::new(),
+            };
+            folded.observe(&life);
+            reference.commands += 1;
+            reference.end_to_end.observe(life.latency());
+            for (acc, cycles) in reference.phase_cycles.iter_mut().zip(life.phases()) {
+                *acc += cycles;
+            }
+            let dominant = DmaPhase::ALL
+                .iter()
+                .position(|&p| p == life.dominant_phase())
+                .expect("phase in ALL");
+            reference.dominant_counts[dominant] += 1;
+            assert_eq!(folded, reference, "stamps {n}");
+        }
     }
 
     #[test]

@@ -188,13 +188,6 @@ impl Work {
             Work::List(l) => TargetClass::from(&l.ea_base()),
         }
     }
-    #[inline]
-    fn element_bytes(&self, idx: usize) -> u32 {
-        match self {
-            Work::Elem(c) => c.bytes(),
-            Work::List(l) => l.elements()[idx].bytes,
-        }
-    }
     /// (effective address, size) of element `idx`.
     #[inline]
     fn element(&self, idx: usize) -> (EffectiveAddr, u32) {
@@ -515,11 +508,15 @@ impl MfcEngine {
             exhausted: false,
             element_records: {
                 let mut records = self.lifecycle_pool.pop().unwrap_or_default();
-                records.extend((0..work.element_count()).map(|i| ElementLifecycle {
-                    bytes: work.element_bytes(i),
+                let pending = |bytes| ElementLifecycle {
+                    bytes,
                     first_issue_at: Cycle::ZERO,
                     completed_at: Cycle::ZERO,
-                }));
+                };
+                match &work {
+                    Work::Elem(c) => records.push(pending(c.bytes())),
+                    Work::List(l) => records.extend(l.elements().iter().map(|e| pending(e.bytes))),
+                }
                 records
             },
         };

@@ -91,6 +91,13 @@ impl DmaListCommand {
     /// Builds a list of `count` equal-sized elements covering a contiguous
     /// effective-address range — the shape every paper experiment uses.
     ///
+    /// Validates in O(1) with exactly [`DmaListCommand::new`]'s result:
+    /// every element has element 0's size, and its Local Store and EA
+    /// offsets advance by whole elements, so they stay congruent to
+    /// element 0's modulo the alignment. Element 0 therefore decides size
+    /// and alignment for all, and only the last element's ends remain to
+    /// check.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`DmaListCommand::new`].
@@ -102,13 +109,32 @@ impl DmaListCommand {
         count: usize,
         tag: TagId,
     ) -> Result<DmaListCommand, DmaError> {
+        if count == 0 || count > MAX_LIST_ELEMENTS {
+            return Err(DmaError::BadListLength(count));
+        }
+        DmaCommand::validate(ls, &ea_base, element_bytes)?;
+        let span = count as u64 * u64::from(element_bytes);
+        let ea_end = match ea_base {
+            EffectiveAddr::LocalStore { offset, .. } => u64::from(offset) + span,
+            EffectiveAddr::Memory { .. } => 0,
+        };
+        if (u64::from(ls.0) + span).max(ea_end) > u64::from(LOCAL_STORE_BYTES) {
+            return Err(DmaError::LocalStoreOverrun);
+        }
         let elements = (0..count)
             .map(|i| ListElement {
                 ea_offset: i as u64 * u64::from(element_bytes),
                 bytes: element_bytes,
             })
             .collect();
-        DmaListCommand::new(kind, ls, ea_base, elements, tag)
+        Ok(DmaListCommand {
+            kind,
+            ls,
+            ea_base,
+            elements,
+            tag,
+            fence: false,
+        })
     }
 
     /// The transfer direction.

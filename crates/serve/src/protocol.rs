@@ -36,9 +36,10 @@
 //! (the run keys pick up its fingerprint, so degraded and healthy runs
 //! never share a cache entry).
 //!
-//! A run above the paper's 32 MiB per SPE or [`MAX_RUN_COST`] is refused
-//! as `bad-request` before anything is enqueued. Neither limit depends
-//! on the host, so a request line gets the same answer on every machine.
+//! A run above the paper's 32 MiB per SPE or [`MAX_RUN_COST`], and a
+//! batch whose runs add up past [`MAX_BATCH_COST`], are refused as
+//! `bad-request` before anything is enqueued. No limit depends on the
+//! host, so a request line gets the same answer on every machine.
 //!
 //! # Responses
 //!
@@ -71,7 +72,7 @@
 //! owed runs).
 
 use cellsim_core::diskcache::{key_fingerprint, write_report, REPORT_JSON_CAPACITY};
-use cellsim_core::exec::{config_fingerprint, RunError, RunKey, RunSpec, Workload};
+use cellsim_core::exec::{RunError, RunKey, RunSpec, Workload};
 use cellsim_core::experiments::{canonical_pattern, workload_plan};
 use cellsim_core::json::{self, JsonValue, Writer};
 use cellsim_core::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy};
@@ -91,6 +92,11 @@ pub const MAX_BATCH_RUNS: usize = 4096;
 /// commands plus bus packets) one run may have: that of the costliest
 /// `repro --full` point, 8-SPE `gups`. A unit test pins it to the table.
 pub const MAX_RUN_COST: u64 = 1 << 24;
+
+/// Largest sum of [`TransferPlan::cost`](cellsim_core::TransferPlan::cost)
+/// one batch may carry: that of the costliest `repro --full` figure sent
+/// as one batch, figure 8's 960 runs. A unit test pins it to the table.
+pub const MAX_BATCH_COST: u64 = 1_571_635_200;
 
 /// Longest accepted batch id, in bytes.
 pub const MAX_ID_BYTES: usize = 256;
@@ -227,16 +233,21 @@ fn decode_run_request(v: &JsonValue) -> Result<BatchRequest, ProtocolError> {
             ),
         ));
     }
-    // Every run of the batch shares the machine, so its fingerprints
-    // are computed once rather than per run.
-    let machine = (
-        config_fingerprint(system.config()),
-        system.faults_fingerprint(),
-    );
     let mut specs = Vec::with_capacity(runs.len());
+    let mut batch_cost = 0;
     for (index, run) in runs.iter().enumerate() {
-        let spec = decode_run(run, &system, machine, fused)
+        let (spec, cost) = decode_run(run, &system, fused)
             .map_err(|cause| ProtocolError::bad_request(&id, format!("run {index}: {cause}")))?;
+        batch_cost += cost;
+        if batch_cost > MAX_BATCH_COST {
+            return Err(ProtocolError::bad_request(
+                &id,
+                format!(
+                    "run {index}: batch cost {batch_cost} (DMA commands plus bus packets) \
+                     exceeds the {MAX_BATCH_COST} per-batch limit"
+                ),
+            ));
+        }
         specs.push(spec);
     }
     Ok(BatchRequest { id, specs, record })
@@ -249,16 +260,11 @@ fn field_u64(run: &JsonValue, name: &str) -> Result<u64, String> {
 }
 
 /// Decodes and fully validates one run object into a [`RunSpec`] on
-/// `system`, whose config and fault-plan fingerprints are `machine`.
-/// Everything is checked here — pattern, parameter ranges, volume and
-/// cost limits, plan buildability, placement permutation, fused-SPE
-/// collisions — so a spec that decodes is a spec the executor can run.
-fn decode_run(
-    run: &JsonValue,
-    system: &CellSystem,
-    machine: (u64, u64),
-    fused: u8,
-) -> Result<RunSpec, String> {
+/// `system`, returned with its plan's cost. Everything is checked here —
+/// pattern, parameter ranges, volume and cost limits, plan buildability,
+/// placement permutation, fused-SPE collisions — so a spec that decodes
+/// is a spec the executor can run.
+fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<(RunSpec, u64), String> {
     let pattern = run
         .get("pattern")
         .and_then(JsonValue::as_str)
@@ -339,18 +345,7 @@ fn decode_run(
             ));
         }
     }
-    // `RunSpec::new` with the batch's fingerprints.
-    Ok(RunSpec {
-        key: RunKey {
-            config: machine.0,
-            faults: machine.1,
-            workload,
-            placement: *placement.mapping(),
-        },
-        system: system.clone(),
-        plan,
-        placement,
-    })
+    Ok((RunSpec::new(system, workload, placement, plan), cost))
 }
 
 // ---- response emission --------------------------------------------------
@@ -653,6 +648,55 @@ mod tests {
             .map(|point| point.plan.cost(packet_bytes))
             .max();
         assert_eq!(largest, Some(MAX_RUN_COST));
+    }
+
+    /// Each full-protocol figure's runs, as the client sends them: one
+    /// batch per figure.
+    fn full_figure_batches() -> Vec<Vec<RunSpec>> {
+        let cfg = ExperimentConfig::full();
+        let system = CellSystem::blade();
+        FIGURES
+            .iter()
+            .filter_map(|row| figure_points(&cfg, row.id).unwrap())
+            .map(|points| figure_specs(&system, &cfg, &points))
+            .collect()
+    }
+
+    #[test]
+    fn the_batch_cost_limit_is_the_largest_paper_scale_figure_cost() {
+        let packet_bytes = CellSystem::blade().config().mfc.packet_bytes;
+        let largest = full_figure_batches()
+            .iter()
+            .map(|specs| specs.iter().map(|s| s.plan.cost(packet_bytes)).sum::<u64>())
+            .max();
+        assert_eq!(largest, Some(MAX_BATCH_COST));
+    }
+
+    #[test]
+    fn a_batch_of_maximal_runs_is_refused_at_decode() {
+        let packet_bytes = CellSystem::blade().config().mfc.packet_bytes;
+        let costliest = full_figure_batches()
+            .into_iter()
+            .flatten()
+            .max_by_key(|s| s.plan.cost(packet_bytes))
+            .expect("the protocol has runs");
+        assert_eq!(costliest.plan.cost(packet_bytes), MAX_RUN_COST);
+        let specs = vec![costliest; MAX_BATCH_RUNS];
+        let line = encode_run_request("huge", None, &specs, false);
+        let err = match decode_request(&line) {
+            Err(e) => e,
+            Ok(_) => panic!("expected the batch budget to refuse"),
+        };
+        assert_eq!(err.reason, "bad-request");
+        assert_eq!(err.id.as_deref(), Some("huge"));
+        let refused_at = MAX_BATCH_COST / MAX_RUN_COST;
+        assert!(
+            err.detail
+                .starts_with(&format!("run {refused_at}: batch cost "))
+                && err.detail.contains("per-batch limit"),
+            "{}",
+            err.detail
+        );
     }
 
     #[test]
