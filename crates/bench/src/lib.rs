@@ -16,8 +16,6 @@
 //! of A2 and the circuit-hold point of A4 (the same stock machine and
 //! plan) share runs, while every other variant simulates its own.
 
-use std::sync::Arc;
-
 use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
     figure_specs, group_results, mean, ConfigIssue, ExperimentConfig, ExperimentError, SweepPoint,
@@ -173,8 +171,7 @@ impl Ablation {
             if self.lottery {
                 specs.extend(figure_specs(&system, cfg, std::slice::from_ref(&point)));
             } else {
-                let (workload, plan) = (point.workload.clone(), Arc::clone(&point.plan));
-                specs.push(RunSpec::new(&system, workload, Placement::identity(), plan));
+                specs.push(RunSpec::new(&system, &point, Placement::identity()));
             }
         }
         let per_point = if self.lottery { cfg.placements } else { 1 };

@@ -7,12 +7,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
 
 use cellsim_core::diskcache::{key_fingerprint, report_to_json, DiskCache};
 use cellsim_core::exec::{RunKey, RunSpec, Workload};
+use cellsim_core::experiments::SweepPoint;
 use cellsim_core::tracestore::{Manifest, RunDir};
-use cellsim_core::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy, TransferPlan};
+use cellsim_core::{CellSystem, FabricReport, FaultPlan, Placement};
 
 /// The fixture run's name: its key's fingerprint.
 const RUN: &str = "41d5f5478f8e3b3d";
@@ -26,22 +26,11 @@ fn fixtures() -> PathBuf {
 fn fresh_run() -> (RunKey, FabricReport) {
     let faults = FaultPlan::parse(include_str!("../../../plans/degraded_smoke.json")).unwrap();
     let system = CellSystem::blade().with_faults(faults);
-    let mut b = TransferPlan::builder();
-    for spe in 0..8 {
-        b = b.copy_memory(spe, 4 << 10, 1024, SyncPolicy::AfterAll);
-    }
-    let plan = Arc::new(b.build().unwrap());
-    let report = system.try_run(&Placement::identity(), &plan).unwrap();
-    let workload = Workload {
-        pattern: "mem-copy",
-        spes: 8,
-        volume: 4 << 10,
-        elem: 1024,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    };
-    let spec = RunSpec::new(&system, workload, Placement::identity(), plan);
+    let point = SweepPoint::new(Workload::dma_elem("mem-copy", 8, 4 << 10, 1024)).unwrap();
+    let report = system
+        .try_run(&Placement::identity(), point.plan())
+        .unwrap();
+    let spec = RunSpec::new(&system, &point, Placement::identity());
     assert_eq!(format!("{:016x}", key_fingerprint(&spec.key)), RUN);
     (spec.key, report)
 }

@@ -709,7 +709,8 @@ impl Codec for StreamDecoder<'_, '_> {
 mod tests {
     use super::*;
     use crate::exec::{RunSpec, Workload};
-    use crate::{CellSystem, Placement, SyncPolicy, TransferPlan};
+    use crate::experiments::SweepPoint;
+    use crate::{CellSystem, Placement};
     use std::sync::Arc;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -720,26 +721,9 @@ mod tests {
 
     fn sample() -> (RunKey, FabricReport) {
         let system = CellSystem::blade();
-        let plan = Arc::new(
-            TransferPlan::builder()
-                .get_from_memory(0, 64 << 10, 4096, SyncPolicy::AfterAll)
-                .build()
-                .unwrap(),
-        );
-        let spec = RunSpec::new(
-            &system,
-            Workload {
-                pattern: "mem-get",
-                spes: 1,
-                volume: 64 << 10,
-                elem: 4096,
-                list: false,
-                sync: SyncPolicy::AfterAll,
-                params: 0,
-            },
-            Placement::identity(),
-            Arc::clone(&plan),
-        );
+        let point = SweepPoint::new(Workload::dma_elem("mem-get", 1, 64 << 10, 4096)).unwrap();
+        let plan = Arc::clone(point.plan());
+        let spec = RunSpec::new(&system, &point, Placement::identity());
         let report = system.try_run(&Placement::identity(), &plan).unwrap();
         (spec.key, report)
     }

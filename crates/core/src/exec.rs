@@ -5,8 +5,11 @@
 //! so the sweep is embarrassingly parallel. This module supplies the
 //! fan-out/reduce machinery the experiments build on:
 //!
-//! * [`RunSpec`] — one simulation point: a machine, a [`TransferPlan`]
-//!   and a [`Placement`], plus the [`RunKey`] that identifies it;
+//! * [`RunSpec`] — one simulation point: a machine, a [`SweepPoint`]
+//!   (a [`Workload`] and the [`TransferPlan`] it names) and a
+//!   [`Placement`], plus the [`RunKey`] that identifies it. The key
+//!   holds the workload, not the plan; since a plan reaches a spec only
+//!   through its point, equal keys always mean equal plans;
 //! * [`SweepExecutor`] — runs a batch of specs over
 //!   [`std::thread::scope`] (no work stealing: a single atomic cursor
 //!   hands out work), with the worker count taken from `--jobs`-style
@@ -45,6 +48,7 @@ use cellsim_kernel::fnv::Fnv1a;
 
 use crate::config::{CellConfig, CellSystem};
 use crate::diskcache::{DiskCache, DiskCacheStats};
+use crate::experiments::SweepPoint;
 use crate::fabric::FabricReport;
 use crate::failure::StallDiagnosis;
 use crate::placement::Placement;
@@ -83,11 +87,8 @@ pub fn config_fingerprint(config: &CellConfig) -> u64 {
 }
 
 /// What a run simulates, minus the placement: the experiment-point
-/// descriptor part of a [`RunKey`].
-///
-/// Two specs with equal `Workload`s **must** carry plans that simulate
-/// identically — builders in [`crate::experiments`] guarantee this by
-/// deriving both the plan and the workload from the same parameters.
+/// descriptor part of a [`RunKey`]. A [`SweepPoint`] pairs it with its
+/// plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Workload {
     /// Traffic pattern, e.g. `"couples"`, `"cycle"`, `"mem-get"`.
@@ -95,7 +96,7 @@ pub struct Workload {
     /// Active SPEs.
     pub spes: u8,
     /// Payload bytes per active SPE (per direction where bidirectional;
-    /// the whole job's payload for a `"tasks"` job).
+    /// the whole plan's payload for a custom point).
     pub volume: u64,
     /// DMA element size in bytes.
     pub elem: u32,
@@ -106,7 +107,8 @@ pub struct Workload {
     /// Packed pattern-specific parameters (0 for the paper's streaming
     /// micro-benchmarks; application workloads fold their generator
     /// parameters — table sizes, grid shapes, seeds — in here so the
-    /// cache/baseline identity covers them).
+    /// cache/baseline identity covers them; a custom point's plan
+    /// fingerprint).
     pub params: u64,
 }
 
@@ -214,7 +216,13 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// One independent simulation: a machine, a plan, and a placement.
+///
+/// Built only by [`RunSpec::new`], which takes the key's workload and
+/// the plan from one [`SweepPoint`]: equal keys always carry equal
+/// plans, so a cached report is the report of the spec's own plan.
+/// Non-exhaustive, so no other crate can build one as a literal.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct RunSpec {
     /// Cache identity; see [`RunSpec::new`].
     pub key: RunKey,
@@ -228,23 +236,19 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Builds a spec, deriving the [`RunKey`] from the machine's cached
-    /// fingerprints, the workload and the placement.
-    pub fn new(
-        system: &CellSystem,
-        workload: Workload,
-        placement: Placement,
-        plan: Arc<TransferPlan>,
-    ) -> RunSpec {
+    /// The spec running `point` on `system` under `placement`: its
+    /// [`RunKey`] is the machine's cached fingerprints, the point's
+    /// workload and the placement.
+    pub fn new(system: &CellSystem, point: &SweepPoint, placement: Placement) -> RunSpec {
         RunSpec {
             key: RunKey {
                 config: system.config_fingerprint(),
                 faults: system.faults_fingerprint(),
-                workload,
+                workload: point.workload().clone(),
                 placement: *placement.mapping(),
             },
             system: system.clone(),
-            plan,
+            plan: Arc::clone(point.plan()),
             placement,
         }
     }
@@ -334,35 +338,22 @@ impl CacheStats {
 /// Runs batches of [`RunSpec`]s across threads, memoizing by [`RunKey`].
 ///
 /// ```
-/// use std::sync::Arc;
 /// use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
-/// use cellsim_core::{CellSystem, Placement, SyncPolicy, TransferPlan};
+/// use cellsim_core::experiments::SweepPoint;
+/// use cellsim_core::{CellSystem, Placement};
 ///
 /// let system = CellSystem::blade();
-/// let plan = Arc::new(
-///     TransferPlan::builder()
-///         .get_from_memory(0, 1 << 20, 16 * 1024, SyncPolicy::AfterAll)
-///         .build()?,
-/// );
-/// let workload = Workload {
-///     pattern: "mem-get",
-///     spes: 1,
-///     volume: 1 << 20,
-///     elem: 16 * 1024,
-///     list: false,
-///     sync: SyncPolicy::AfterAll,
-///     params: 0,
-/// };
+/// let point = SweepPoint::new(Workload::dma_elem("mem-get", 1, 1 << 20, 16 * 1024))?;
 /// let exec = SweepExecutor::new(2);
 /// let specs: Vec<RunSpec> = (0..4)
-///     .map(|k| RunSpec::new(&system, workload.clone(), Placement::lottery(7, k), Arc::clone(&plan)))
+///     .map(|k| RunSpec::new(&system, &point, Placement::lottery(7, k)))
 ///     .collect();
 /// let a = exec.try_run(specs.clone());
 /// let b = exec.try_run(specs); // all four answered from cache
 /// assert!(a.iter().all(Result::is_ok));
 /// assert_eq!(a, b);
 /// assert_eq!(exec.stats().hits, 4);
-/// # Ok::<(), cellsim_core::PlanError>(())
+/// # Ok::<(), cellsim_core::experiments::WorkloadError>(())
 /// ```
 #[derive(Debug)]
 pub struct SweepExecutor {
@@ -707,29 +698,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::TransferPlanBuilder;
 
     fn spec(system: &CellSystem, elem: u32, placement: Placement) -> RunSpec {
-        let plan = Arc::new(
-            TransferPlanBuilder::new()
-                .get_from_memory(0, 64 << 10, elem, SyncPolicy::AfterAll)
-                .build()
-                .expect("valid plan"),
-        );
-        RunSpec::new(
-            system,
-            Workload {
-                pattern: "mem-get",
-                spes: 1,
-                volume: 64 << 10,
-                elem,
-                list: false,
-                sync: SyncPolicy::AfterAll,
-                params: 0,
-            },
-            placement,
-            plan,
-        )
+        let workload = Workload::dma_elem("mem-get", 1, 64 << 10, elem);
+        let point = SweepPoint::new(workload).expect("valid plan");
+        RunSpec::new(system, &point, placement)
     }
 
     #[test]

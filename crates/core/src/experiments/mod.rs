@@ -194,7 +194,7 @@ pub fn figure_row(id: &str) -> Option<&'static FigureRow> {
 }
 
 /// The paper's payload per SPE (32 MiB): [`ExperimentConfig::full`]
-/// streams exactly this much, and [`workload_plan`] refuses more, so a
+/// streams exactly this much, and the serve daemon refuses more, so a
 /// workload received over a wire is never larger than the paper's own.
 pub const MAX_VOLUME_PER_SPE: u64 = 32 << 20;
 
@@ -348,32 +348,65 @@ impl std::error::Error for ExperimentError {
     }
 }
 
-/// One experiment point of a sweep: the plan to simulate and the
-/// [`Workload`] identifying it in the run cache.
+/// One experiment point of a sweep: the [`Workload`] identifying it in
+/// the run cache and the plan realizing it. The pair is only ever made
+/// here — a registered pattern's plan by its one builder, a caller's
+/// own plan under its fingerprint — and [`RunSpec::new`] takes both
+/// from a point, so equal run keys always mean equal plans.
 ///
 /// Public so remote drivers (the `cellsim-serve` client) can enumerate
 /// a figure's points ([`figure_points`]) and mirror exactly the sweep
 /// `repro` would run locally.
 #[derive(Clone)]
 pub struct SweepPoint {
-    /// The run-cache identity of this point.
-    pub workload: Workload,
-    /// The DMA program realizing it (shared across placements).
-    pub plan: Arc<TransferPlan>,
+    workload: Workload,
+    plan: Arc<TransferPlan>,
 }
 
 impl SweepPoint {
-    /// The point for `workload`, its plan built by the builder
-    /// [`workload_plan`] uses. Unlike `workload_plan`, it takes any
-    /// volume, so local sweeps above [`MAX_VOLUME_PER_SPE`] still run;
-    /// only workloads received over a wire are capped.
+    /// The point of a registered pattern (see [`canonical_pattern`]),
+    /// its plan built from `workload` alone.
     ///
     /// # Errors
     ///
     /// [`WorkloadError`] naming the first invalid parameter.
     pub fn new(workload: Workload) -> Result<SweepPoint, WorkloadError> {
-        let plan = build_plan(&workload, u64::MAX)?;
+        let plan = build_plan(&workload)?;
         Ok(SweepPoint { workload, plan })
+    }
+
+    /// The point of a caller's own plan: pattern `"custom"`, its active
+    /// SPE count, its total payload as the volume, `elem` 0, DMA-elem,
+    /// [`SyncPolicy::AfterAll`](crate::SyncPolicy::AfterAll), and its
+    /// [`TransferPlan::fingerprint`] as `params`. Hashing the plan costs
+    /// O(steps), once per point.
+    #[must_use]
+    pub fn custom(plan: TransferPlan) -> SweepPoint {
+        let workload = Workload {
+            pattern: "custom",
+            spes: plan.active_spes().count() as u8,
+            volume: plan.total_bytes(),
+            elem: 0,
+            list: false,
+            sync: crate::SyncPolicy::AfterAll,
+            params: plan.fingerprint(),
+        };
+        SweepPoint {
+            workload,
+            plan: Arc::new(plan),
+        }
+    }
+
+    /// The run-cache identity of this point.
+    #[must_use]
+    pub fn workload(&self) -> &Workload {
+        &self.workload
+    }
+
+    /// The DMA program realizing it, shared across placements.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<TransferPlan> {
+        &self.plan
     }
 }
 
@@ -469,12 +502,8 @@ pub fn figure_specs(
     let mut specs = Vec::with_capacity(points.len() * cfg.placements);
     for point in points {
         for k in 0..cfg.placements {
-            specs.push(RunSpec::new(
-                system,
-                point.workload.clone(),
-                Placement::lottery_avoiding(cfg.seed, k as u64, fused),
-                Arc::clone(&point.plan),
-            ));
+            let placement = Placement::lottery_avoiding(cfg.seed, k as u64, fused);
+            specs.push(RunSpec::new(system, point, placement));
         }
     }
     specs
@@ -516,16 +545,18 @@ pub enum WorkloadError {
         /// The rejected count.
         spes: u8,
     },
-    /// The memory-streaming patterns hardcode [`SyncPolicy::AfterAll`]
-    /// and DMA-elem; a differing key would lie about the plan.
+    /// The memory-streaming patterns hardcode
+    /// [`SyncPolicy::AfterAll`](crate::SyncPolicy::AfterAll) and
+    /// DMA-elem, and only the application workloads read `params`; a
+    /// differing key would lie about the plan.
     Unsupported {
         /// The canonical pattern name.
         pattern: &'static str,
         /// What was asked for that the pattern does not express.
         what: &'static str,
     },
-    /// `volume` is zero, not a multiple of `elem`, or above
-    /// [`MAX_VOLUME_PER_SPE`].
+    /// `volume` is zero or not a multiple of `elem`, or (on the wire)
+    /// above [`MAX_VOLUME_PER_SPE`].
     BadVolume {
         /// Requested payload bytes per SPE.
         volume: u64,
@@ -596,34 +627,21 @@ pub fn canonical_pattern(name: &str) -> Option<&'static str> {
     }
 }
 
-/// Builds the [`TransferPlan`] a [`Workload`] describes, for callers
-/// (the serve daemon) that receive workloads rather than construct
-/// them. It is the builder [`SweepPoint::new`] uses, so the plan is the
-/// one the local experiment runs for the same workload and run keys
-/// and cached reports coincide. A `volume` above
-/// [`MAX_VOLUME_PER_SPE`] is refused before anything is built.
-///
-/// # Errors
-///
-/// [`WorkloadError`] naming the first invalid parameter.
-pub fn workload_plan(w: &Workload) -> Result<Arc<TransferPlan>, WorkloadError> {
-    build_plan(w, MAX_VOLUME_PER_SPE)
-}
-
-/// The one plan builder behind [`workload_plan`] and [`SweepPoint::new`]:
-/// refuses an unknown pattern, a `volume` above `max_volume` and every
-/// other invalid parameter before building.
-fn build_plan(w: &Workload, max_volume: u64) -> Result<Arc<TransferPlan>, WorkloadError> {
+/// The one plan builder behind [`SweepPoint::new`]: refuses an unknown
+/// pattern and every invalid parameter before building.
+fn build_plan(w: &Workload) -> Result<Arc<TransferPlan>, WorkloadError> {
     let pattern = canonical_pattern(w.pattern)
         .ok_or_else(|| WorkloadError::UnknownPattern(w.pattern.to_string()))?;
-    if w.volume == 0
-        || w.volume > max_volume
-        || w.elem == 0
-        || !w.volume.is_multiple_of(u64::from(w.elem))
-    {
+    if w.volume == 0 || w.elem == 0 || !w.volume.is_multiple_of(u64::from(w.elem)) {
         return Err(WorkloadError::BadVolume {
             volume: w.volume,
             elem: w.elem,
+        });
+    }
+    if w.params != 0 && !matches!(pattern, "gups" | "stencil" | "pairlist") {
+        return Err(WorkloadError::Unsupported {
+            pattern,
+            what: "params",
         });
     }
     let spes = usize::from(w.spes);

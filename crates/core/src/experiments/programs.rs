@@ -43,14 +43,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cellsim_kernel::fnv::Fnv1a;
 use cellsim_workloads::{KernelSpec, SpuComputeModel, Task, Traffic};
 
 use crate::exec::{RunError, RunSpec, SweepExecutor, Workload};
-use crate::experiments::{group_results, workload_plan, WorkloadError};
+use crate::experiments::{group_results, SweepPoint, WorkloadError};
 use crate::fabric::FabricReport;
 use crate::report::{Figure, Point, Series};
-use crate::{CellSystem, Placement, SyncPolicy, TransferPlan};
+use crate::{CellSystem, Placement, TransferPlan};
 
 /// Payload bytes each SPE streams to measure a kernel's bandwidth.
 const KERNEL_VOLUME_PER_SPE: u64 = 2 << 20;
@@ -169,8 +168,8 @@ fn kernel_run(
         Traffic::StreamInOut => "mem-copy",
     };
     let workload = Workload::dma_elem(pattern, spes as u8, volume, elem);
-    let plan = workload_plan(&workload).map_err(ProgramError::Plan)?;
-    Ok(RunSpec::new(system, workload, Placement::identity(), plan))
+    let point = SweepPoint::new(workload).map_err(ProgramError::Plan)?;
+    Ok(RunSpec::new(system, &point, Placement::identity()))
 }
 
 /// The roofline of `spec` on `spes` SPEs given its measured traffic.
@@ -346,8 +345,8 @@ impl fmt::Display for RuntimeReport {
 
 /// Assigns `tasks` to `lanes` SPE lanes (least-loaded first) and
 /// predicts the job's execution: the whole job's DMA traffic runs as one
-/// `"tasks"` run on `exec`, while each lane's compute overlaps its
-/// communication (double buffering).
+/// custom point ([`SweepPoint::custom`]) on `exec`, while each lane's
+/// compute overlaps its communication (double buffering).
 ///
 /// # Errors
 ///
@@ -394,26 +393,19 @@ pub fn execute_tasks(
         comp_load[lane] += comp_bus as f64 * comm_bytes_per_bus_cycle;
     }
 
-    // Build the whole job's DMA traffic. The per-lane block sequence
-    // alone determines the plan, so its hash keys the run.
+    // Build the whole job's DMA traffic.
     let mut builder = TransferPlan::builder();
-    let mut layout = Fnv1a::new();
     for (lane, task_ids) in assignment.iter().enumerate() {
-        layout.update(b"|");
         let mut in_off = 0u64;
         let mut out_off = 0u64;
         for &ti in task_ids {
             let t = &tasks[ti];
             for &b in t.inputs() {
                 builder = builder.get_block(lane, TransferPlan::get_region(lane), in_off, b);
-                layout.update(b"g");
-                layout.update(&b.to_le_bytes());
                 in_off += b;
             }
             for &b in t.outputs() {
                 builder = builder.put_block(lane, TransferPlan::put_region(lane), out_off, b);
-                layout.update(b"p");
-                layout.update(&b.to_le_bytes());
                 out_off += b;
             }
         }
@@ -421,16 +413,8 @@ pub fn execute_tasks(
     let plan = builder
         .build()
         .map_err(|e| ProgramError::Plan(WorkloadError::Plan(e)))?;
-    let workload = Workload {
-        pattern: "tasks",
-        spes: lanes as u8,
-        volume: tasks.iter().map(Task::total_bytes).sum(),
-        elem: 0,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: layout.finish(),
-    };
-    let spec = RunSpec::new(system, workload, Placement::identity(), Arc::new(plan));
+    let point = SweepPoint::custom(plan);
+    let spec = RunSpec::new(system, &point, Placement::identity());
     let fabric = run_one(exec, spec)?;
 
     // Per-lane occupancy: measured communication, analytic compute.
@@ -690,6 +674,12 @@ mod tests {
         execute_tasks(&exec, &sys, 1, &swapped).unwrap();
         execute_tasks(&exec, &sys, 1, &original).unwrap();
         assert_eq!(exec.stats().misses, 3);
+        // Two 16 KiB inputs issue the very commands of one 32 KiB input
+        // (blocks split into 16 KiB commands), so they share its run.
+        let halves = [Task::new("y").input(16 << 10).input(16 << 10)];
+        execute_tasks(&exec, &sys, 1, &[Task::new("y").input(32 << 10)]).unwrap();
+        execute_tasks(&exec, &sys, 1, &halves).unwrap();
+        assert_eq!(exec.stats(), CacheStats { hits: 2, misses: 4 });
     }
 
     #[test]

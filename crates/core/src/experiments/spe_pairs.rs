@@ -24,8 +24,7 @@ pub(crate) enum Pattern {
 }
 
 impl Pattern {
-    /// The run-cache identity of this pattern. Two [`Workload`]s with the
-    /// same key and parameters must build identical-simulating plans.
+    /// The pattern name of this pattern's [`Workload`]s.
     pub(crate) fn key(self) -> &'static str {
         match self {
             Pattern::Couples => "couples",

@@ -14,8 +14,8 @@ use std::fmt;
 
 use crate::json::Writer;
 
-/// Why a fabric run could not produce a [`FabricReport`]
-/// (crate::FabricReport).
+/// Why a fabric run could not produce a
+/// [`FabricReport`](crate::FabricReport).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunFailure {
     /// The simulation stalled; the diagnosis says where the work got

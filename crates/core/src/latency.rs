@@ -2,7 +2,7 @@
 //! histograms with phase attribution.
 //!
 //! Every command the fabric retires carries a
-//! [`CommandLifecycle`](cellsim_mfc::CommandLifecycle) stamped at each
+//! [`CommandLifecycle`] stamped at each
 //! point it passed through (enqueue, MFC slot grant, unroll, EIB ring
 //! grants, bank service, tag-group completion). This module folds those
 //! records into [`LatencyMetrics`]: integer-only histograms and counters

@@ -535,6 +535,20 @@ impl TransferPlan {
         self.scripts.iter().map(|s| s.cost(packet_bytes)).sum()
     }
 
+    /// Stable fingerprint of the plan: FNV-1a over its `Debug` text, the
+    /// rule [`config_fingerprint`](crate::exec::config_fingerprint)
+    /// uses. The text spells out every stored step — explicit commands,
+    /// and closed-form runs and streams by their parameters — so plans
+    /// with equal text issue equal commands, and hashing it costs
+    /// O(steps), not O(commands).
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        use std::fmt::Write;
+        let mut h = cellsim_kernel::fnv::Fnv1a::new();
+        write!(h, "{self:?}").expect("hashing formatted text cannot fail");
+        h.finish()
+    }
+
     /// The main-memory region logical SPE `spe` streams *from* (GET).
     pub fn get_region(spe: usize) -> RegionId {
         RegionId(spe as u32)

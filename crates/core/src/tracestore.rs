@@ -1203,6 +1203,7 @@ mod tests {
     use super::*;
     use crate::config::CellSystem;
     use crate::exec::Workload;
+    use crate::experiments::SweepPoint;
     use crate::placement::Placement;
     use crate::plan::{SyncPolicy, TransferPlan};
     use std::sync::Arc;
@@ -1390,26 +1391,9 @@ mod tests {
         let root = tmp_dir("rundir");
         let rundir = RunDir::create(&root).unwrap();
         let system = CellSystem::blade();
-        let plan = Arc::new(
-            TransferPlan::builder()
-                .get_from_memory(0, 64 << 10, 4096, SyncPolicy::AfterAll)
-                .build()
-                .unwrap(),
-        );
-        let spec = RunSpec::new(
-            &system,
-            Workload {
-                pattern: "mem-get",
-                spes: 1,
-                volume: 64 << 10,
-                elem: 4096,
-                list: false,
-                sync: SyncPolicy::AfterAll,
-                params: 0,
-            },
-            Placement::identity(),
-            Arc::clone(&plan),
-        );
+        let point = SweepPoint::new(Workload::dma_elem("mem-get", 1, 64 << 10, 4096)).unwrap();
+        let plan = Arc::clone(point.plan());
+        let spec = RunSpec::new(&system, &point, Placement::identity());
         assert!(!rundir.is_complete(&spec.key), "cold dir has no artifact");
         let report = rundir.run_recorded(&spec).unwrap();
         assert_eq!(

@@ -73,7 +73,7 @@
 
 use cellsim_core::diskcache::{key_fingerprint, write_report, REPORT_JSON_CAPACITY};
 use cellsim_core::exec::{RunError, RunKey, RunSpec, Workload};
-use cellsim_core::experiments::{canonical_pattern, workload_plan};
+use cellsim_core::experiments::{canonical_pattern, SweepPoint, WorkloadError, MAX_VOLUME_PER_SPE};
 use cellsim_core::json::{self, JsonValue, Writer};
 use cellsim_core::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy};
 
@@ -300,7 +300,10 @@ fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<(RunSpe
             .as_u64()
             .ok_or_else(|| "field 'params' must be an unsigned integer".to_string())?,
     };
-    let workload = Workload {
+    if volume > MAX_VOLUME_PER_SPE {
+        return Err(WorkloadError::BadVolume { volume, elem }.to_string());
+    }
+    let point = SweepPoint::new(Workload {
         pattern,
         spes,
         volume,
@@ -308,9 +311,9 @@ fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<(RunSpe
         list,
         sync,
         params,
-    };
-    let plan = workload_plan(&workload).map_err(|e| e.to_string())?;
-    let cost = plan.cost(system.config().mfc.packet_bytes);
+    })
+    .map_err(|e| e.to_string())?;
+    let cost = point.plan().cost(system.config().mfc.packet_bytes);
     if cost > MAX_RUN_COST {
         return Err(format!(
             "plan cost {cost} (DMA commands plus bus packets) exceeds the \
@@ -337,7 +340,7 @@ fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<(RunSpe
     }
     let placement = Placement::from_mapping(map)
         .ok_or_else(|| "placement is not a permutation of 0..8".to_string())?;
-    for logical in 0..usize::from(workload.spes) {
+    for logical in 0..usize::from(spes) {
         let physical = placement.mapping()[logical];
         if fused & (1 << physical) != 0 {
             return Err(format!(
@@ -345,7 +348,7 @@ fn decode_run(run: &JsonValue, system: &CellSystem, fused: u8) -> Result<(RunSpe
             ));
         }
     }
-    Ok((RunSpec::new(system, workload, placement, plan), cost))
+    Ok((RunSpec::new(system, &point, placement), cost))
 }
 
 // ---- response emission --------------------------------------------------
@@ -645,7 +648,7 @@ mod tests {
             .iter()
             .filter_map(|row| figure_points(&cfg, row.id).unwrap())
             .flatten()
-            .map(|point| point.plan.cost(packet_bytes))
+            .map(|point| point.plan().cost(packet_bytes))
             .max();
         assert_eq!(largest, Some(MAX_RUN_COST));
     }

@@ -11,11 +11,11 @@ use std::thread;
 use cellsim_core::diskcache::{key_fingerprint, report_to_json};
 use cellsim_core::exec::{RunSpec, SweepExecutor, Workload};
 use cellsim_core::experiments::{
-    figure10_with, figure12_with, figure_points, figure_specs, workload_plan, ExperimentConfig,
+    figure10_with, figure12_with, figure_points, figure_specs, ExperimentConfig, SweepPoint,
 };
 use cellsim_core::json::{self, JsonValue};
 use cellsim_core::tracestore::{Manifest, TraceStore, TRACE_FILE};
-use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy};
+use cellsim_core::{CellSystem, FaultPlan, Placement};
 use cellsim_serve::protocol::{encode_run_request, MAX_LINE_BYTES};
 use cellsim_serve::{Client, ClientError, ServeHandle, ServeOptions, Server};
 
@@ -148,17 +148,8 @@ fn duplicate_runs_in_one_batch_simulate_once() {
     let system = CellSystem::blade();
     // Heavy enough that the duplicates are popped (and parked on the
     // in-flight simulation) long before the first copy completes.
-    let workload = Workload {
-        pattern: "cycle",
-        spes: 8,
-        volume: 4 << 20,
-        elem: 4096,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    };
-    let plan = workload_plan(&workload).expect("plannable");
-    let spec = RunSpec::new(&system, workload, Placement::identity(), plan);
+    let point = SweepPoint::new(Workload::dma_elem("cycle", 8, 4 << 20, 4096)).expect("plannable");
+    let spec = RunSpec::new(&system, &point, Placement::identity());
     let specs = vec![spec.clone(), spec.clone(), spec.clone(), spec];
 
     let mut client = Client::connect(daemon.addr).expect("connect");
@@ -282,8 +273,20 @@ fn hostile_lines_get_typed_errors_without_killing_the_connection() {
             && over_cost.contains("run 0: plan cost 67108864"),
         "{over_cost}"
     );
+    // A couples run never reads `params`: a nonzero word would key the
+    // same plan twice, so it is refused, naming the run.
+    let couples =
+        format!("{{\"pattern\":\"couples\",\"spes\":2,\"volume\":4096,\"elem\":128,{placement}");
+    let stray_params = exchange(&format!(
+        "{{\"op\":\"run\",\"id\":\"p\",\"runs\":[{couples}}},{couples},\"params\":5}}]}}"
+    ));
+    assert!(
+        stray_params.contains("\"reason\":\"bad-request\"")
+            && stray_params.contains("run 1: pattern 'couples' does not support params"),
+        "{stray_params}"
+    );
 
-    // Five refused requests later, nothing was admitted or simulated,
+    // Six refused requests later, nothing was admitted or simulated,
     // and the same connection still serves.
     let stats = exchange("{\"op\":\"stats\"}");
     let v = json::parse(&stats).unwrap_or_else(|e| panic!("{e}: {stats}"));

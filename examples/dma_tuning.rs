@@ -10,10 +10,10 @@
 //! ```
 
 use std::error::Error;
-use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
+use cellsim::experiments::SweepPoint;
+use cellsim::{CellSystem, Placement, SyncPolicy};
 
 const VOLUME: u64 = 1 << 20;
 
@@ -25,14 +25,7 @@ fn exchange(
     list: bool,
     sync: SyncPolicy,
 ) -> Result<f64, Box<dyn Error>> {
-    let b = TransferPlan::builder();
-    let b = if list {
-        b.exchange_with_list(0, 1, volume, elem, sync)
-    } else {
-        b.exchange_with(0, 1, volume, elem, sync)
-    };
-    let plan = Arc::new(b.build()?);
-    let workload = Workload {
+    let point = SweepPoint::new(Workload {
         pattern: "couples",
         spes: 2,
         volume,
@@ -40,8 +33,8 @@ fn exchange(
         list,
         sync,
         params: 0,
-    };
-    let spec = RunSpec::new(system, workload, Placement::identity(), plan);
+    })?;
+    let spec = RunSpec::new(system, &point, Placement::identity());
     Ok(exec.try_run(vec![spec]).remove(0)?.aggregate_gbps)
 }
 

@@ -11,10 +11,10 @@
 //! ```
 
 use std::error::Error;
-use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::{CellSystem, Placement, SyncPolicy, TransferPlan};
+use cellsim::experiments::SweepPoint;
+use cellsim::{CellSystem, Placement};
 
 const VOLUME: u64 = 1 << 20;
 const ELEM: u32 = 16 * 1024;
@@ -22,20 +22,7 @@ const DRAWS: u64 = 20;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let system = CellSystem::blade();
-    let mut b = TransferPlan::builder();
-    for spe in 0..8 {
-        b = b.exchange_with(spe, (spe + 1) % 8, VOLUME, ELEM, SyncPolicy::AfterAll);
-    }
-    let plan = Arc::new(b.build()?);
-    let workload = Workload {
-        pattern: "cycle",
-        spes: 8,
-        volume: VOLUME,
-        elem: ELEM,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    };
+    let point = SweepPoint::new(Workload::dma_elem("cycle", 8, VOLUME, ELEM))?;
 
     // Draw k of the lottery is Placement::lottery(seed, k): the same
     // placement no matter how the executor schedules the runs.
@@ -43,7 +30,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let placements: Vec<Placement> = (0..DRAWS).map(|k| Placement::lottery(2007, k)).collect();
     let specs = placements
         .iter()
-        .map(|&p| RunSpec::new(&system, workload.clone(), p, Arc::clone(&plan)))
+        .map(|&p| RunSpec::new(&system, &point, p))
         .collect();
     let reports = exec
         .try_run(specs)

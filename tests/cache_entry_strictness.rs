@@ -8,13 +8,13 @@
 use std::fs;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use cellsim::diskcache::{key_json, report_to_json, DiskCache};
 use cellsim::exec::{RunKey, RunSpec, Workload};
+use cellsim::experiments::SweepPoint;
 use cellsim::json::Reader;
 use cellsim::kernel::fnv::fnv1a;
-use cellsim::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy, TransferPlan};
+use cellsim::{CellSystem, FabricReport, FaultPlan, Placement};
 
 /// An 8-SPE GET+PUT run on a degraded blade, so every section (per-SPE,
 /// rings, both banks, faults, all four latency paths) holds
@@ -22,23 +22,12 @@ use cellsim::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy, Transf
 fn faulted_run() -> (RunKey, FabricReport) {
     let faults = FaultPlan::parse(include_str!("../plans/degraded_smoke.json")).unwrap();
     let system = CellSystem::blade().with_faults(faults);
-    let mut b = TransferPlan::builder();
-    for spe in 0..8 {
-        b = b.copy_memory(spe, 64 << 10, 4096, SyncPolicy::AfterAll);
-    }
-    let plan = Arc::new(b.build().unwrap());
-    let report = system.try_run(&Placement::identity(), &plan).unwrap();
+    let point = SweepPoint::new(Workload::dma_elem("mem-copy", 8, 64 << 10, 4096)).unwrap();
+    let report = system
+        .try_run(&Placement::identity(), point.plan())
+        .unwrap();
     assert!(report.metrics.faults.nacks > 0, "the plan injects NACKs");
-    let workload = Workload {
-        pattern: "mem-copy",
-        spes: 8,
-        volume: 64 << 10,
-        elem: 4096,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    };
-    let spec = RunSpec::new(&system, workload, Placement::identity(), plan);
+    let spec = RunSpec::new(&system, &point, Placement::identity());
     (spec.key, report)
 }
 

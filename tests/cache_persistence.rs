@@ -8,7 +8,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::{CellSystem, FabricReport, Placement, SyncPolicy, TransferPlan};
+use cellsim::experiments::SweepPoint;
+use cellsim::{CellSystem, FabricReport, Placement};
 
 /// A fresh, empty scratch directory unique to this test.
 fn scratch(name: &str) -> PathBuf {
@@ -23,27 +24,9 @@ fn specs() -> Vec<RunSpec> {
     let system = CellSystem::blade();
     let mut out = Vec::new();
     for elem in [1024u32, 4096, 16384] {
-        let plan = Arc::new(
-            TransferPlan::builder()
-                .get_from_memory(0, 64 << 10, elem, SyncPolicy::AfterAll)
-                .build()
-                .unwrap(),
-        );
+        let point = SweepPoint::new(Workload::dma_elem("mem-get", 1, 64 << 10, elem)).unwrap();
         for k in 0..2u64 {
-            out.push(RunSpec::new(
-                &system,
-                Workload {
-                    pattern: "mem-get",
-                    spes: 1,
-                    volume: 64 << 10,
-                    elem,
-                    list: false,
-                    sync: SyncPolicy::AfterAll,
-                    params: 0,
-                },
-                Placement::lottery(0xCE11, k),
-                Arc::clone(&plan),
-            ));
+            out.push(RunSpec::new(&system, &point, Placement::lottery(0xCE11, k)));
         }
     }
     out

@@ -2,13 +2,13 @@
 //! byte-identical whether a sweep runs serially, on any number of
 //! workers, or entirely from a warm run cache.
 
-use std::sync::Arc;
-
-use cellsim::exec::{RunSpec, SweepExecutor, Workload};
+use cellsim::exec::{CacheStats, RunSpec, SweepExecutor, Workload};
 use cellsim::experiments::{
-    all_figures_with, figure12_with, figure_metrics_with, ExperimentConfig, FIGURES,
+    all_figures_with, execute_tasks, figure12_with, figure_metrics_with, ExperimentConfig,
+    SweepPoint, FIGURES,
 };
 use cellsim::report::MetricsTable;
+use cellsim::workloads::Task;
 use cellsim::{CellConfig, CellSystem, Placement, SyncPolicy, TransferPlan};
 use proptest::prelude::*;
 
@@ -108,22 +108,9 @@ fn metrics_digests_identical_serial_parallel_and_cached() {
 
 /// A GET+PUT stream on `spes` SPEs at `elem`-byte elements.
 fn copy_spec(system: &CellSystem, spes: usize, elem: u32, seed: u64) -> RunSpec {
-    let volume = 256 << 10;
-    let mut plan = TransferPlan::builder();
-    for spe in 0..spes {
-        plan = plan.copy_memory(spe, volume, elem, SyncPolicy::AfterAll);
-    }
-    let workload = Workload {
-        pattern: "copy",
-        spes: spes as u8,
-        volume,
-        elem,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    };
-    let plan = Arc::new(plan.build().expect("valid plan"));
-    RunSpec::new(system, workload, Placement::lottery(seed, 0), plan)
+    let workload = Workload::dma_elem("mem-copy", spes as u8, 256 << 10, elem);
+    let point = SweepPoint::new(workload).expect("valid plan");
+    RunSpec::new(system, &point, Placement::lottery(seed, 0))
 }
 
 /// Multi-worker batches start their most expensive runs first. A batch
@@ -162,6 +149,45 @@ fn mixed_batch_submitted_smallest_first_is_job_invariant() {
         assert_eq!(failures, serial_failures, "--jobs {jobs} failures");
         assert_eq!(stats, serial_stats, "--jobs {jobs} cache stats");
     }
+}
+
+/// A caller's own plan is keyed by what it runs. Two exchanges between
+/// SPE 0 and SPE 1 with the same volume, one in 16 KiB elements and one
+/// in 128 B elements, share every label field a hand-made workload
+/// would give them; as custom points they get distinct keys, and a
+/// shared executor answers each with its own report.
+#[test]
+fn custom_plans_of_one_shape_keep_their_own_keys_and_reports() {
+    let system = CellSystem::blade();
+    let exchange = |elem| {
+        let plan = TransferPlan::builder()
+            .exchange_with(0, 1, 256 << 10, elem, SyncPolicy::AfterAll)
+            .build()
+            .expect("valid plan");
+        RunSpec::new(&system, &SweepPoint::custom(plan), Placement::identity())
+    };
+    let (large, small) = (exchange(16384), exchange(128));
+    assert_eq!(large.key.workload.volume, small.key.workload.volume);
+    assert_eq!(large.key.workload.spes, small.key.workload.spes);
+    assert_ne!(large.key, small.key);
+
+    let report = |exec: &SweepExecutor, spec: &RunSpec| {
+        exec.try_run(vec![spec.clone()])
+            .remove(0)
+            .expect("healthy run")
+    };
+    let shared = SweepExecutor::new(1);
+    let (shared_large, shared_small) = (report(&shared, &large), report(&shared, &small));
+    assert_eq!(shared_large, report(&SweepExecutor::new(1), &large));
+    assert_eq!(shared_small, report(&SweepExecutor::new(1), &small));
+    assert_ne!(shared_large.aggregate_gbps, shared_small.aggregate_gbps);
+
+    // The task runtime keys its jobs the same way: equal volumes over
+    // different lane layouts are different runs.
+    let job = |sizes: [u64; 2]| sizes.map(|bytes| Task::new("t").input(bytes));
+    execute_tasks(&shared, &system, 2, &job([32 << 10, 16 << 10])).unwrap();
+    execute_tasks(&shared, &system, 2, &job([16 << 10, 32 << 10])).unwrap();
+    assert_eq!(shared.stats(), CacheStats { hits: 0, misses: 4 });
 }
 
 proptest! {

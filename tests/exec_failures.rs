@@ -4,30 +4,13 @@
 //! other point's report — in spec order, bit-identically at any job
 //! count.
 
-use std::sync::Arc;
-
 use cellsim::exec::{RunError, RunSpec, SweepExecutor, Workload};
-use cellsim::{CellConfig, CellSystem, Placement, StallKind, SyncPolicy, TransferPlan};
+use cellsim::experiments::SweepPoint;
+use cellsim::{CellConfig, CellSystem, Placement, StallKind};
 
-fn workload(elem: u32) -> Workload {
-    Workload {
-        pattern: "mem-get",
-        spes: 1,
-        volume: 64 << 10,
-        elem,
-        list: false,
-        sync: SyncPolicy::AfterAll,
-        params: 0,
-    }
-}
-
-fn get_plan(elem: u32) -> Arc<TransferPlan> {
-    Arc::new(
-        TransferPlan::builder()
-            .get_from_memory(0, 64 << 10, elem, SyncPolicy::AfterAll)
-            .build()
-            .unwrap(),
-    )
+/// One SPE streaming 64 KiB from memory in `elem`-byte GETs.
+fn get_point(elem: u32) -> SweepPoint {
+    SweepPoint::new(Workload::dma_elem("mem-get", 1, 64 << 10, elem)).unwrap()
 }
 
 /// A machine whose MFC construction panics inside the worker: queue
@@ -55,12 +38,7 @@ fn mixed_specs(poison: &CellSystem) -> Vec<RunSpec> {
         .enumerate()
         .map(|(i, elem)| {
             let system = if i == 2 { poison } else { &healthy };
-            RunSpec::new(
-                system,
-                workload(elem),
-                Placement::identity(),
-                get_plan(elem),
-            )
+            RunSpec::new(system, &get_point(elem), Placement::identity())
         })
         .collect()
 }
@@ -106,12 +84,7 @@ fn failures_are_per_batch_on_a_reused_executor() {
     // A healthy second batch reports nothing — the first batch's
     // failure was already drained and does not accumulate.
     let healthy = CellSystem::blade();
-    let spec = RunSpec::new(
-        &healthy,
-        workload(512),
-        Placement::identity(),
-        get_plan(512),
-    );
+    let spec = RunSpec::new(&healthy, &get_point(512), Placement::identity());
     let results = exec.try_run(vec![spec]);
     assert!(results[0].is_ok());
     assert!(exec.take_failures().is_empty());
@@ -159,12 +132,7 @@ fn panicking_run_via_run_still_panics_but_try_run_does_not() {
     assert!(results[2].is_err());
     // The executor keeps serving healthy batches afterwards.
     let healthy = CellSystem::blade();
-    let spec = RunSpec::new(
-        &healthy,
-        workload(1024),
-        Placement::identity(),
-        get_plan(1024),
-    );
+    let spec = RunSpec::new(&healthy, &get_point(1024), Placement::identity());
     let again = exec.try_run(vec![spec]);
     assert!(again[0].is_ok());
 }

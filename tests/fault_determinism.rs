@@ -6,11 +6,8 @@
 use std::sync::Arc;
 
 use cellsim::exec::{RunSpec, SweepExecutor, Workload};
-use cellsim::experiments::{figure_degraded_with, ExperimentConfig};
-use cellsim::{
-    CellSystem, DerateWindow, FabricReport, FaultPlan, Placement, RingOutage, SyncPolicy,
-    TransferPlan, Window,
-};
+use cellsim::experiments::{figure_degraded_with, ExperimentConfig, SweepPoint};
+use cellsim::{CellSystem, DerateWindow, FabricReport, FaultPlan, Placement, RingOutage, Window};
 use proptest::prelude::*;
 
 /// A small GET+PUT sweep on `system`: 4 SPEs × two element sizes × three
@@ -19,26 +16,10 @@ fn copy_specs(system: &CellSystem, mask: u8) -> Vec<RunSpec> {
     let volume: u64 = 128 << 10;
     let mut specs = Vec::new();
     for elem in [1024u32, 16384] {
-        let mut b = TransferPlan::builder();
-        for spe in 0..4 {
-            b = b.copy_memory(spe, volume, elem, SyncPolicy::AfterAll);
-        }
-        let plan = Arc::new(b.build().expect("valid plan"));
+        let point = SweepPoint::new(Workload::dma_elem("mem-copy", 4, volume, elem)).unwrap();
         for k in 0..3u64 {
-            specs.push(RunSpec::new(
-                system,
-                Workload {
-                    pattern: "mem-copy",
-                    spes: 4,
-                    volume,
-                    elem,
-                    list: false,
-                    sync: SyncPolicy::AfterAll,
-                    params: 0,
-                },
-                Placement::lottery_avoiding(9, k, mask),
-                Arc::clone(&plan),
-            ));
+            let placement = Placement::lottery_avoiding(9, k, mask);
+            specs.push(RunSpec::new(system, &point, placement));
         }
     }
     specs

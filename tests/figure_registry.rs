@@ -10,7 +10,7 @@ use cellsim::baseline::Baseline;
 use cellsim::exec::SweepExecutor;
 use cellsim::experiments::{
     all_figures_with, canonical_pattern, figure_metrics_with, figure_points, figure_specs,
-    workload_plan, ExperimentConfig, FigureRow, Render, FIGURES,
+    ExperimentConfig, FigureRow, Render, SweepPoint, FIGURES, MAX_VOLUME_PER_SPE,
 };
 use cellsim::CellSystem;
 
@@ -118,10 +118,10 @@ fn every_listed_id_expands_and_renders_consistently() {
 #[test]
 fn every_sweep_workload_round_trips_through_the_wire_path() {
     // The serve daemon rebuilds plans from bare workloads
-    // (`workload_plan`); if a point builder and the rebuild path ever
-    // disagree, remote figures silently diverge from local ones. At the
-    // paper's scale every point must also pass the daemon's per-SPE
-    // volume limit.
+    // (`SweepPoint::new`); every point must be a registered pattern's
+    // and rebuild to the same plan, or remote figures silently diverge
+    // from local ones. At the paper's scale every point must also pass
+    // the daemon's per-SPE volume limit.
     for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
         rebuild_every_point(&cfg);
     }
@@ -131,24 +131,23 @@ fn rebuild_every_point(cfg: &ExperimentConfig) {
     for row in FIGURES.iter().filter(|row| row.points.is_some()) {
         let id = row.id;
         for point in figure_points(cfg, id).unwrap().unwrap() {
-            let w = &point.workload;
+            let w = point.workload();
             assert_eq!(
                 canonical_pattern(w.pattern),
                 Some(w.pattern),
                 "figure {id}: pattern '{}' is not canonical",
                 w.pattern
             );
-            let rebuilt = workload_plan(w)
+            assert!(
+                w.volume <= MAX_VOLUME_PER_SPE,
+                "figure {id}: {w:?} is over the wire limit"
+            );
+            let rebuilt = SweepPoint::new(w.clone())
                 .unwrap_or_else(|e| panic!("figure {id}: workload {w:?} does not rebuild: {e}"));
             assert_eq!(
-                rebuilt.total_bytes(),
-                point.plan.total_bytes(),
-                "figure {id}: rebuilt plan moves different bytes for {w:?}"
-            );
-            assert_eq!(
-                rebuilt.active_spes().count(),
-                point.plan.active_spes().count(),
-                "figure {id}: rebuilt plan drives different SPEs for {w:?}"
+                rebuilt.plan().fingerprint(),
+                point.plan().fingerprint(),
+                "figure {id}: rebuilt plan differs for {w:?}"
             );
         }
     }

@@ -601,7 +601,7 @@ proptest! {
 #[test]
 fn paper_scale_gups_plan_holds_one_step_per_spe() {
     use cellsim::core::exec::Workload;
-    use cellsim::core::experiments::workload_plan;
+    use cellsim::core::experiments::SweepPoint;
     let gups = cellsim::workloads::GupsParams {
         table_log2: 24,
         seed: 0x5EED,
@@ -615,7 +615,7 @@ fn paper_scale_gups_plan_holds_one_step_per_spe() {
         ("gups", 8u32, false, gups.pack()),
         ("pairlist", 16, true, pairlist.pack()),
     ] {
-        let w = Workload {
+        let point = SweepPoint::new(Workload {
             pattern,
             spes: 8,
             volume: 32 << 20,
@@ -623,8 +623,9 @@ fn paper_scale_gups_plan_holds_one_step_per_spe() {
             list,
             sync: SyncPolicy::AfterAll,
             params,
-        };
-        let plan = workload_plan(&w).expect("paper-scale plan builds");
+        })
+        .expect("paper-scale plan builds");
+        let plan = point.plan();
         let steps: usize = plan.scripts().iter().map(|s| s.step_count()).sum();
         assert_eq!(steps, 8, "{pattern}: one step per SPE");
         let commands: usize = plan.scripts().iter().map(|s| s.commands().len()).sum();
@@ -670,7 +671,7 @@ fn repeat_issues_the_unrolled_commands_from_one_stored_body() {
 #[test]
 fn stencil_plan_size_does_not_grow_with_volume() {
     use cellsim::core::exec::Workload;
-    use cellsim::core::experiments::workload_plan;
+    use cellsim::core::experiments::SweepPoint;
     let stencil = |rows_log2, cols_log2, volume| {
         let params = cellsim::workloads::StencilParams {
             rows_log2,
@@ -685,7 +686,8 @@ fn stencil_plan_size_does_not_grow_with_volume() {
             sync: SyncPolicy::AfterAll,
             params: params.pack(),
         };
-        workload_plan(&w).expect("stencil plan builds")
+        let point = SweepPoint::new(w).expect("stencil plan builds");
+        std::sync::Arc::clone(point.plan())
     };
     for (rows_log2, cols_log2) in [(1, 1), (5, 6)] {
         let small = stencil(rows_log2, cols_log2, 64 << 10);
