@@ -521,10 +521,9 @@ impl Fabric<'_> {
         if completed {
             let life = ctx
                 .mfc
-                .take_completed()
+                .last_completed()
                 .expect("completed command has a lifecycle record");
-            self.latency.observe(&life);
-            ctx.mfc.recycle(life);
+            self.latency.observe(life);
         }
         self.pump(info.spe, now, sched, cfg);
     }
@@ -655,12 +654,13 @@ impl Fabric<'_> {
     fn retire(&mut self, id: u32, now: Cycle, sched: &mut Scheduler<Ev>, cfg: &CellConfig) {
         let info = self.packets[id as usize];
         self.packets[id as usize].phase = PacketPhase::Retired;
-        self.free_slots.push(id); // no pending event references `id` now
-                                  // Delivered is recorded at retirement, not wire arrival, so the
-                                  // event count equals `FabricReport::packets` by construction —
-                                  // a mem-PUT abandoned between delivery and its DRAM write never
-                                  // produces a Delivered event, exactly as it never counts as a
-                                  // delivered packet.
+        // No pending event references `id` now.
+        self.free_slots.push(id);
+        // Delivered is recorded at retirement, not wire arrival, so the
+        // event count equals `FabricReport::packets` by construction — a
+        // mem-PUT abandoned between delivery and its DRAM write never
+        // produces a Delivered event, exactly as it never counts as a
+        // delivered packet.
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 now,
@@ -675,10 +675,9 @@ impl Fabric<'_> {
         if completed {
             let life = ctx
                 .mfc
-                .take_completed()
+                .last_completed()
                 .expect("completed command has a lifecycle record");
-            self.latency.observe(&life);
-            ctx.mfc.recycle(life);
+            self.latency.observe(life);
         }
         self.delivered_packets += 1;
         // An outstanding slot freed: the MFC may issue again. Enqueue-side

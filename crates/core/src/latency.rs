@@ -71,6 +71,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Folds one observation in.
+    #[inline]
     pub fn observe(&mut self, value: u64) {
         self.count += 1;
         self.total += value;
@@ -208,6 +209,7 @@ impl PathLatency {
     /// the phases cut a monotone timeline, so they sum to
     /// [`CommandLifecycle::latency`] exactly, and the first largest phase
     /// is [`CommandLifecycle::dominant_phase`].
+    #[inline]
     pub fn observe(&mut self, life: &CommandLifecycle) {
         let phases = life.phases();
         let (mut latency, mut dominant) = (0, 0);
@@ -259,6 +261,7 @@ pub struct LatencyMetrics {
 
 impl LatencyMetrics {
     /// Folds one retired command's lifecycle in.
+    #[inline]
     pub fn observe(&mut self, life: &CommandLifecycle) {
         self.paths[DmaPathClass::of(life).index()].observe(life);
         for elem in &life.element_records {
