@@ -11,6 +11,7 @@
 //! table size, grid shape, and stream seed.
 
 use cellsim_kernel::rng::derive_seed;
+use cellsim_mfc::ListElement;
 use cellsim_workloads::{GupsParams, PairlistParams, StencilParams, StreamError, CELL_BYTES};
 
 use crate::exec::{SweepExecutor, Workload};
@@ -18,7 +19,7 @@ use crate::experiments::{
     mean, sweep, ExperimentConfig, ExperimentError, SweepPoint, WorkloadError,
 };
 use crate::report::{format_bytes, Figure, Point, Series};
-use crate::{CellSystem, SyncPolicy, TransferPlan};
+use crate::{CellSystem, ListBatches, SyncPolicy, TransferPlan};
 
 /// GUPS access granularities: the related work's 8–128 B random updates.
 const GUPS_GRAINS: [u32; 5] = [8, 16, 32, 64, 128];
@@ -278,18 +279,16 @@ pub(crate) fn stencil_plan(w: &Workload) -> Result<TransferPlan, WorkloadError> 
     let steps = w.volume / interior;
     // The interior streams through the biggest element that fits it.
     let interior_elem = u32::try_from(interior.min(16384)).expect("interior elem fits u32");
-    let west_face = shape
-        .west_face(halo)
-        .map_err(|e| bad_params("stencil", e))?;
-    let east_face = shape
-        .east_face(halo)
-        .map_err(|e| bad_params("stencil", e))?;
-    let north_face = shape
-        .north_face(halo)
-        .map_err(|e| bad_params("stencil", e))?;
-    let south_face = shape
-        .south_face(halo)
-        .map_err(|e| bad_params("stencil", e))?;
+    // Every SPE gathers the same four faces, each from a neighbor's
+    // region: validate each face's batches once for all eight.
+    let face = |face: Result<Vec<ListElement>, StreamError>| {
+        let elements = face.map_err(|e| bad_params("stencil", e))?;
+        ListBatches::new(&elements).map_err(WorkloadError::Plan)
+    };
+    let west_face = face(shape.west_face(halo))?;
+    let east_face = face(shape.east_face(halo))?;
+    let north_face = face(shape.north_face(halo))?;
+    let south_face = face(shape.south_face(halo))?;
     let mut b = TransferPlan::builder();
     for spe in 0..STENCIL_SPES {
         let (west, east, vertical) = stencil_neighbors(spe);
@@ -298,10 +297,10 @@ pub(crate) fn stencil_plan(w: &Workload) -> Result<TransferPlan, WorkloadError> 
         b = b
             .get_from_memory(spe, interior, interior_elem, SyncPolicy::AfterAll)
             // The west neighbor's east boundary, and vice versa.
-            .get_list_at(spe, TransferPlan::get_region(west), &east_face)
-            .get_list_at(spe, TransferPlan::get_region(east), &west_face)
-            .get_list_at(spe, TransferPlan::get_region(vertical), &south_face)
-            .get_list_at(spe, TransferPlan::get_region(vertical), &north_face)
+            .get_list_batches_at(spe, TransferPlan::get_region(west), &east_face)
+            .get_list_batches_at(spe, TransferPlan::get_region(east), &west_face)
+            .get_list_batches_at(spe, TransferPlan::get_region(vertical), &south_face)
+            .get_list_batches_at(spe, TransferPlan::get_region(vertical), &north_face)
             .repeat(spe, steps);
     }
     b.build().map_err(WorkloadError::Plan)

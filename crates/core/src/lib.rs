@@ -78,8 +78,8 @@ pub use latency::{DmaPathClass, LatencyHistogram, LatencyMetrics, PathLatency};
 pub use metrics::{BankMetrics, FabricMetrics, FaultStats, MetricsSummary, SpeMetrics};
 pub use placement::Placement;
 pub use plan::{
-    Commands, PlanError, Planned, SpeScript, SyncPolicy, TransferPlan, TransferPlanBuilder,
-    LS_WINDOW,
+    Commands, ListBatches, PlanError, Planned, SpeScript, SyncPolicy, TransferPlan,
+    TransferPlanBuilder, LS_WINDOW,
 };
 pub use tracing::{FabricEvent, TraceMeta, TraceSink};
 

@@ -1121,6 +1121,14 @@ impl TransferPlanBuilder {
         self
     }
 
+    /// SPE `spe` GETLs the batches of an element list validated once
+    /// by [`ListBatches::new`], relative to the start of `region`: the
+    /// same commands as [`TransferPlanBuilder::get_list_at`] over the
+    /// same elements, without validating them again.
+    pub fn get_list_batches_at(self, spe: usize, region: RegionId, batches: &ListBatches) -> Self {
+        self.batches_at(spe, region, batches, ListOp::Get)
+    }
+
     fn list_at(
         mut self,
         spe: usize,
@@ -1135,52 +1143,56 @@ impl TransferPlanBuilder {
             self.err = Some(PlanError::BadSpe(spe));
             return self;
         }
-        let base = region_ea(region, 0);
-        let mut start = 0usize;
-        let mut batch_idx = 0u64;
-        while start < elements.len() {
-            let mut end = start;
-            let mut payload = 0u64;
-            while end < elements.len()
-                && end - start < MAX_LIST_ELEMENTS
-                && payload + u64::from(elements[end].bytes) <= u64::from(LS_WINDOW)
-            {
-                payload += u64::from(elements[end].bytes);
-                end += 1;
+        match ListBatches::new(elements) {
+            Ok(batches) => self.batches_at(spe, region, &batches, op),
+            Err(e) => {
+                self.err = Some(e);
+                self
             }
-            // A single element larger than the window: pass it through so
-            // the MFC validator reports the real error.
-            if end == start {
-                end = start + 1;
-            }
-            let batch = elements[start..end].to_vec();
-            let result = match op {
-                ListOp::Get => DmaListCommand::new(DmaKind::Get, LsAddr(0), base, batch, tag())
-                    .map(|cmd| {
-                        self.scripts[spe].steps.push(Step::Cmd(Planned::List(cmd)));
-                    }),
-                ListOp::Update => {
-                    let chain = chain_tag(batch_idx);
-                    DmaListCommand::new(DmaKind::Get, LsAddr(0), base, batch.clone(), chain)
-                        .and_then(|get| {
-                            let put =
-                                DmaListCommand::new(DmaKind::Put, LsAddr(0), base, batch, chain)?;
-                            self.scripts[spe].steps.push(Step::Cmd(Planned::List(get)));
-                            self.scripts[spe]
-                                .steps
-                                .push(Step::Cmd(Planned::List(put.with_fence())));
-                            Ok(())
-                        })
-                }
-            };
-            if let Err(e) = result {
-                self.err = Some(e.into());
-                return self;
-            }
-            batch_idx += 1;
-            start = end;
         }
-        if !elements.is_empty() {
+    }
+
+    fn batches_at(
+        mut self,
+        spe: usize,
+        region: RegionId,
+        batches: &ListBatches,
+        op: ListOp,
+    ) -> Self {
+        if self.err.is_some() {
+            return self;
+        }
+        if spe >= SPE_COUNT {
+            self.err = Some(PlanError::BadSpe(spe));
+            return self;
+        }
+        let base = region_ea(region, 0);
+        let steps = &mut self.scripts[spe].steps;
+        for (batch_idx, list) in batches.lists.iter().enumerate() {
+            let batch = list.elements().to_vec();
+            match op {
+                ListOp::Get => {
+                    let get =
+                        DmaListCommand::new_unchecked(DmaKind::Get, LsAddr(0), base, batch, tag());
+                    steps.push(Step::Cmd(Planned::List(get)));
+                }
+                ListOp::Update => {
+                    let chain = chain_tag(batch_idx as u64);
+                    let get = DmaListCommand::new_unchecked(
+                        DmaKind::Get,
+                        LsAddr(0),
+                        base,
+                        batch.clone(),
+                        chain,
+                    );
+                    let put =
+                        DmaListCommand::new_unchecked(DmaKind::Put, LsAddr(0), base, batch, chain);
+                    steps.push(Step::Cmd(Planned::List(get)));
+                    steps.push(Step::Cmd(Planned::List(put.with_fence())));
+                }
+            }
+        }
+        if !batches.lists.is_empty() {
             self.scripts[spe].sync.get_or_insert(SyncPolicy::AfterAll);
         }
         self
@@ -1211,6 +1223,61 @@ impl TransferPlanBuilder {
             return Err(PlanError::SelfPartner(spe));
         }
         Ok(())
+    }
+}
+
+/// A main-memory element list cut into hardware-legal list batches
+/// (≤ [`MAX_LIST_ELEMENTS`][cellsim_mfc::MAX_LIST_ELEMENTS] entries,
+/// payload ≤ [`LS_WINDOW`] each) and validated once, for plans that issue
+/// the same list from several SPEs or against several regions
+/// ([`TransferPlanBuilder::get_list_batches_at`]).
+///
+/// Whether a batch is valid depends on its elements alone: every batch
+/// starts at Local Store 0, and [`DmaCommand::validate`] reads only the
+/// offset of a main-memory effective address, never its region.
+#[derive(Debug, Clone)]
+pub struct ListBatches {
+    /// One validated GETL per batch, based at the start of region 0.
+    lists: Vec<DmaListCommand>,
+}
+
+impl ListBatches {
+    /// Batches and validates `elements`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::Dma`] with the first invalid batch's error: the error
+    /// [`TransferPlanBuilder::get_list_at`] records for the same elements.
+    pub fn new(elements: &[ListElement]) -> Result<ListBatches, PlanError> {
+        let base = region_ea(RegionId(0), 0);
+        let mut lists = Vec::new();
+        let mut start = 0usize;
+        while start < elements.len() {
+            let mut end = start;
+            let mut payload = 0u64;
+            while end < elements.len()
+                && end - start < MAX_LIST_ELEMENTS
+                && payload + u64::from(elements[end].bytes) <= u64::from(LS_WINDOW)
+            {
+                payload += u64::from(elements[end].bytes);
+                end += 1;
+            }
+            // A single element larger than the window: pass it through so
+            // the MFC validator reports the real error.
+            if end == start {
+                end = start + 1;
+            }
+            let batch = elements[start..end].to_vec();
+            lists.push(DmaListCommand::new(
+                DmaKind::Get,
+                LsAddr(0),
+                base,
+                batch,
+                tag(),
+            )?);
+            start = end;
+        }
+        Ok(ListBatches { lists })
     }
 }
 

@@ -1,6 +1,7 @@
 //! The central data arbiter: ring selection, port reservation, fairness.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use cellsim_faults::EibFaults;
 use cellsim_kernel::Cycle;
@@ -175,54 +176,154 @@ impl RouteSet {
     }
 }
 
+/// Cycles the release calendar's ring covers, from the latest
+/// arbitration time: expiries at least this far after their grant wait
+/// in an ordered overflow map instead.
+///
+/// A healthy reservation lasts at most the packet's wire time plus the
+/// hop latency across its route (plus any source-switch penalty). On the
+/// CBE's defaults that is 128 B / 16 B per cycle + 6 hops × 1 cycle = 14
+/// cycles, so every healthy expiry lands in the ring. Derate windows
+/// stretch wire time without bound (1 % capacity makes a packet hold its
+/// path for 800 cycles), and so do payloads far above a bus packet; those
+/// take the overflow map.
+pub const RELEASE_RING_SPAN: u64 = u64::BITS as u64;
+
 /// The future expiries of every segment and port reservation, as a
-/// counted multiset sorted by cycle.
+/// counted multiset ordered by cycle.
 ///
 /// `try_grant` adds each expiry it reserves and removes any still-future
 /// expiry it overwrites (a receive port or a pipelined segment can be
 /// re-reserved before it frees). Expiries at or before an arbitration
-/// time can never be asked for again, so they are dropped from the front.
-#[derive(Debug, Default)]
+/// time can never be asked for again, so they are dropped.
+///
+/// Expiries in `[base, base + RELEASE_RING_SPAN)` live in a ring of
+/// one-cycle counters: slot `t % span` counts the expiries at cycle `t`,
+/// and one occupancy word marks the non-empty slots, so adding and
+/// removing are O(1) and the next expiry is a rotate and a trailing-zero
+/// count. Later expiries wait in `overflow` and move into the ring as
+/// the window reaches them, as in the event queue's calendar ring.
+#[derive(Debug)]
 struct ReleaseCalendar {
-    /// `(expiry, reservations expiring then)`, ascending by expiry. It
-    /// holds a few dozen entries at most, so a flat vector scanned
-    /// linearly beats a tree or a binary search.
-    entries: Vec<(Cycle, u32)>,
+    /// Reservations expiring at the ring time of each slot; a slot's
+    /// count is meaningful only while its `occupied` bit is set.
+    counts: [u32; RELEASE_RING_SPAN as usize],
+    /// Bit `t % span` set ⇔ some reservation expires at ring time `t`.
+    occupied: u64,
+    /// Expiries at `base + RELEASE_RING_SPAN` or later, with counts.
+    overflow: BTreeMap<Cycle, u32>,
+    /// The latest arbitration time expiries were dropped through; every
+    /// held expiry is at or after it.
+    base: Cycle,
 }
 
 impl ReleaseCalendar {
+    fn new() -> ReleaseCalendar {
+        ReleaseCalendar {
+            counts: [0; RELEASE_RING_SPAN as usize],
+            occupied: 0,
+            overflow: BTreeMap::new(),
+            base: Cycle::ZERO,
+        }
+    }
+
+    /// The ring slot of `at`, if `at` lies inside the ring's window.
+    #[inline]
+    fn slot(&self, at: Cycle) -> Option<usize> {
+        debug_assert!(at >= self.base, "expiry {at:?} before the calendar's base");
+        let ahead = at.as_u64() - self.base.as_u64();
+        (ahead < RELEASE_RING_SPAN).then_some((at.as_u64() % RELEASE_RING_SPAN) as usize)
+    }
+
     #[inline]
     fn add(&mut self, at: Cycle, count: u32) {
-        // A new expiry is usually the latest one, so search from the back.
-        let i = self.entries.iter().rposition(|&(t, _)| t <= at);
-        match i {
-            Some(i) if self.entries[i].0 == at => self.entries[i].1 += count,
-            _ => self.entries.insert(i.map_or(0, |i| i + 1), (at, count)),
+        match self.slot(at) {
+            Some(slot) => {
+                let bit = 1 << slot;
+                if self.occupied & bit == 0 {
+                    self.occupied |= bit;
+                    self.counts[slot] = count;
+                } else {
+                    self.counts[slot] += count;
+                }
+            }
+            None => *self.overflow.entry(at).or_insert(0) += count,
         }
     }
 
     #[inline]
     fn remove(&mut self, at: Cycle) {
-        let i = self
-            .entries
-            .iter()
-            .position(|&(t, _)| t == at)
-            .expect("the calendar holds every future reservation");
-        self.entries[i].1 -= 1;
-        if self.entries[i].1 == 0 {
-            self.entries.remove(i);
+        const MISSING: &str = "the calendar holds every future reservation";
+        match self.slot(at) {
+            Some(slot) => {
+                let bit = 1 << slot;
+                assert!(self.occupied & bit != 0, "{MISSING}");
+                self.counts[slot] -= 1;
+                if self.counts[slot] == 0 {
+                    self.occupied &= !bit;
+                }
+            }
+            None => {
+                let count = self.overflow.get_mut(&at).expect(MISSING);
+                *count -= 1;
+                if *count == 0 {
+                    self.overflow.remove(&at);
+                }
+            }
+        }
+    }
+
+    /// Drops every expiry at or before `now` and moves the window to
+    /// start at `now`.
+    #[inline]
+    fn drop_through(&mut self, now: Cycle) {
+        if now <= self.base {
+            return;
+        }
+        // The slots of cycles `base..=now`, a run of up to a whole ring.
+        let expired = now.as_u64() - self.base.as_u64() + 1;
+        if expired >= RELEASE_RING_SPAN {
+            self.occupied = 0;
+        } else {
+            let from = (self.base.as_u64() % RELEASE_RING_SPAN) as u32;
+            self.occupied &= !((1u64 << expired) - 1).rotate_left(from);
+        }
+        self.base = now;
+        let horizon = now + RELEASE_RING_SPAN;
+        while let Some(entry) = self.overflow.first_entry() {
+            let at = *entry.key();
+            if at >= horizon {
+                break;
+            }
+            let count = entry.remove();
+            if at > now {
+                self.add(at, count);
+            }
         }
     }
 
     #[inline]
-    fn drop_through(&mut self, now: Cycle) {
-        let expired = self.entries.iter().take_while(|&&(t, _)| t <= now).count();
-        self.entries.drain(..expired);
-    }
-
-    #[inline]
     fn next_after(&self, now: Cycle) -> Option<Cycle> {
-        self.entries.iter().map(|&(t, _)| t).find(|&t| t > now)
+        let base = self.base.as_u64();
+        let first = now.as_u64().saturating_add(1).max(base);
+        if first - base < RELEASE_RING_SPAN {
+            // Bit k of the rotated word is cycle `first + k` while that
+            // lies in the window; past it, the bits wrap onto cycles
+            // before `first`.
+            let rotated = self
+                .occupied
+                .rotate_right((first % RELEASE_RING_SPAN) as u32);
+            if rotated != 0 {
+                let at = first + u64::from(rotated.trailing_zeros());
+                if at < base + RELEASE_RING_SPAN {
+                    return Some(Cycle::new(at));
+                }
+            }
+        }
+        self.overflow
+            .range((Excluded(now), Unbounded))
+            .next()
+            .map(|(&at, _)| at)
     }
 }
 
@@ -325,7 +426,7 @@ impl Eib {
             last_send_class: vec![None; n],
             queues: Default::default(),
             next_seq: 0,
-            calendar: ReleaseCalendar::default(),
+            calendar: ReleaseCalendar::new(),
             stats: EibStats::default(),
             ring_stats: vec![RingStats::default(); ring_count],
             faults: EibFaults::default(),

@@ -44,6 +44,7 @@ mod topology;
 
 pub use arbiter::{
     Eib, EibConfig, EibStats, FlowClass, Grant, RingOccupancy, RingStats, TransferRequest,
+    RELEASE_RING_SPAN,
 };
 pub use cmdbus::CommandBus;
 pub use ring::{Ring, RingId};

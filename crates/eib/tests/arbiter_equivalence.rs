@@ -9,7 +9,9 @@
 //! counters and release horizons must agree exactly. Two more streams
 //! arbitrate at every cycle between releases, where most passes can only
 //! refuse and take the arbiter's early return, and replace the fault
-//! windows mid-stream.
+//! windows mid-stream. A fourth runs under derates severe enough that
+//! grants reserve past the release calendar's ring span, and checks that
+//! some case does, so the calendar's overflow map is exercised.
 //!
 //! Each property runs 256 cases unless `PROPTEST_CASES` sets the count.
 
@@ -17,7 +19,7 @@ use std::collections::VecDeque;
 
 use cellsim_eib::{
     Direction, Eib, EibConfig, EibStats, Element, FlowClass, Grant, Ring, RingId, RingOccupancy,
-    RingStats, Topology, TransferRequest,
+    RingStats, Topology, TransferRequest, RELEASE_RING_SPAN,
 };
 use cellsim_faults::{DerateWindow, EibFaults, RingOutage, Window};
 use cellsim_kernel::Cycle;
@@ -324,6 +326,24 @@ fn faults() -> impl Strategy<Value = EibFaults> {
     ]
 }
 
+/// Derates of at most 12 % capacity over the first few hundred cycles:
+/// inside them a full packet's wire time (8 cycles healthy) stretches to
+/// at least 67, past the release calendar's ring span.
+fn severe_faults() -> impl Strategy<Value = EibFaults> {
+    let window = (0u64..100, 100u64..600).prop_map(|(start, cycles)| Window { start, cycles });
+    let derate = collection::vec(
+        (window, 1u32..=12).prop_map(|(window, capacity_percent)| DerateWindow {
+            window,
+            capacity_percent,
+        }),
+        1..3,
+    );
+    derate.prop_map(|derate| EibFaults {
+        ring_outages: Vec::new(),
+        derate,
+    })
+}
+
 /// Compares every observable of the two arbiters.
 fn same_state(eib: &Eib, reference: &ReferenceEib, now: Cycle) -> Result<(), TestCaseError> {
     prop_assert_eq!(eib.stats(), &reference.stats);
@@ -339,13 +359,25 @@ fn same_state(eib: &Eib, reference: &ReferenceEib, now: Cycle) -> Result<(), Tes
 }
 
 /// Drives both arbiters through `ops`, then drains them, checking after
-/// every step that they agree.
-fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCaseError> {
+/// every step that they agree. Returns the longest reservation any grant
+/// made: from its start to its delivery, the last expiry it books.
+fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<u64, TestCaseError> {
     let mut eib = Eib::new(Topology::cbe(), cfg);
     eib.set_faults(faults.clone());
     let mut reference = ReferenceEib::new(Topology::cbe(), cfg, faults);
     let mut now = Cycle::ZERO;
     let mut token = 0u64;
+    let mut longest = 0u64;
+    let mut same_grants = |got: Vec<(u64, Grant)>,
+                           want: Vec<(u64, Grant)>,
+                           now: Cycle|
+     -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got, &want, "pass at cycle {}", now.as_u64());
+        for (_, grant) in got {
+            longest = longest.max(grant.delivered_at - grant.start);
+        }
+        Ok(())
+    };
     for op in ops {
         match op {
             Op::Submit(src, dst, bytes, class) => {
@@ -359,9 +391,7 @@ fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCase
                 reference.submit(now, token, req);
                 token += 1;
             }
-            Op::Arbitrate => {
-                prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
-            }
+            Op::Arbitrate => same_grants(eib.arbitrate(now), reference.arbitrate(now), now)?,
             Op::Advance(dt) => now += dt,
             Op::Jump => {
                 if let Some(next) = reference.next_release_after(now) {
@@ -371,12 +401,7 @@ fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCase
             Op::Sweep(cycles) => {
                 for _ in 0..cycles {
                     now += 1;
-                    prop_assert_eq!(
-                        eib.arbitrate(now),
-                        reference.arbitrate(now),
-                        "pass at cycle {}",
-                        now.as_u64()
-                    );
+                    same_grants(eib.arbitrate(now), reference.arbitrate(now), now)?;
                     same_state(&eib, &reference, now)?;
                 }
             }
@@ -390,7 +415,7 @@ fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCase
     // Drain: every request is eventually granted, identically.
     let mut rounds = 0;
     while reference.has_pending() {
-        prop_assert_eq!(eib.arbitrate(now), reference.arbitrate(now));
+        same_grants(eib.arbitrate(now), reference.arbitrate(now), now)?;
         same_state(&eib, &reference, now)?;
         if let Some(next) = reference.next_release_after(now) {
             now = next;
@@ -398,7 +423,7 @@ fn drive(cfg: EibConfig, faults: EibFaults, ops: Vec<Op>) -> Result<(), TestCase
         rounds += 1;
         prop_assert!(rounds < 100_000, "arbitration did not drain");
     }
-    Ok(())
+    Ok(longest)
 }
 
 /// Cases per property: `PROPTEST_CASES` if set, else 256.
@@ -438,4 +463,24 @@ proptest! {
     ) {
         drive(cfg, faults, ops)?;
     }
+}
+
+/// The severe-derate property, run by hand so that the count of cases
+/// whose grants reserved past the ring span can be checked after all of
+/// them ran.
+#[test]
+fn severe_derates_reserve_past_the_ring_span_and_match_the_scanning_reference() {
+    let strategy = (config(), severe_faults(), collection::vec(op(), 1..160));
+    let mut overflowing = 0u32;
+    TestRunner::new(ProptestConfig::with_cases(cases())).run_cases(|rng| {
+        let (cfg, faults, ops) = strategy.generate(rng);
+        if drive(cfg, faults, ops)? >= RELEASE_RING_SPAN {
+            overflowing += 1;
+        }
+        Ok(())
+    });
+    assert!(
+        overflowing > 0,
+        "no case reserved past the {RELEASE_RING_SPAN}-cycle ring span"
+    );
 }

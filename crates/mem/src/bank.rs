@@ -128,8 +128,10 @@ impl XdrBank {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_cycle` is not positive or `refresh_interval`
-    /// is zero.
+    /// Panics if `bytes_per_cycle` is not positive, `refresh_interval`
+    /// is zero, or a refresh window lasts as long as its interval or
+    /// longer (`refresh_cycles >= refresh_interval`): the pipe would never
+    /// be free, and [`XdrBank::submit`] would wait forever.
     pub fn new(cfg: BankConfig) -> XdrBank {
         assert!(
             cfg.bytes_per_cycle > 0.0 && cfg.bytes_per_cycle.is_finite(),
@@ -138,6 +140,10 @@ impl XdrBank {
         assert!(
             cfg.refresh_interval > 0,
             "refresh interval must be non-zero"
+        );
+        assert!(
+            cfg.refresh_cycles < cfg.refresh_interval,
+            "refresh window must be shorter than the refresh interval"
         );
         XdrBank {
             next_free: Cycle::ZERO,
@@ -308,6 +314,14 @@ mod tests {
         let a = bank.submit(Cycle::ZERO, Op::Read, 128);
         assert!(a.start >= Cycle::new(110));
         assert_eq!(bank.stats().refresh_cycles, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh window must be shorter than the refresh interval")]
+    fn a_refresh_window_filling_its_interval_is_refused() {
+        let mut cfg = BankConfig::local_xdr();
+        cfg.refresh_cycles = cfg.refresh_interval;
+        XdrBank::new(cfg);
     }
 
     #[test]

@@ -22,7 +22,13 @@ pub enum ConfigError {
     ZeroOutstandingBudget,
     /// `packet_bytes` is zero.
     ZeroPacketBytes,
+    /// `queue_depth` exceeds [`MAX_QUEUE_DEPTH`].
+    QueueTooDeep,
 }
+
+/// Deepest command queue an engine accepts: the issue scan keeps one bit
+/// per queue position in a `u64`. The CBE's queue has 16 entries.
+pub const MAX_QUEUE_DEPTH: usize = u64::BITS as usize;
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -32,6 +38,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "MFC outstanding-packet budget must be non-zero")
             }
             ConfigError::ZeroPacketBytes => write!(f, "MFC packet size must be non-zero"),
+            ConfigError::QueueTooDeep => {
+                write!(f, "MFC queue depth must be at most {MAX_QUEUE_DEPTH}")
+            }
         }
     }
 }
@@ -342,7 +351,9 @@ impl ActiveCommand {
 }
 
 /// The hot state of a queued command: everything the round-robin issue
-/// scan reads, in queue (submit) order.
+/// scan reads, in queue (submit) order. Whether the command may issue at
+/// all is kept beside the queue, one bit per position
+/// (`MfcEngine::candidates`).
 #[derive(Debug, Clone, Copy)]
 struct QueueEntry {
     /// Gate before the first (or next list-element) packet may issue.
@@ -350,11 +361,6 @@ struct QueueEntry {
     /// Index of the command's cold state in `MfcEngine::commands`.
     slot: u32,
     tag: TagId,
-    /// A fenced command that an older command of its tag group still
-    /// precedes in the queue: it may not issue until that one leaves.
-    held: bool,
-    /// Whether packets remain to be carved out of the command.
-    unissued: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -385,6 +391,14 @@ pub struct MfcEngine {
     cfg: MfcConfig,
     /// Queued commands in submit order (at most `queue_depth`).
     queue: Vec<QueueEntry>,
+    /// Bit `i` set ⇔ the command at queue position `i` has packets left
+    /// and is not fence-held (an older command of its tag group is still
+    /// queued): the commands the issue scan visits.
+    candidates: u64,
+    /// Bit `i` set ⇔ the command at queue position `i` has packets but
+    /// has issued none yet. Decode is serial, so these commands' gates
+    /// rise with queue position.
+    fresh: u64,
     /// Cold command state, indexed by `QueueEntry::slot`; a slot not in
     /// `queue` is free and still holds its last command's record.
     commands: Vec<ActiveCommand>,
@@ -430,7 +444,8 @@ impl MfcEngine {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the configuration has a zero queue
-    /// depth, outstanding budget, or packet size.
+    /// depth, outstanding budget, or packet size, or a queue deeper than
+    /// [`MAX_QUEUE_DEPTH`].
     pub fn new(cfg: MfcConfig) -> Result<MfcEngine, ConfigError> {
         MfcEngine::with_faults(cfg, MfcFaults::default(), RetryPolicy::default())
     }
@@ -449,6 +464,9 @@ impl MfcEngine {
         if cfg.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
         }
+        if cfg.queue_depth > MAX_QUEUE_DEPTH {
+            return Err(ConfigError::QueueTooDeep);
+        }
         if cfg.max_outstanding_packets == 0 {
             return Err(ConfigError::ZeroOutstandingBudget);
         }
@@ -458,6 +476,8 @@ impl MfcEngine {
         Ok(MfcEngine {
             cfg,
             queue: Vec::with_capacity(cfg.queue_depth),
+            candidates: 0,
+            fresh: 0,
             commands: Vec::new(),
             free_commands: Vec::new(),
             packets: Vec::new(),
@@ -583,7 +603,13 @@ impl MfcEngine {
         // Decode is serialized across commands but pipelined with issue.
         let decoded = now.max(self.decoder_free) + self.cfg.command_startup;
         self.decoder_free = decoded;
-        let unissued = work.element_count() > 0;
+        if work.element_count() > 0 {
+            let bit = 1 << self.queue.len();
+            self.fresh |= bit;
+            if !held {
+                self.candidates |= bit;
+            }
+        }
         let slot = match self.free_commands.pop() {
             Some(slot) => slot,
             None => {
@@ -599,8 +625,6 @@ impl MfcEngine {
             ready_at: decoded,
             slot,
             tag,
-            held,
-            unissued,
         });
         self.stats.commands += 1;
         Ok(())
@@ -609,56 +633,88 @@ impl MfcEngine {
     /// Produces the next bus packet if structural resources allow.
     #[inline]
     pub fn try_issue(&mut self, now: Cycle) -> Issue {
+        if let Some(refused) = self.issue_refused(now) {
+            return refused;
+        }
+        match self.pick(now) {
+            Ok(pos) => self.issue_from(pos, now),
+            Err(gate) => Self::no_pick(gate),
+        }
+    }
+
+    /// The answer when the engine cannot issue at `now` whatever its
+    /// queue holds: empty queue, stall window, spent budget or pacing.
+    #[inline]
+    fn issue_refused(&self, now: Cycle) -> Option<Issue> {
         if self.queue.is_empty() {
-            return Issue::Idle;
+            return Some(Issue::Idle);
         }
         // A fault-plan stall window freezes the unroller outright: nothing
         // issues until the longest containing window ends. Checked before
         // the budget so a stalled engine reports a concrete wake-up time.
         if let Some(until) = self.faults.stalled_until(now.as_u64()) {
-            return Issue::Stalled {
+            return Some(Issue::Stalled {
                 retry_at: Cycle::new(until),
-            };
-        }
-        if self.outstanding >= self.slot_budget() {
-            return Issue::Blocked;
-        }
-        if self.next_issue > now {
-            return Issue::Stalled {
-                retry_at: self.next_issue,
-            };
-        }
-        // Round-robin over decoded, not-fully-issued commands, starting
-        // at the pointer and wrapping once.
-        let len = self.queue.len();
-        let start = self.rr % len;
-        let mut pos = None;
-        let mut earliest_gate: Option<Cycle> = None;
-        for i in (start..len).chain(0..start) {
-            let c = &self.queue[i];
-            // A fenced command waits until every older command of its tag
-            // group has fully completed (left the queue).
-            if !c.unissued || c.held {
-                continue; // a held one is re-polled after the blocking delivery
-            }
-            if c.ready_at <= now {
-                pos = Some(i);
-                break;
-            }
-            earliest_gate = Some(match earliest_gate {
-                Some(g) => g.min(c.ready_at),
-                None => c.ready_at,
             });
         }
-        let Some(pos) = pos else {
-            return match earliest_gate {
-                // All unissued commands are still decoding/fetching.
-                Some(gate) => Issue::Stalled { retry_at: gate },
-                // Everything issued, awaiting delivery.
-                None => Issue::Blocked,
-            };
-        };
+        if self.outstanding >= self.slot_budget() {
+            return Some(Issue::Blocked);
+        }
+        if self.next_issue > now {
+            return Some(Issue::Stalled {
+                retry_at: self.next_issue,
+            });
+        }
+        None
+    }
+
+    /// The answer when no queued command may issue: stalled until the
+    /// earliest gate of a command still decoding or fetching, or blocked
+    /// while everything left is in flight or fence-held.
+    #[inline]
+    fn no_pick(gate: Option<Cycle>) -> Issue {
+        match gate {
+            Some(retry_at) => Issue::Stalled { retry_at },
+            None => Issue::Blocked,
+        }
+    }
+
+    /// Round-robin pick: the first candidate whose gate has passed, in
+    /// queue order from the pointer, wrapping once. Otherwise the
+    /// earliest gate among the candidates, if any.
+    ///
+    /// The walk visits candidate bits only. A fresh command still
+    /// decoding drops every fresh command behind it in queue order: the
+    /// decoder is serial, so their gates are no earlier. Its own gate is
+    /// folded in, so the earliest gate is exact.
+    #[inline]
+    fn pick(&self, now: Cycle) -> Result<usize, Option<Cycle>> {
+        let start = self.rr % self.queue.len();
+        let mut gate: Option<Cycle> = None;
+        for half in [!0u64 << start, !(!0u64 << start)] {
+            let mut walk = self.candidates & half;
+            while walk != 0 {
+                let pos = walk.trailing_zeros() as usize;
+                walk &= walk - 1;
+                let ready_at = self.queue[pos].ready_at;
+                if ready_at <= now {
+                    return Ok(pos);
+                }
+                gate = Some(gate.map_or(ready_at, |g| g.min(ready_at)));
+                if self.fresh & (1 << pos) != 0 {
+                    walk &= !self.fresh;
+                }
+            }
+        }
+        Err(gate)
+    }
+
+    /// Issues the next packet of the command at queue position `pos`.
+    #[inline]
+    fn issue_from(&mut self, pos: usize, now: Cycle) -> Issue {
         self.rr = pos + 1;
+        let bit = 1 << pos;
+        self.fresh &= !bit;
         let entry = &mut self.queue[pos];
         let cmd = &mut self.commands[entry.slot as usize];
 
@@ -718,7 +774,7 @@ impl MfcEngine {
             cmd.elem_idx += 1;
             cmd.byte_in_elem = 0;
             if cmd.fully_issued() {
-                entry.unissued = false;
+                self.candidates &= !bit;
             } else {
                 // List-element fetch before the next element may issue.
                 entry.ready_at = now + self.cfg.list_element_overhead;
@@ -793,13 +849,19 @@ impl MfcEngine {
             .position(|e| e.slot == meta.cmd)
             .expect("completed command is queued");
         let tag = self.queue.remove(pos).tag;
+        // Every later command moves down one position, and its bits with
+        // it. The completed command's own bits are already clear.
+        let below = (1u64 << pos) - 1;
+        self.candidates = (self.candidates & below) | ((self.candidates >> 1) & !below);
+        self.fresh = (self.fresh & below) | ((self.fresh >> 1) & !below);
         self.tags.release(tag);
         // The queue is in submit order: if no older command of the tag
         // group remains, the group's next command, if any, is now its
-        // oldest, and its fence no longer holds it.
+        // oldest, and its fence no longer holds it. A held command has
+        // issued nothing, so it is fresh.
         if !self.queue[..pos].iter().any(|e| e.tag == tag) {
-            if let Some(next) = self.queue[pos..].iter_mut().find(|e| e.tag == tag) {
-                next.held = false;
+            if let Some(next) = self.queue[pos..].iter().position(|e| e.tag == tag) {
+                self.candidates |= self.fresh & (1 << (pos + next));
             }
         }
         self.stats.completed += 1;
@@ -924,6 +986,9 @@ impl MfcEngine {
         }
     }
 }
+
+#[cfg(test)]
+mod issue_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -1214,6 +1279,23 @@ mod tests {
             assert_eq!(MfcEngine::new(cfg).err(), Some(want));
             assert!(!want.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn queue_deeper_than_the_scan_masks_is_a_typed_error() {
+        let depth = |queue_depth| MfcConfig {
+            queue_depth,
+            ..MfcConfig::default()
+        };
+        assert!(MfcEngine::new(depth(MAX_QUEUE_DEPTH)).is_ok());
+        assert_eq!(
+            MfcEngine::new(depth(65)).err(),
+            Some(ConfigError::QueueTooDeep)
+        );
+        assert_eq!(
+            ConfigError::QueueTooDeep.to_string(),
+            "MFC queue depth must be at most 64"
+        );
     }
 
     #[test]

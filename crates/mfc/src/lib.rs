@@ -62,6 +62,7 @@ pub use command::{
 };
 pub use engine::{
     ConfigError, Issue, MfcConfig, MfcEngine, MfcStats, NackVerdict, PacketOut, PacketToken,
+    MAX_QUEUE_DEPTH,
 };
 pub use list::{DmaListCommand, ListElement};
 pub use tag::{TagId, TagSet};

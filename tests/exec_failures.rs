@@ -21,6 +21,15 @@ fn panicking_blade() -> CellSystem {
     CellSystem::new(config)
 }
 
+/// A machine whose local bank refreshes for as long as its refresh
+/// interval: the bank's pipe would never be free, so bank construction
+/// refuses it inside the worker instead of hanging the batch.
+fn refresh_bound_blade() -> CellSystem {
+    let mut config = CellConfig::default();
+    config.local_bank.refresh_cycles = config.local_bank.refresh_interval;
+    CellSystem::new(config)
+}
+
 /// A machine that stalls: the local bank answers past the safety
 /// horizon.
 fn stalling_blade() -> CellSystem {
@@ -91,6 +100,25 @@ fn failures_are_per_batch_on_a_reused_executor() {
     // A second poisoned batch reports exactly its own failure again.
     let _ = exec.try_run(mixed_specs(&poison));
     assert_eq!(exec.take_failures().len(), 1);
+}
+
+#[test]
+fn refresh_filling_its_interval_fails_alone_instead_of_hanging() {
+    let exec = SweepExecutor::new(2);
+    let poison = refresh_bound_blade();
+    let results = exec.try_run(mixed_specs(&poison));
+    assert_eq!(results.len(), 4);
+    for (i, result) in results.iter().enumerate() {
+        if i == 2 {
+            let error = result.as_ref().unwrap_err();
+            assert!(
+                matches!(error, RunError::Panicked { .. }),
+                "the refresh-bound spec must surface as a panic: {error}"
+            );
+        } else {
+            assert!(result.is_ok(), "healthy spec {i} must survive the batch");
+        }
+    }
 }
 
 #[test]
